@@ -5,8 +5,15 @@ change only as fast as its fitted gain allows.  The estimator here keeps
 an exponentially weighted moving average of squared window-to-window
 observation differences per chain; whenever that average rises above
 what the baseline parameters can explain, the excess is used as the
-state variance for the current window, opening the gain exactly when the
-data demand it.  One forward pass, no refitting.
+state variance for that window, opening the gain exactly when the data
+demand it.  The average depends on the observations alone, so
+`assmt_filter` computes it for all windows at once as one exponential
+filter, then runs the fixed-parameter filter's forward pass with the
+resulting time-varying state variance.  No refitting.
+
+`NonstationarityTracker`, `ema_update` and `adaptive_state_variance`
+are the same rule one window at a time, for stepping a single chain or
+checking the vectorized pass.
 """
 
 from __future__ import annotations
@@ -14,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from ._util import frozen_array
 from .segmentation import EigenCoefficients
-from .ssm import FilterTrace, ModelParams, Spectrogram, ssmt_spectrogram
+from .ssm import FilterTrace, ModelParams, Spectrogram, _filter_trace, ssmt_spectrogram
 
 __all__ = [
     "NonstationarityTracker",
@@ -121,6 +129,25 @@ def adaptive_state_variance(ema_value, baseline_state_var, obs_var):
     return out if out.ndim else float(out)
 
 
+def _tracked_state_variance(coeffs, params: AdaptiveParams, alpha: float) -> np.ndarray:
+    """The (K, J, M) state variances `assmt_filter` runs with.
+
+    `ema_update` applied window after window is one `lfilter` along the
+    window axis, seeded with the first squared difference.
+    """
+    sv = np.empty(coeffs.shape)
+    sv[0] = params.baseline_state_var
+    if len(coeffs) > 1:
+        diff = np.diff(coeffs, axis=0)
+        ema = diff.real**2 + diff.imag**2
+        ema[1:] = lfilter(
+            [alpha], [1.0, alpha - 1.0], ema[1:], axis=0, zi=(1.0 - alpha) * ema[:1]
+        )[0]
+        ema -= 2.0 * params.obs_var[None, :]
+        np.maximum(ema, params.baseline_state_var, out=sv[1:])
+    return sv
+
+
 def assmt_filter(
     obs: EigenCoefficients,
     params: AdaptiveParams,
@@ -128,7 +155,7 @@ def assmt_filter(
     init_mean: np.ndarray | None = None,
     init_var: np.ndarray | None = None,
 ) -> tuple[FilterTrace, np.ndarray]:
-    """Single forward pass with the state variance driven by the tracker.
+    """Fixed-parameter filter run with the state variance set by the tracker.
 
     Parameters
     ----------
@@ -149,68 +176,20 @@ def assmt_filter(
 
     Notes
     -----
-    The first window is filtered under the baseline because no difference
-    exists yet; the tracker is seeded with the first available squared
-    difference, so the second window already sees it at full weight.
-    Each observation window is read exactly once.
+    The tracker depends on the observations alone, so it runs first, over
+    every window at once; the fixed-parameter forward pass then runs with
+    the resulting (K, J, M) state variance.  The first window is filtered
+    under the baseline because no difference exists yet; the tracker is
+    seeded with the first available squared difference, so the second
+    window already sees it at full weight.
     """
-    coeffs = obs.coeffs
-    k_windows, j_bins, m_tapers = coeffs.shape
-    if params.baseline_state_var.shape != (j_bins, m_tapers):
+    if params.baseline_state_var.shape != obs.coeffs.shape[1:]:
         raise ValueError("params shape must match (bins, tapers) of obs")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("observations must be finite")
 
-    baseline = params.baseline_state_var
-    obs_var_row = params.obs_var[None, :]
-    mean = (
-        np.zeros((j_bins, m_tapers), dtype=complex)
-        if init_mean is None
-        else np.array(init_mean, dtype=complex)
-    )
-    var = baseline.copy() if init_var is None else np.array(init_var, dtype=float)
-    if mean.shape != (j_bins, m_tapers) or var.shape != (j_bins, m_tapers):
-        raise ValueError("init_mean and init_var must have shape (bins, tapers)")
-    if np.any(var < 0):
-        raise ValueError("init_var must be non-negative")
-    means = np.empty((k_windows, j_bins, m_tapers), dtype=complex)
-    variances = np.empty((k_windows, j_bins, m_tapers))
-    gains = np.empty((k_windows, j_bins, m_tapers))
-    state_var_trace = np.empty((k_windows, j_bins, m_tapers))
-
-    tracker = None
-    prev = None
-    for k in range(k_windows):
-        obs_k = coeffs[k]
-        if k == 0:
-            state_var = baseline
-        else:
-            if tracker is None:
-                diff = obs_k - prev
-                tracker = NonstationarityTracker(
-                    ema=diff.real**2 + diff.imag**2, alpha=alpha, prev_obs=obs_k
-                )
-            else:
-                tracker = ema_update(tracker, obs_k)
-            state_var = adaptive_state_variance(tracker.ema, baseline, obs_var_row)
-        prev = obs_k
-        prior = var + state_var
-        gain = prior / (obs_var_row + prior)
-        mean = mean + gain * (obs_k - mean)
-        var = (1.0 - gain) * prior
-        means[k] = mean
-        variances[k] = var
-        gains[k] = gain
-        state_var_trace[k] = state_var
-    trace = FilterTrace(
-        means=means,
-        variances=variances,
-        gains=gains,
-        frequencies_hz=obs.frequencies_hz,
-        window_times_s=obs.window_times_s,
-    )
+    state_var_trace = _tracked_state_variance(obs.coeffs, params, alpha)
+    trace = _filter_trace(obs, state_var_trace, params.obs_var, init_mean, init_var)
     return trace, state_var_trace
 
 

@@ -127,20 +127,29 @@ def run_pipeline(config: RunConfig) -> dict[str, Path]:
     run leaves no partial files behind.
     """
     try:
+        return _run_pipeline(config)
+    except ValueError as exc:
+        # settings are valid by now, so what the reader or the numerics reject
+        # (unparseable or non-finite samples, power that overflows) is the data
+        raise DataError(f"{config.input_path}: {exc}") from exc
+
+
+def _run_pipeline(config: RunConfig) -> dict[str, Path]:
+    samples = io.read_signal(config.input_path, config.input_format)
+    if samples.size < config.window_samples:
+        raise DataError(
+            f"insufficient data: {config.input_path} holds {samples.size} samples, "
+            f"fewer than one {config.window_samples}-sample window"
+        )
+    try:
         bank = dpss(config.window_samples, config.time_half_bandwidth, config.tapers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    samples = io.read_signal(config.input_path, config.input_format)
-    if samples.size == 0:
-        raise DataError(f"insufficient data: {config.input_path} holds no samples")
-    try:
-        series = TimeSeries(samples=samples, sample_rate_hz=config.sample_rate_hz)
-        eig = eigen_coefficients(
-            segment(series, config.window_samples, config.hop, demean=config.demean), bank
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    series = TimeSeries(samples=samples, sample_rate_hz=config.sample_rate_hz)
+    eig = eigen_coefficients(
+        segment(series, config.window_samples, config.hop, demean=config.demean), bank
+    )
 
     em_info = None
     extras: dict[str, np.ndarray] = {}
@@ -156,10 +165,7 @@ def run_pipeline(config: RunConfig) -> dict[str, Path]:
             )
         else:
             fit_obs = eig
-        try:
-            fit = em_fit(fit_obs, EMConfig(tol=config.em_tol, max_iter=config.em_max_iter))
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
+        fit = em_fit(fit_obs, EMConfig(tol=config.em_tol, max_iter=config.em_max_iter))
         # warm start at the first observation: the state prior has no
         # knowledge of absolute level, so seeding with window 0 avoids a
         # long ramp-in at bins whose power sits far above the prior mean
@@ -220,15 +226,28 @@ def run_pipeline(config: RunConfig) -> dict[str, Path]:
     return paths
 
 
+def _manifest_config(path, command: str) -> dict:
+    """The config section of a manifest that ``command`` wrote."""
+    try:
+        stored = io.read_manifest(path)
+    except ValueError as exc:
+        raise DataError(f"{path}: not a JSON manifest: {exc}") from exc
+    if not isinstance(stored, dict) or not isinstance(stored.get("config"), dict):
+        raise DataError(f"{path}: manifest has no config section")
+    if stored.get("command") != command:
+        raise ConfigError(f"{path} is not a {command} manifest")
+    return stored["config"]
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.from_manifest:
-        stored = io.read_manifest(args.from_manifest)
-        if stored.get("command") != "estimate":
-            raise ConfigError(f"{args.from_manifest} is not an estimate manifest")
-        cfg_dict = stored["config"]
+        cfg_dict = _manifest_config(args.from_manifest, "estimate")
         if args.out_dir:
             cfg_dict["output_dir"] = args.out_dir
-        config = RunConfig(**cfg_dict)
+        try:
+            config = RunConfig(**cfg_dict)
+        except TypeError as exc:
+            raise ConfigError(f"{args.from_manifest}: {exc}") from exc
     else:
         if not args.input or not args.out_dir or args.sample_rate is None:
             raise ConfigError("--input, --sample-rate, and --out-dir are required")
@@ -251,8 +270,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             input_format=args.input_format,
             output_format=args.format,
         )
-    if not Path(config.input_path).exists():
-        raise DataError(f"input file not found: {config.input_path}")
     paths = run_pipeline(config)
     print(f"wrote {paths['spectrogram']}")
     return EXIT_OK
@@ -260,10 +277,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.from_manifest:
-        stored = io.read_manifest(args.from_manifest)
-        if stored.get("command") != "simulate":
-            raise ConfigError(f"{args.from_manifest} is not a simulate manifest")
-        cfg = stored["config"]
+        cfg = _manifest_config(args.from_manifest, "simulate")
         if args.out_dir:
             cfg["out_dir"] = args.out_dir
     else:
@@ -349,9 +363,9 @@ def _load_spectrogram(directory: Path, names: tuple[str, ...]) -> Spectrogram:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    estimate = _load_spectrogram(Path(args.estimate), ("spectrogram", "truth_spectrogram"))
-    truth = _load_spectrogram(Path(args.truth), ("truth_spectrogram", "spectrogram"))
     try:
+        estimate = _load_spectrogram(Path(args.estimate), ("spectrogram", "truth_spectrogram"))
+        truth = _load_spectrogram(Path(args.truth), ("truth_spectrogram", "spectrogram"))
         report = itakura_saito(estimate, truth)
     except ValueError as exc:
         raise DataError(str(exc)) from exc

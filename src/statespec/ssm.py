@@ -200,6 +200,51 @@ def kalman_step(prev: FilterState, observation: complex, state_var: float, obs_v
     return FilterState(mean=mean, variance=variance, gain=gain)
 
 
+def _forward_pass(coeffs, state_var, obs_var, init_mean=None, init_var=None):
+    """Causal filter over every window for all chains at once.
+
+    ``state_var`` is (J, M), or (K, J, M) when it changes per window.  The
+    state prior defaults to zero mean and the first window's state
+    variance.  Returns ``(means, variances, gains)``; means and variances
+    have K + 1 rows, row 0 holding the prior and row k the posterior after
+    window k.
+    """
+    shape = coeffs.shape[1:]
+    state_var = np.broadcast_to(state_var, coeffs.shape)
+    mean = np.zeros(shape, complex) if init_mean is None else np.asarray(init_mean, complex)
+    var = state_var[0] if init_var is None else np.asarray(init_var, float)
+    if mean.shape != shape or var.shape != shape:
+        raise ValueError("init_mean and init_var must have shape (bins, tapers)")
+    if np.any(var < 0):
+        raise ValueError("init_var must be non-negative")
+
+    # a full (J, M) copy keeps the per-window sum on numpy's contiguous path
+    obs_var = np.broadcast_to(obs_var, shape).copy()
+    means = np.empty((len(coeffs) + 1, *shape), dtype=complex)
+    variances = np.empty((len(coeffs) + 1, *shape))
+    gains = np.empty(coeffs.shape)
+    means[0] = mean
+    variances[0] = var
+    for k in range(len(coeffs)):
+        prior = variances[k] + state_var[k]
+        gain = np.divide(prior, obs_var + prior, out=gains[k])
+        np.add(means[k], gain * (coeffs[k] - means[k]), out=means[k + 1])
+        np.multiply(1.0 - gain, prior, out=variances[k + 1])
+    return means, variances, gains
+
+
+def _filter_trace(obs, state_var, obs_var, init_mean, init_var) -> FilterTrace:
+    """`_forward_pass` over ``obs``, as a FilterTrace of the posterior rows."""
+    means, variances, gains = _forward_pass(obs.coeffs, state_var, obs_var, init_mean, init_var)
+    return FilterTrace(
+        means=means[1:],
+        variances=variances[1:],
+        gains=gains,
+        frequencies_hz=obs.frequencies_hz,
+        window_times_s=obs.window_times_s,
+    )
+
+
 def filter_all(
     obs: EigenCoefficients,
     params: ModelParams,
@@ -227,45 +272,9 @@ def filter_all(
     on the observed values, so traces over different data with the same
     parameters share them exactly.
     """
-    coeffs = obs.coeffs
-    k_windows, j_bins, m_tapers = coeffs.shape
-    if params.state_var.shape != (j_bins, m_tapers):
+    if params.state_var.shape != obs.coeffs.shape[1:]:
         raise ValueError("params.state_var shape must match (bins, tapers) of obs")
-    mean = (
-        np.zeros((j_bins, m_tapers), dtype=complex)
-        if init_mean is None
-        else np.array(init_mean, dtype=complex)
-    )
-    var = (
-        params.state_var.copy()
-        if init_var is None
-        else np.array(init_var, dtype=float)
-    )
-    if mean.shape != (j_bins, m_tapers) or var.shape != (j_bins, m_tapers):
-        raise ValueError("init_mean and init_var must have shape (bins, tapers)")
-    if np.any(var < 0):
-        raise ValueError("init_var must be non-negative")
-
-    state_var = params.state_var
-    obs_var = params.obs_var[None, :]
-    means = np.empty((k_windows, j_bins, m_tapers), dtype=complex)
-    variances = np.empty((k_windows, j_bins, m_tapers))
-    gains = np.empty((k_windows, j_bins, m_tapers))
-    for k in range(k_windows):
-        prior = var + state_var
-        gain = prior / (obs_var + prior)
-        mean = mean + gain * (coeffs[k] - mean)
-        var = (1.0 - gain) * prior
-        means[k] = mean
-        variances[k] = var
-        gains[k] = gain
-    return FilterTrace(
-        means=means,
-        variances=variances,
-        gains=gains,
-        frequencies_hz=obs.frequencies_hz,
-        window_times_s=obs.window_times_s,
-    )
+    return _filter_trace(obs, params.state_var, params.obs_var, init_mean, init_var)
 
 
 def steady_state_gain(state_var: float, obs_var: float) -> float:
@@ -346,24 +355,21 @@ def _e_step(coeffs, state_var, obs_var, init_var):
     and the innovations-form log-likelihood of the current parameters.
     """
     k_windows, j_bins, m_tapers = coeffs.shape
-    zf = np.zeros((k_windows + 1, j_bins, m_tapers), dtype=complex)
-    pf = np.empty((k_windows + 1, j_bins, m_tapers))
-    pp = np.empty((k_windows, j_bins, m_tapers))
-    pf[0] = init_var
-    obs_row = obs_var[None, :]
-    ll = 0.0
-    gain = None
-    for k in range(1, k_windows + 1):
-        pred = pf[k - 1] + state_var
-        innov_var = pred + obs_row
-        innov = coeffs[k - 1] - zf[k - 1]
-        gain = pred / innov_var
-        zf[k] = zf[k - 1] + gain * innov
-        pf[k] = (1.0 - gain) * pred
-        pp[k - 1] = pred
-        ll += float(
-            np.sum(-np.log(np.pi * innov_var) - (innov.real**2 + innov.imag**2) / innov_var)
-        )
+    zf, pf, gains = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)
+    # only the last gain is used; release the rest before the temporaries below
+    last_gain = gains[-1].copy()
+    del gains
+    pp = pf[:-1] + state_var
+    # -ll per cell is log(pi v) + |e|^2 / v for innovation e of variance v,
+    # formed in place; window totals are then added in window order
+    innov = coeffs - zf[:-1]
+    innov_var = pp + obs_var[None, :]
+    nll = innov.real**2 + innov.imag**2
+    nll /= innov_var
+    innov_var *= np.pi
+    nll += np.log(innov_var, out=innov_var)
+    ll = -float(np.cumsum(nll.sum(axis=(1, 2)))[-1])
+    del innov, innov_var, nll
 
     zs = np.empty_like(zf)
     ps = np.empty_like(pf)
@@ -378,7 +384,7 @@ def _e_step(coeffs, state_var, obs_var, init_var):
 
     # Lagged second moments: cross[i] holds Cov(Z_{i+1}, Z_i | all data).
     cross = np.empty((k_windows, j_bins, m_tapers))
-    cross[k_windows - 1] = (1.0 - gain) * pf[k_windows - 1]
+    cross[k_windows - 1] = (1.0 - last_gain) * pf[k_windows - 1]
     for k in range(k_windows - 1, 0, -1):
         cross[k - 1] = sgain[k - 1] * (pf[k] + sgain[k] * (cross[k] - pf[k]))
     return zs, ps, cross, ll

@@ -12,6 +12,7 @@ from statespec import (
     assmt_spectrogram,
     ema_update,
     filter_all,
+    kalman_gain,
     ssmt_spectrogram,
     steady_state_gain,
 )
@@ -260,6 +261,55 @@ class TestAdaptiveResponse:
             trace_ss = filter_all(eig, mp)
             assert np.all(sv >= ap.baseline_state_var[None] - 1e-15)
             assert np.all(trace_as.gains >= trace_ss.gains - 1e-12)
+
+
+def per_window_assmt(coeffs, params, alpha):
+    """Reference adaptive pass: the public tracker and the scalar update, one window at a time."""
+    baseline, obs_row = params.baseline_state_var, params.obs_var[None, :]
+    mean = np.zeros(baseline.shape, dtype=complex)
+    var = baseline.copy()
+    tracker = None
+    means, variances, gains, state_vars = [], [], [], []
+    for k, obs_k in enumerate(coeffs):
+        if k == 0:
+            state_var = baseline
+        else:
+            if tracker is None:
+                d = obs_k - coeffs[0]
+                tracker = NonstationarityTracker(
+                    ema=d.real**2 + d.imag**2, alpha=alpha, prev_obs=obs_k
+                )
+            else:
+                tracker = ema_update(tracker, obs_k)
+            state_var = adaptive_state_variance(tracker.ema, baseline, obs_row)
+        gain = kalman_gain(var, state_var, obs_row)
+        mean = mean + gain * (obs_k - mean)
+        var = (1.0 - gain) * (var + state_var)
+        means.append(mean)
+        variances.append(var)
+        gains.append(gain)
+        state_vars.append(state_var)
+    return [np.array(a) for a in (means, variances, gains, state_vars)]
+
+
+class TestTrackerOracle:
+    @pytest.mark.parametrize("k", [1, 2, 3, 30])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.95, 1.0])
+    def test_matches_per_window_loop(self, rng, k, alpha):
+        eig = make_eig(rng, k=k, j=4, m=2)
+        ap = AdaptiveParams(
+            baseline_state_var=rng.uniform(0.01, 0.5, (4, 2)), obs_var=rng.uniform(0.1, 1.0, 2)
+        )
+        trace, sv = assmt_filter(eig, ap, alpha=alpha)
+        means, variances, gains, state_vars = per_window_assmt(eig.coeffs, ap, alpha)
+        assert np.array_equal(sv, state_vars)
+        assert np.array_equal(trace.means, means)
+        assert np.array_equal(trace.variances, variances)
+        assert np.array_equal(trace.gains, gains)
+        if k == 30 and alpha > 0:
+            # both sides of the threshold are exercised
+            raised = sv[1:] > ap.baseline_state_var
+            assert raised.any() and not raised.all()
 
 
 class CountingArray(np.ndarray):

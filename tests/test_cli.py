@@ -1,6 +1,12 @@
 """End-to-end runs of the command line, in process."""
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statespec import io
 from statespec.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
@@ -167,6 +173,55 @@ class TestCompare:
             "compare", "--estimate", str(tmp_path / "nothing"), "--truth", str(sim_dir),
         ])
         assert code == EXIT_DATA
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "name, content, command, expected",
+        [
+            ("signal.csv", b"0.5\n1.5\nabc\n2.5\n", "estimate", EXIT_DATA),
+            ("signal.f64", bytes(8 * 400 + 3), "estimate", EXIT_DATA),
+            ("signal.f64", np.full(400, 1e200).astype("<f8").tobytes(), "estimate", EXIT_DATA),
+            ("spectrogram.csv", b"# rows=2 cols=2 scale=linear\n1,2\n3\n", "compare", EXIT_DATA),
+            ("manifest.json", b"{not json", "replay", EXIT_DATA),
+            (
+                "manifest.json",
+                json.dumps({
+                    "command": "estimate",
+                    "config": {"method": "mt", "input_path": "signal.csv",
+                               "output_dir": "out", "sample_rate_hz": FS, "bogus": 1},
+                }).encode(),
+                "replay",
+                EXIT_CONFIG,
+            ),
+        ],
+        ids=["csv-non-numeric-line", "f64-partial-sample", "f64-power-overflows",
+             "ragged-spectrogram", "manifest-not-json", "manifest-unknown-config-key"],
+    )
+    def test_exit_code(self, sim_dir, tmp_path, name, content, command, expected):
+        path = tmp_path / name
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        argv = {
+            "estimate": ["estimate", "--input", str(path), "--sample-rate", str(FS),
+                         "--out-dir", str(out)],
+            "compare": ["compare", "--estimate", str(tmp_path), "--truth", str(sim_dir)],
+            "replay": ["estimate", "--from-manifest", str(path), "--out-dir", str(out)],
+        }[command]
+        assert main(argv) == expected
+        assert not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(content=st.binary(max_size=400), suffix=st.sampled_from([".csv", ".f64"]))
+    def test_arbitrary_bytes_never_raise(self, content, suffix):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"signal{suffix}"
+            path.write_bytes(content)
+            code = main([
+                "estimate", "--input", str(path), "--sample-rate", "2",
+                "--window-seconds", "4", "--method", "mt", "--out-dir", str(Path(tmp) / "out"),
+            ])
+        assert code in (EXIT_OK, EXIT_DATA)
 
 
 class TestTapers:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._util import frozen_array
 from .segmentation import EigenCoefficients
@@ -132,17 +131,16 @@ def adaptive_state_variance(ema_value, baseline_state_var, obs_var):
 def _tracked_state_variance(coeffs, params: AdaptiveParams, alpha: float) -> np.ndarray:
     """The (K, J, M) state variances `assmt_filter` runs with.
 
-    `ema_update` applied window after window is one `lfilter` along the
-    window axis, seeded with the first squared difference.
+    `ema_update` applied window after window to every chain at once, in
+    place over the squared differences, seeded with the first of them.
     """
     sv = np.empty(coeffs.shape)
     sv[0] = params.baseline_state_var
     if len(coeffs) > 1:
         diff = np.diff(coeffs, axis=0)
         ema = diff.real**2 + diff.imag**2
-        ema[1:] = lfilter(
-            [alpha], [1.0, alpha - 1.0], ema[1:], axis=0, zi=(1.0 - alpha) * ema[:1]
-        )[0]
+        for k in range(1, len(ema)):
+            ema[k] = alpha * ema[k] + (1.0 - alpha) * ema[k - 1]
         ema -= 2.0 * params.obs_var[None, :]
         np.maximum(ema, params.baseline_state_var, out=sv[1:])
     return sv

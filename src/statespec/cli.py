@@ -276,25 +276,32 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    cfg = {
+        "duration_s": args.duration,
+        "sample_rate_hz": args.sample_rate,
+        "seed": args.seed,
+        "snr_db": args.snr_db,
+        "carrier_freq_hz": args.carrier_freq_hz,
+        "window_seconds": args.window_seconds,
+        "overlap": args.overlap,
+        "full_grid": args.full_grid,
+        "format": args.format,
+        "out_dir": args.out_dir,
+    }
     if args.from_manifest:
-        cfg = _manifest_config(args.from_manifest, "simulate")
+        stored = _manifest_config(args.from_manifest, "simulate")
         if args.out_dir:
-            cfg["out_dir"] = args.out_dir
-    else:
-        if not args.out_dir:
-            raise ConfigError("--out-dir is required")
-        cfg = {
-            "duration_s": args.duration,
-            "sample_rate_hz": args.sample_rate,
-            "seed": args.seed,
-            "snr_db": args.snr_db,
-            "carrier_freq_hz": args.carrier_freq_hz,
-            "window_seconds": args.window_seconds,
-            "overlap": args.overlap,
-            "full_grid": args.full_grid,
-            "format": args.format,
-            "out_dir": args.out_dir,
-        }
+            stored["out_dir"] = args.out_dir
+        missing = sorted(cfg.keys() - stored.keys())
+        unknown = sorted(stored.keys() - cfg.keys())
+        if missing or unknown:
+            raise ConfigError(
+                f"{args.from_manifest}: simulate config has missing keys {missing} "
+                f"and unknown keys {unknown}"
+            )
+        cfg = stored
+    elif not args.out_dir:
+        raise ConfigError("--out-dir is required")
     if not cfg["duration_s"] > 0 or not cfg["sample_rate_hz"] > 0:
         raise ConfigError("duration and sample rate must be positive")
     if not 0.0 <= cfg["overlap"] < 1.0:

@@ -4,8 +4,10 @@ Matrices travel as CSV with a single comment header carrying the shape
 and scale, or as a compact binary format with a 16-byte header (8-byte
 magic, uint32 rows, uint32 cols, little endian) followed by row-major
 float32 data.  Signals are one sample per line (CSV) or headerless
-little-endian float64.  Every run also writes a JSON manifest that is
-sufficient to replay it.
+little-endian float64.  CSV values are written with ``%.9g`` for matrices
+and ``%.17g`` for signals, which round-trips float64 exactly; replay and
+byte-for-byte output checks depend on these bytes.  Every run also writes
+a JSON manifest that is sufficient to replay it.
 """
 
 from __future__ import annotations
@@ -34,17 +36,16 @@ __all__ = [
 MATRIX_MAGIC = b"SSPECF32"
 
 
-def _format_row(row: np.ndarray) -> str:
-    return ",".join(f"{v:.9g}" for v in row)
-
-
 def write_matrix_csv(path, values: np.ndarray, scale: str | None = None) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     header = f"# rows={values.shape[0]} cols={values.shape[1]}"
     if scale is not None:
         header += f" scale={scale}"
+    # one %-format per row: the same float-to-text conversion as f"{v:.9g}",
+    # without holding the whole matrix as Python floats at once
+    row_format = ",".join(["%.9g"] * values.shape[1])
     lines = [header]
-    lines.extend(_format_row(row) for row in values)
+    lines.extend(row_format % tuple(row.tolist()) for row in values)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -122,7 +123,8 @@ def write_signal(path, samples: np.ndarray, fmt: str = "csv") -> Path:
     samples = np.asarray(samples, dtype=float)
     if fmt == "csv":
         path = path.with_suffix(".csv")
-        path.write_text("\n".join(f"{v:.17g}" for v in samples) + "\n")
+        text = "\n".join(["%.17g"] * samples.size) % tuple(samples.tolist())
+        path.write_text(text + "\n")
     elif fmt == "bin":
         path = path.with_suffix(".f64")
         path.write_bytes(np.ascontiguousarray(samples, dtype="<f8").tobytes())
@@ -138,15 +140,17 @@ def read_signal(path, fmt: str | None = None) -> np.ndarray:
         fmt = "bin" if path.suffix == ".f64" else "csv"
     if fmt == "bin":
         return np.frombuffer(path.read_bytes(), dtype="<f8").astype(float)
-    lines = [line.strip() for line in path.read_text().splitlines()]
-    lines = [line for line in lines if line]
+    text = path.read_text()
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         return np.array([])
+    if "," in text:
+        lines = [line.split(",", 1)[0] for line in lines]
     try:
-        float(lines[0].split(",")[0])
+        float(lines[0])
     except ValueError:
         lines = lines[1:]
-    return np.array([float(line.split(",")[0]) for line in lines])
+    return np.array(list(map(float, lines)))
 
 
 def write_manifest(path, payload: dict) -> None:

@@ -89,10 +89,12 @@ def _concentration(taper: np.ndarray, half_bandwidth: float) -> float:
     """In-band energy fraction: quadratic form with the sinc kernel.
 
     Evaluated through the taper's autocorrelation so no dense J-by-J
-    kernel matrix is ever formed.
+    kernel matrix is ever formed.  The autocorrelation is the inverse FFT
+    of the power spectrum, zero-padded to 2J so no lag wraps around.
     """
     j = taper.size
-    acf = np.correlate(taper, taper, mode="full")[j:]  # lags 1 .. J-1
+    spectrum = np.fft.rfft(taper, n=2 * j)
+    acf = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=2 * j)[1:j]  # lags 1 .. J-1
     lags = np.arange(1, j)
     kernel = np.sin(2.0 * np.pi * half_bandwidth * lags) / (np.pi * lags)
     return 2.0 * half_bandwidth * float(taper @ taper) + 2.0 * float(kernel @ acf)

@@ -56,3 +56,42 @@ def dense_concentration_matrix(j, half_bandwidth):
         mat = np.sin(2.0 * np.pi * half_bandwidth * diff) / (np.pi * diff)
     mat[np.diag_indices(j)] = 2.0 * half_bandwidth
     return mat
+
+
+def correlate_concentration(taper, half_bandwidth):
+    """In-band energy fraction from the O(J^2) direct autocorrelation."""
+    j = taper.size
+    acf = np.correlate(taper, taper, mode="full")[j:]  # lags 1 .. J-1
+    lags = np.arange(1, j)
+    kernel = np.sin(2.0 * np.pi * half_bandwidth * lags) / (np.pi * lags)
+    return 2.0 * half_bandwidth * float(taper @ taper) + 2.0 * float(kernel @ acf)
+
+
+def matrix_csv_text(values, scale=None):
+    """Matrix CSV text, one f-string per value."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    header = f"# rows={values.shape[0]} cols={values.shape[1]}"
+    if scale is not None:
+        header += f" scale={scale}"
+    lines = [header]
+    lines.extend(",".join(f"{v:.9g}" for v in row) for row in values)
+    return "\n".join(lines) + "\n"
+
+
+def signal_csv_text(samples):
+    """Signal CSV text, one f-string per sample."""
+    samples = np.asarray(samples, dtype=float)
+    return "\n".join(f"{v:.17g}" for v in samples) + "\n"
+
+
+def parse_signal_csv(text):
+    """Signal samples from CSV text, one line at a time."""
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line]
+    if not lines:
+        return np.array([])
+    try:
+        float(lines[0].split(",")[0])
+    except ValueError:
+        lines = lines[1:]
+    return np.array([float(line.split(",")[0]) for line in lines])

@@ -1,5 +1,8 @@
 """End-to-end runs of the command line, in process."""
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import statespec
 from statespec import io
 from statespec.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
@@ -57,6 +61,20 @@ class TestSimulate:
 
     def test_missing_out_dir_is_config_error(self):
         assert main(["simulate"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("edit", ["empty", "unknown-key"])
+    def test_replay_config_keys_checked(self, sim_dir, tmp_path, edit):
+        stored = io.read_manifest(sim_dir / "manifest.json")
+        if edit == "empty":
+            stored["config"] = {}
+        else:
+            stored["config"]["bogus"] = 1
+        manifest = tmp_path / "manifest.json"
+        io.write_manifest(manifest, stored)
+        out = tmp_path / "replay"
+        code = main(["simulate", "--from-manifest", str(manifest), "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -267,3 +285,17 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         assert "statespec" in capsys.readouterr().out
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_signal(self):
+        # scipy.signal alone costs about a second on every CLI start
+        src = str(Path(statespec.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, statespec.cli; print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        )
+        assert result.stdout.strip() == "False"

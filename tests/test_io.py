@@ -1,8 +1,17 @@
 """Round trips for the file formats the command line speaks."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import matrix_csv_text, parse_signal_csv, signal_csv_text
 
 from statespec import io
+
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 3.0, 1e-5]
 
 
 class TestMatrixCsv:
@@ -98,3 +107,75 @@ class TestVectorAndManifest:
         payload = {"command": "estimate", "config": {"alpha": 0.95, "tapers": 3}}
         io.write_manifest(tmp_path / "manifest.json", payload)
         assert io.read_manifest(tmp_path / "manifest.json") == payload
+
+
+class TestGoldenBytes:
+    """Replay and the byte-identity checks depend on these exact bytes."""
+
+    @pytest.mark.parametrize("scale", [None, "dB"])
+    @pytest.mark.parametrize(
+        "values",
+        [np.reshape(SPECIAL_VALUES, (2, 4)), np.reshape(SPECIAL_VALUES, (8, 1)), [[-0.0]]],
+        ids=["2x4", "8x1", "1x1"],
+    )
+    def test_matrix_csv(self, tmp_path, values, scale):
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, values, scale=scale)
+        assert path.read_bytes() == matrix_csv_text(values, scale).encode()
+
+    @pytest.mark.parametrize("samples", [SPECIAL_VALUES, []], ids=["special", "empty"])
+    def test_signal_csv(self, tmp_path, samples):
+        path = io.write_signal(tmp_path / "s", samples, fmt="csv")
+        assert path.read_bytes() == signal_csv_text(samples).encode()
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=6)))
+    def test_any_float64_array(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            matrix = Path(tmp) / "m.csv"
+            io.write_matrix_csv(matrix, values, scale="linear")
+            assert matrix.read_bytes() == matrix_csv_text(values, "linear").encode()
+            signal = io.write_signal(Path(tmp) / "s", values.ravel(), fmt="csv")
+            assert signal.read_bytes() == signal_csv_text(values.ravel()).encode()
+
+
+def assert_reads_like_reference(path):
+    text = path.read_text()
+    try:
+        expected = parse_signal_csv(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            io.read_signal(path)
+        assert str(info.value) == str(exc)
+    else:
+        np.testing.assert_array_equal(io.read_signal(path), expected)
+
+
+class TestSignalParser:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "value\n1.5\n2.5\n",
+            "\n\n1.5\n\n  \n2.5\n\n",
+            "  1.5  \n\t2.5\t\n -3e-2 \n",
+            "time,value\n0,1.5\n1, 2.5 ,x\n",
+            "1.5,2\n2.5\n",
+            "1.5\nabc\n2.5\n",
+            "1.5\n2.5,\n,3.5\n",
+            "value\n",
+        ],
+        ids=["header", "blank-lines", "whitespace", "multi-column", "mixed-columns",
+             "non-numeric-body", "empty-field", "header-only"],
+    )
+    def test_matches_reference(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        assert_reads_like_reference(path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(text=st.text(alphabet="0123456789.-+e, \t\nainf", max_size=40))
+    def test_any_text(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_text(text)
+            assert_reads_like_reference(path)

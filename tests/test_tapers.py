@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.signal.windows
-from oracles import dense_concentration_matrix
+from oracles import correlate_concentration, dense_concentration_matrix
 
 from statespec import TaperBank, dpss
 
@@ -116,3 +116,13 @@ class TestValidation:
                 concentrations=np.array([0.5, 0.9]),
                 time_half_bandwidth=1.0,
             )
+
+
+class TestLongWindowConcentrations:
+    def test_matches_direct_autocorrelation(self):
+        j, nw = 20000, 2.0
+        bank = dpss(j, nw, 2)
+        expected = [correlate_concentration(row, nw / j) for row in bank.tapers]
+        np.testing.assert_allclose(
+            1.0 - bank.concentrations, 1.0 - np.array(expected), rtol=1e-4
+        )

@@ -302,29 +302,31 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = stored
     elif not args.out_dir:
         raise ConfigError("--out-dir is required")
-    if not cfg["duration_s"] > 0 or not cfg["sample_rate_hz"] > 0:
-        raise ConfigError("duration and sample rate must be positive")
-    if not 0.0 <= cfg["overlap"] < 1.0:
-        raise ConfigError("overlap must lie in [0, 1)")
-    if cfg["format"] not in ("csv", "bin"):
-        raise ConfigError("format must be 'csv' or 'bin'")
-
-    config = benchmark_config(
-        duration_s=cfg["duration_s"],
-        sample_rate_hz=cfg["sample_rate_hz"],
-        seed=cfg["seed"],
-        snr_db=cfg["snr_db"],
-        carrier_freq_hz=cfg["carrier_freq_hz"],
-    )
-    series, truth = gen_benchmark(config)
-    window_samples = int(round(cfg["window_seconds"] * cfg["sample_rate_hz"]))
-    hop = max(1, int(round(window_samples * (1.0 - cfg["overlap"]))))
+    # a replayed config can hold values of any JSON type, so a TypeError
+    # here is a bad setting just like a ValueError
     try:
+        if not cfg["duration_s"] > 0 or not cfg["sample_rate_hz"] > 0:
+            raise ConfigError("duration and sample rate must be positive")
+        if not 0.0 <= cfg["overlap"] < 1.0:
+            raise ConfigError("overlap must lie in [0, 1)")
+        if cfg["format"] not in ("csv", "bin"):
+            raise ConfigError("format must be 'csv' or 'bin'")
+        out = Path(cfg["out_dir"])
+        config = benchmark_config(
+            duration_s=cfg["duration_s"],
+            sample_rate_hz=cfg["sample_rate_hz"],
+            seed=cfg["seed"],
+            snr_db=cfg["snr_db"],
+            carrier_freq_hz=cfg["carrier_freq_hz"],
+        )
+        window_samples = int(round(cfg["window_seconds"] * cfg["sample_rate_hz"]))
+        hop = max(1, int(round(window_samples * (1.0 - cfg["overlap"]))))
+        series, truth = gen_benchmark(config)
         spect = truth.spectrogram(window_samples, hop, one_sided=not cfg["full_grid"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        prefix = f"{args.from_manifest}: " if args.from_manifest else ""
+        raise ConfigError(f"{prefix}{exc}") from exc
 
-    out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     signal_path = io.write_signal(out / "signal", series.samples, fmt=cfg["format"])
     io.write_matrix(out / "truth_spectrogram", spect.power, fmt=cfg["format"], scale=spect.scale)

@@ -199,6 +199,8 @@ def eigen_coefficients(segmented: SegmentedSeries, tapers: TaperBank) -> EigenCo
         ``coeffs[k, :, m]`` is the unitary DFT (scaling ``J ** -0.5``) of
         window k multiplied elementwise by taper m.  By Parseval the total
         energy per (window, taper) equals the energy of the tapered window.
+        The windows are real, so the coefficients are exactly Hermitian
+        along the bin axis: bin ``J - j`` holds the conjugate of bin ``j``.
     """
     if tapers.window_length != segmented.window_length_j:
         raise ValueError(
@@ -207,9 +209,15 @@ def eigen_coefficients(segmented: SegmentedSeries, tapers: TaperBank) -> EigenCo
         )
     j = segmented.window_length_j
     fs = segmented.sample_rate_hz
-    tapered = segmented.windows[:, :, None] * tapers.tapers.T[None, :, :]
-    coeffs = np.fft.fft(tapered, axis=1, norm="ortho")
-    frequencies = np.arange(j) / j * fs
     k = segmented.num_windows
+    tapered = segmented.windows[:, :, None] * tapers.tapers.T[None, :, :]
+    half = np.fft.rfft(tapered, axis=1, norm="ortho")
+    h = half.shape[1]
+    # bins contiguous per (window, taper), the layout np.fft.fft returns,
+    # which keeps the taper mean of the spectrogram on a strided fast path
+    coeffs = np.empty((k, tapers.num_tapers, j), dtype=complex).transpose(0, 2, 1)
+    coeffs[:, :h] = half
+    np.conjugate(half[:, j - h : 0 : -1], out=coeffs[:, h:])
+    frequencies = np.arange(j) / j * fs
     times = (np.arange(k) * segmented.hop + j / 2.0) / fs
     return EigenCoefficients(coeffs=coeffs, frequencies_hz=frequencies, window_times_s=times)

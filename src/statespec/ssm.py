@@ -331,28 +331,52 @@ class EMFit:
         object.__setattr__(self, "n_iter", int(self.n_iter))
 
 
-def _moment_init(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_bins(coeffs: np.ndarray, state_var: np.ndarray | None = None):
+    """Bins whose chains EM has to fit, and the bin each one stands for.
+
+    The DFT of a real window is Hermitian: bin J - j holds the conjugate of
+    bin j, so with Hermitian-symmetric state variances both chains have the
+    same variances, gains and likelihood terms.  Returns ``(h, source)``:
+    EM fits bins ``0 .. h-1`` and bin j takes the fit of bin ``source[j]``.
+    That is h = J // 2 + 1 when ``coeffs`` (and ``state_var``, if given) are
+    exactly Hermitian along the bin axis, and h = J with the identity map
+    otherwise.
+    """
+    j_bins = coeffs.shape[1]
+    mirror = -np.arange(j_bins) % j_bins
+    hermitian = np.array_equal(coeffs[:, mirror], np.conjugate(coeffs)) and (
+        state_var is None or np.array_equal(state_var[mirror], state_var)
+    )
+    if not hermitian:
+        return j_bins, np.arange(j_bins)
+    return j_bins // 2 + 1, np.minimum(np.arange(j_bins), mirror)
+
+
+def _moment_init(coeffs: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Moment-based starting point for EM.
 
     The mean squared window-to-window difference of a chain equals
     state_var + 2 obs_var, so the median difference across bins (least
     contaminated by narrowband activity) anchors the noise level and the
-    per-bin excess above it seeds the state variance.
+    per-bin excess above it seeds the state variance.  ``coeffs`` holds the
+    distinct bins only; ``source`` maps every bin of the grid to one of
+    them, so the median is over the full grid.
     """
     diff2 = np.abs(np.diff(coeffs, axis=0)) ** 2
-    dbar = diff2.mean(axis=0)  # (J, M)
-    obs_var = 0.25 * np.median(dbar, axis=0)  # (M,)
+    dbar = diff2.mean(axis=0)  # (h, M)
+    obs_var = 0.25 * np.median(dbar[source], axis=0)  # (M,)
     obs_var = np.maximum(obs_var, np.finfo(float).tiny)
     state_var = np.maximum(dbar - 2.0 * obs_var[None, :], 0.05 * dbar)
     state_var = np.maximum(state_var, np.finfo(float).tiny)
     return state_var, obs_var
 
 
-def _e_step(coeffs, state_var, obs_var, init_var):
+def _e_step(coeffs, state_var, obs_var, init_var, weight):
     """Filter, smooth, and collect the moments the M-step needs.
 
     Returns the smoothed first/second moments, the lagged cross moments,
-    and the innovations-form log-likelihood of the current parameters.
+    and the innovations-form log-likelihood of the current parameters,
+    with bin j's terms counted ``weight[j]`` times.
     """
     k_windows, j_bins, m_tapers = coeffs.shape
     zf, pf, gains = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)
@@ -368,6 +392,7 @@ def _e_step(coeffs, state_var, obs_var, init_var):
     nll /= innov_var
     innov_var *= np.pi
     nll += np.log(innov_var, out=innov_var)
+    nll *= weight[:, None]
     ll = -float(np.cumsum(nll.sum(axis=(1, 2)))[-1])
     del innov, innov_var, nll
 
@@ -375,12 +400,11 @@ def _e_step(coeffs, state_var, obs_var, init_var):
     ps = np.empty_like(pf)
     zs[k_windows] = zf[k_windows]
     ps[k_windows] = pf[k_windows]
-    sgain = np.empty((k_windows, j_bins, m_tapers))
+    sgain = pf[:-1] / pp
     for k in range(k_windows - 1, -1, -1):
-        g = pf[k] / pp[k]
+        g = sgain[k]
         zs[k] = zf[k] + g * (zs[k + 1] - zf[k])
         ps[k] = pf[k] + g**2 * (ps[k + 1] - pp[k])
-        sgain[k] = g
 
     # Lagged second moments: cross[i] holds Cov(Z_{i+1}, Z_i | all data).
     cross = np.empty((k_windows, j_bins, m_tapers))
@@ -415,27 +439,36 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     as a constant of the model keeps every iteration an exact ascent
     step.  Each taper's observation variance is pooled across bins, so
     the M-step couples chains within a taper but never across tapers.
+
+    When the coefficients are those of a real signal (exactly Hermitian
+    along the bin axis, see `_distinct_bins`), EM runs on bins
+    ``0 .. J // 2`` only and counts each mirrored bin twice in the
+    likelihood and in the observation variance; the fit is the full-grid
+    fit up to round-off.
     """
     cfg = config if config is not None else EMConfig()
-    coeffs = obs.coeffs
-    k_windows, j_bins, m_tapers = coeffs.shape
+    k_windows, j_bins, m_tapers = obs.coeffs.shape
     if k_windows < 2:
         raise ValueError("em_fit requires at least two windows")
+    init = cfg.init_params
+    if init is not None and init.state_var.shape != (j_bins, m_tapers):
+        raise ValueError("init_params shape must match (bins, tapers) of obs")
 
-    if cfg.init_params is not None:
-        if cfg.init_params.state_var.shape != (j_bins, m_tapers):
-            raise ValueError("init_params shape must match (bins, tapers) of obs")
-        state_var = cfg.init_params.state_var.copy()
-        obs_var = cfg.init_params.obs_var.copy()
+    h, source = _distinct_bins(obs.coeffs, None if init is None else init.state_var)
+    weight = np.bincount(source).astype(float)  # grid bins per fitted bin
+    coeffs = np.ascontiguousarray(obs.coeffs[:, :h])
+    if init is not None:
+        state_var = init.state_var[:h].copy()
+        obs_var = init.obs_var.copy()
     else:
-        state_var, obs_var = _moment_init(coeffs)
+        state_var, obs_var = _moment_init(coeffs, source)
     init_var = state_var.copy()  # first-window prior, fixed across iterations
 
     tiny = np.finfo(float).tiny
     lls: list[float] = []
     converged = False
     for _ in range(cfg.max_iter):
-        zs, ps, cross, ll = _e_step(coeffs, state_var, obs_var, init_var)
+        zs, ps, cross, ll = _e_step(coeffs, state_var, obs_var, init_var, weight)
         lls.append(ll)
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= cfg.tol * abs(lls[-2]):
             converged = True
@@ -445,14 +478,15 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
         increments = second[1:] + second[:-1] - 2.0 * lag
         state_var = np.maximum(increments.mean(axis=0), 0.0)
         resid = np.abs(coeffs - zs[1:]) ** 2 + ps[1:]
-        obs_var = np.maximum(resid.mean(axis=(0, 1)), tiny)
+        resid *= weight[:, None]
+        obs_var = np.maximum(resid.sum(axis=(0, 1)) / (k_windows * j_bins), tiny)
     if not converged:
         warnings.warn(
             f"em_fit did not converge within {cfg.max_iter} iterations",
             UserWarning,
             stacklevel=2,
         )
-    params = ModelParams(state_var=state_var, obs_var=obs_var)
+    params = ModelParams(state_var=state_var[source], obs_var=obs_var)
     return EMFit(
         params=params,
         log_likelihoods=np.asarray(lls),

@@ -6,6 +6,8 @@ correct rather than efficient.
 """
 import numpy as np
 
+from statespec.ssm import _forward_pass
+
 
 def gaussian_conditioning_means(observations, state_var, obs_var, init_mean=0.0, init_var=None):
     """Filtered means of one chain by brute-force joint-Gaussian conditioning.
@@ -95,3 +97,61 @@ def parse_signal_csv(text):
     except ValueError:
         lines = lines[1:]
     return np.array([float(line.split(",")[0]) for line in lines])
+
+
+def full_grid_em(coeffs, tol=1e-6, max_iter=50, init_params=None):
+    """EM on every (bin, taper) chain, mirrored bins included.
+
+    Moment start, then E-step and M-step over the full grid with
+    unweighted means, in the same arithmetic as `statespec.ssm.em_fit`.
+    That fit must match this one bit for bit on non-Hermitian input and to
+    round-off on a real signal's coefficients, where it fits half the bins.
+    Returns ``(state_var, obs_var, log_likelihoods, converged)``.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    k_windows, j_bins, m_tapers = coeffs.shape
+    if init_params is not None:
+        state_var = init_params.state_var.copy()
+        obs_var = init_params.obs_var.copy()
+    else:
+        dbar = (np.abs(np.diff(coeffs, axis=0)) ** 2).mean(axis=0)
+        obs_var = np.maximum(0.25 * np.median(dbar, axis=0), np.finfo(float).tiny)
+        state_var = np.maximum(dbar - 2.0 * obs_var[None, :], 0.05 * dbar)
+        state_var = np.maximum(state_var, np.finfo(float).tiny)
+    init_var = state_var.copy()
+
+    lls = []
+    converged = False
+    for _ in range(max_iter):
+        zf, pf, gains = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)
+        pp = pf[:-1] + state_var
+        innov = coeffs - zf[:-1]
+        innov_var = pp + obs_var[None, :]
+        nll = (innov.real**2 + innov.imag**2) / innov_var + np.log(np.pi * innov_var)
+        lls.append(-float(np.cumsum(nll.sum(axis=(1, 2)))[-1]))
+        if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= tol * abs(lls[-2]):
+            converged = True
+            break
+
+        zs = np.empty_like(zf)
+        ps = np.empty_like(pf)
+        zs[k_windows] = zf[k_windows]
+        ps[k_windows] = pf[k_windows]
+        sgain = np.empty((k_windows, j_bins, m_tapers))
+        for k in range(k_windows - 1, -1, -1):
+            g = pf[k] / pp[k]
+            zs[k] = zf[k] + g * (zs[k + 1] - zf[k])
+            ps[k] = pf[k] + g**2 * (ps[k + 1] - pp[k])
+            sgain[k] = g
+        cross = np.empty((k_windows, j_bins, m_tapers))
+        cross[k_windows - 1] = (1.0 - gains[-1]) * pf[k_windows - 1]
+        for k in range(k_windows - 1, 0, -1):
+            cross[k - 1] = sgain[k - 1] * (pf[k] + sgain[k] * (cross[k] - pf[k]))
+
+        second = ps + zs.real**2 + zs.imag**2
+        lag = cross + (zs[1:] * np.conj(zs[:-1])).real
+        increments = second[1:] + second[:-1] - 2.0 * lag
+        state_var = np.maximum(increments.mean(axis=0), 0.0)
+        resid = np.abs(coeffs - zs[1:]) ** 2 + ps[1:]
+        obs_var = np.maximum(resid.mean(axis=(0, 1)), np.finfo(float).tiny)
+    return state_var, obs_var, np.asarray(lls), converged

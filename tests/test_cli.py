@@ -76,6 +76,22 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("duration_s", "x"), ("overlap", "0.5"), ("window_seconds", "6"), ("seed", 1.5),
+         ("out_dir", 7)],
+    )
+    def test_replay_config_value_types_checked(self, sim_dir, tmp_path, key, value):
+        stored = io.read_manifest(sim_dir / "manifest.json")
+        stored["config"][key] = value
+        if key != "out_dir":
+            stored["config"]["out_dir"] = str(tmp_path / "replay")
+        manifest = tmp_path / "manifest.json"
+        io.write_manifest(manifest, stored)
+        code = main(["simulate", "--from-manifest", str(manifest)])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "replay").exists()
+
 
 class TestEstimate:
     def test_mt_outputs(self, sim_dir, tmp_path):

@@ -131,6 +131,12 @@ class TestEigenCoefficients:
                 eig.coeffs[:, freq, :], np.conj(eig.coeffs[:, j - freq, :]), atol=1e-12
             )
 
+    @pytest.mark.parametrize("j", [20, 21])
+    def test_exactly_hermitian_for_real_input(self, rng, j):
+        series = TimeSeries(samples=rng.standard_normal(5 * j), sample_rate_hz=8.0)
+        coeffs = eigen_coefficients(segment(series, j), dpss(j, 2.0, 3)).coeffs
+        assert np.array_equal(coeffs[:, -np.arange(j) % j], coeffs.conj())
+
     def test_linearity(self, rng):
         x = rng.standard_normal(36)
         y = rng.standard_normal(36)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import make_eig
-from oracles import gaussian_conditioning_means, random_walk_realization
+from oracles import full_grid_em, gaussian_conditioning_means, random_walk_realization
 
 from statespec import (
     DB_FLOOR,
@@ -22,6 +22,7 @@ from statespec import (
     kalman_step,
     mt_spectrogram,
     segment,
+    ssm,
     ssmt_spectrogram,
     steady_state_gain,
 )
@@ -245,6 +246,87 @@ class TestEMFit:
             EMConfig(tol=-1.0)
         with pytest.raises(ValueError, match="max_iter"):
             EMConfig(max_iter=0)
+
+
+def real_signal_eig(rng, j, k_windows=40):
+    """Eigen-coefficients of a real record: two tones in white noise."""
+    t = np.arange(k_windows * j)
+    samples = (
+        np.sin(0.9 * t) + 0.5 * np.cos(0.21 * t + 0.3 * np.sin(0.01 * t))
+        + 0.3 * rng.standard_normal(t.size)
+    )
+    series = TimeSeries(samples=samples, sample_rate_hz=16.0)
+    return eigen_coefficients(segment(series, j), dpss(j, 2.0, 2))
+
+
+def fit_quietly(eig, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return em_fit(eig, config)
+
+
+class TestHermitianReduction:
+    """EM on a real signal fits bins 0..J//2 and counts mirrored bins twice."""
+
+    @pytest.mark.parametrize("j", [24, 25])
+    def test_real_signal_matches_full_grid_oracle(self, rng, j):
+        eig = real_signal_eig(rng, j)
+        fit = fit_quietly(eig, EMConfig(tol=1e-5, max_iter=400))
+        state_var, obs_var, lls, converged = full_grid_em(eig.coeffs, tol=1e-5, max_iter=400)
+        assert fit.converged and converged
+        assert fit.n_iter == lls.size
+        np.testing.assert_allclose(fit.log_likelihoods, lls, rtol=1e-12)
+        np.testing.assert_allclose(fit.params.state_var, state_var, rtol=1e-9)
+        np.testing.assert_allclose(fit.params.obs_var, obs_var, rtol=1e-9)
+
+    def test_fitted_state_var_is_mirror_symmetric(self, rng):
+        eig = real_signal_eig(rng, 25)
+        state_var = fit_quietly(eig, EMConfig(max_iter=5)).params.state_var
+        assert np.array_equal(state_var[-np.arange(25) % 25], state_var)
+
+    @pytest.mark.parametrize("shape", [(6, 4, 2), (9, 7, 3), (30, 16, 1)])
+    def test_non_hermitian_input_is_bit_identical(self, rng, shape):
+        k, j, m = shape
+        eig = make_eig(rng, k=k, j=j, m=m)
+        fit = fit_quietly(eig, EMConfig(tol=1e-9, max_iter=40))
+        state_var, obs_var, lls, converged = full_grid_em(eig.coeffs, tol=1e-9, max_iter=40)
+        assert np.array_equal(fit.params.state_var, state_var)
+        assert np.array_equal(fit.params.obs_var, obs_var)
+        assert np.array_equal(fit.log_likelihoods, lls)
+        assert fit.converged == converged
+
+    def test_asymmetric_init_params_keep_full_grid(self, rng):
+        eig = real_signal_eig(rng, 16)
+        state_var = np.linspace(0.5, 2.0, 32).reshape(16, 2)
+        init = ModelParams(state_var=state_var, obs_var=np.array([0.3, 0.4]))
+        fit = fit_quietly(eig, EMConfig(max_iter=10, init_params=init))
+        expected, obs_var, lls, _ = full_grid_em(eig.coeffs, max_iter=10, init_params=init)
+        np.testing.assert_allclose(fit.params.state_var, expected, rtol=1e-9)
+        np.testing.assert_allclose(fit.params.obs_var, obs_var, rtol=1e-9)
+        np.testing.assert_allclose(fit.log_likelihoods, lls, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "make, bins",
+        [
+            (lambda rng: real_signal_eig(rng, 24), 13),
+            (lambda rng: real_signal_eig(rng, 25), 13),
+            (lambda rng: make_eig(rng, k=8, j=24, m=2), 24),
+        ],
+        ids=["real-even", "real-odd", "complex"],
+    )
+    def test_e_step_sees_only_distinct_bins(self, rng, monkeypatch, make, bins):
+        seen = []
+        e_step = ssm._e_step
+
+        def spy(coeffs, *args):
+            seen.append(coeffs.shape[1])
+            return e_step(coeffs, *args)
+
+        monkeypatch.setattr(ssm, "_e_step", spy)
+        eig = make(rng)
+        fit = fit_quietly(eig, EMConfig(max_iter=3))
+        assert seen == [bins] * 3
+        assert fit.params.state_var.shape == eig.shape[1:]
 
 
 class TestSpectrograms:

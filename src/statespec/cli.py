@@ -10,6 +10,7 @@ a different directory.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -72,10 +73,10 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("mt", "ssmt", "assmt"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if not self.sample_rate_hz > 0:
-            raise ConfigError("sample rate must be positive")
-        if not self.window_seconds > 0:
-            raise ConfigError("window length must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ConfigError("sample rate must be positive and finite")
+        if not 0 < self.window_seconds < math.inf:
+            raise ConfigError("window length must be positive and finite")
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ConfigError("overlap must lie in [0, 1)")
         if self.tapers < 1:
@@ -84,8 +85,8 @@ class RunConfig:
             raise ConfigError("nw must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
-        if self.baseline_seconds < 0:
-            raise ConfigError("baseline seconds must be non-negative")
+        if not 0 <= self.baseline_seconds < math.inf:
+            raise ConfigError("baseline seconds must be non-negative and finite")
         if self.method == "assmt" and not self.baseline_seconds > 0:
             raise ConfigError("assmt requires --baseline-seconds > 0")
         if self.scale not in ("linear", "dB"):
@@ -303,10 +304,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     elif not args.out_dir:
         raise ConfigError("--out-dir is required")
     # a replayed config can hold values of any JSON type, so a TypeError
-    # here is a bad setting just like a ValueError
+    # (or an integer too large for a float) here is a bad setting just
+    # like a ValueError
     try:
-        if not cfg["duration_s"] > 0 or not cfg["sample_rate_hz"] > 0:
-            raise ConfigError("duration and sample rate must be positive")
+        if not 0 < cfg["duration_s"] < math.inf:
+            raise ConfigError("duration must be positive and finite")
+        if not 0 < cfg["sample_rate_hz"] < math.inf:
+            raise ConfigError("sample rate must be positive and finite")
+        if not math.isfinite(cfg["window_seconds"]):
+            raise ConfigError("window seconds must be finite")
+        if not math.isfinite(cfg["carrier_freq_hz"]):
+            raise ConfigError("carrier frequency must be finite")
+        if math.isnan(cfg["snr_db"]):
+            raise ConfigError("snr_db must not be NaN (inf means noise-free)")
         if not 0.0 <= cfg["overlap"] < 1.0:
             raise ConfigError("overlap must lie in [0, 1)")
         if cfg["format"] not in ("csv", "bin"):
@@ -323,7 +333,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         hop = max(1, int(round(window_samples * (1.0 - cfg["overlap"]))))
         series, truth = gen_benchmark(config)
         spect = truth.spectrogram(window_samples, hop, one_sided=not cfg["full_grid"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         prefix = f"{args.from_manifest}: " if args.from_manifest else ""
         raise ConfigError(f"{prefix}{exc}") from exc
 

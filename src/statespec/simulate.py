@@ -11,6 +11,7 @@ divergence scoring possible.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,12 @@ def _burn_in(max_radius: float, order: int) -> int:
     return order + int(math.ceil(-10.0 / math.log(max_radius)))
 
 
+# Samples per Python-float block of the autoregression in `_run_recursion`:
+# large enough to amortize the list conversions, small enough that the
+# lists never approach the size of the record.
+_RECURSION_BLOCK = 4096
+
+
 def _run_recursion(a_rows: np.ndarray, b_rows: np.ndarray, innovations: np.ndarray) -> np.ndarray:
     """Direct-form ARMA recursion with per-sample coefficients.
 
@@ -67,19 +74,31 @@ def _run_recursion(a_rows: np.ndarray, b_rows: np.ndarray, innovations: np.ndarr
     coefficients for every output sample, so constant-coefficient and
     scheduled processes share one code path (and bit-identical output
     where their schedules agree).
+
+    Sample t is ``w[t] + sum_i b[t, i] w[t-i] - sum_i a[t, i] x[t-i]``,
+    each sum taken in order of increasing lag.  The moving-average terms
+    do not depend on earlier outputs, so they are added one lag at a time
+    over the whole record; the autoregression then runs on Python floats,
+    ``_RECURSION_BLOCK`` samples at a time so the list objects stay small.
     """
     n = innovations.size
     p = a_rows.shape[1] - 1
     q = b_rows.shape[1] - 1
-    x = np.zeros(n)
     w = innovations
-    for t in range(n):
-        acc = w[t]
-        for i in range(1, min(q, t) + 1):
-            acc += b_rows[t, i] * w[t - i]
-        for i in range(1, min(p, t) + 1):
-            acc -= a_rows[t, i] * x[t - i]
-        x[t] = acc
+    x = w.copy()
+    for i in range(1, q + 1):
+        x[i:] += b_rows[i:, i] * w[:-i]
+    lags = deque(maxlen=p)  # most recent output first
+    for start in range(0, n, _RECURSION_BLOCK):
+        stop = min(start + _RECURSION_BLOCK, n)
+        block = x[start:stop].tolist()
+        for t, row in enumerate(a_rows[start:stop, 1:].tolist()):
+            acc = block[t]
+            for c, v in zip(row, lags):
+                acc -= c * v
+            block[t] = acc
+            lags.appendleft(acc)
+        x[start:stop] = block
     return x
 
 
@@ -191,8 +210,7 @@ def _poly_rows(freqs: np.ndarray, radii: np.ndarray, sample_rate_hz: float) -> n
         )
         out = np.zeros((n, poly.shape[1] + 2))
         for i in range(poly.shape[1]):
-            for k in range(3):
-                out[:, i + k] += poly[:, i] * quad[:, k]
+            out[:, i:i + 3] += poly[:, i:i + 1] * quad
         poly = out
     return poly
 

@@ -155,3 +155,42 @@ def full_grid_em(coeffs, tol=1e-6, max_iter=50, init_params=None):
         resid = np.abs(coeffs - zs[1:]) ** 2 + ps[1:]
         obs_var = np.maximum(resid.mean(axis=(0, 1)), np.finfo(float).tiny)
     return state_var, obs_var, np.asarray(lls), converged
+
+
+def arma_recursion_loop(a_rows, b_rows, innovations):
+    """Direct-form ARMA recursion, one numpy scalar at a time.
+
+    Sample t is ``w[t] + sum_i b[t, i] w[t-i] - sum_i a[t, i] x[t-i]``,
+    each sum in order of increasing lag, with lags before the record
+    start left out.
+    """
+    n = innovations.size
+    p = a_rows.shape[1] - 1
+    q = b_rows.shape[1] - 1
+    x = np.zeros(n)
+    w = innovations
+    for t in range(n):
+        acc = w[t]
+        for i in range(1, min(q, t) + 1):
+            acc += b_rows[t, i] * w[t - i]
+        for i in range(1, min(p, t) + 1):
+            acc -= a_rows[t, i] * x[t - i]
+        x[t] = acc
+    return x
+
+
+def poly_rows_loop(freqs, radii, sample_rate_hz):
+    """Per-row product of conjugate-pair quadratics, one column at a time."""
+    n, pairs = freqs.shape
+    poly = np.ones((n, 1))
+    for p in range(pairs):
+        theta = 2.0 * np.pi * freqs[:, p] / sample_rate_hz
+        quad = np.stack(
+            [np.ones(n), -2.0 * radii[:, p] * np.cos(theta), radii[:, p] ** 2], axis=1
+        )
+        out = np.zeros((n, poly.shape[1] + 2))
+        for i in range(poly.shape[1]):
+            for k in range(3):
+                out[:, i + k] += poly[:, i] * quad[:, k]
+        poly = out
+    return poly

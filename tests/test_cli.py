@@ -1,4 +1,5 @@
 """End-to-end runs of the command line, in process."""
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import statespec
-from statespec import io
+from statespec import cli, io
 from statespec.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 FS = 32.0
@@ -27,6 +28,10 @@ def sim_dir(tmp_path_factory):
     ])
     assert code == EXIT_OK
     return out
+
+
+def not_reached(*args, **kwargs):
+    raise AssertionError("work started under an invalid setting")
 
 
 def estimate(out, sim_dir, method, *extra):
@@ -79,7 +84,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "key, value",
         [("duration_s", "x"), ("overlap", "0.5"), ("window_seconds", "6"), ("seed", 1.5),
-         ("out_dir", 7)],
+         ("out_dir", 7), pytest.param("duration_s", 10**400, id="duration_s-1e400-int")],
     )
     def test_replay_config_value_types_checked(self, sim_dir, tmp_path, key, value):
         stored = io.read_manifest(sim_dir / "manifest.json")
@@ -91,6 +96,51 @@ class TestSimulate:
         code = main(["simulate", "--from-manifest", str(manifest)])
         assert code == EXIT_CONFIG
         assert not (tmp_path / "replay").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--duration", "inf", "duration"), ("--sample-rate", "inf", "sample rate"),
+         ("--window-seconds", "inf", "window seconds"), ("--snr-db", "nan", "snr_db"),
+         ("--carrier-freq-hz", "nan", "carrier"), ("--carrier-freq-hz", "inf", "carrier")],
+    )
+    def test_non_finite_setting_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                 flag, value, named):
+        monkeypatch.setattr(cli, "gen_benchmark", not_reached)
+        out = tmp_path / "x"
+        code = main(["simulate", "--out-dir", str(out), "--duration", "30", flag, value])
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    # SHA-256 of the files `simulate` wrote before its recursion was
+    # vectorized; a record must not change by one bit across versions
+    # (on the same numpy, BLAS and libm, which fix the last bits of the
+    # cosines and the truth's matrix products).
+    @pytest.mark.parametrize(
+        "extra, digests",
+        [
+            ((), {
+                "signal.csv":
+                    "7e856311da3eddf45026ea74d27d4de15d3f57e55e4945c2f749cbe3b18734dd",
+                "truth_spectrogram.csv":
+                    "759d35177dadb71316b23c04b1fa98b6cf47bacbbc33564ef812a25bea88885d",
+            }),
+            (("--format", "bin", "--full-grid"), {
+                "signal.f64":
+                    "d122721cc21860aba6d4974108c77608976f2ffa3e397b876a5fa98e4ad2d8db",
+                "truth_spectrogram.f32":
+                    "4fbb1ff194385a159806739493402d13a9ccfb2f591333fe115d56622330b858",
+            }),
+        ],
+        ids=["csv", "bin-full-grid"],
+    )
+    def test_output_bytes_pinned(self, tmp_path, extra, digests):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--out-dir", str(out), "--duration", "30", "--seed", "11",
+                     *extra])
+        assert code == EXIT_OK
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestEstimate:
@@ -171,6 +221,23 @@ class TestEstimate:
 
     def test_missing_required_flags_is_config_error(self):
         assert main(["estimate", "--method", "mt"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "method, flag, named",
+        [("mt", "--sample-rate", "sample rate"), ("mt", "--window-seconds", "window length"),
+         ("ssmt", "--baseline-seconds", "baseline seconds")],
+    )
+    def test_non_finite_setting_is_config_error(self, sim_dir, tmp_path, monkeypatch, capsys,
+                                                 method, flag, named):
+        monkeypatch.setattr(io, "read_signal", not_reached)
+        out = tmp_path / "x"
+        code = main([
+            "estimate", "--input", str(sim_dir / "signal.csv"), "--sample-rate", str(FS),
+            "--method", method, "--out-dir", str(out), flag, "inf",
+        ])
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:

@@ -1,6 +1,11 @@
 """Signal generators and their closed-form spectra."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import arma_recursion_loop, poly_rows_loop
 
 from statespec import (
     GroundTruth,
@@ -17,6 +22,7 @@ from statespec import (
     mt_spectrogram,
     segment,
 )
+from statespec import simulate
 
 
 def analytic_ar_spectrum(coeffs, freqs_hz, fs, innovation_std=1.0):
@@ -156,6 +162,67 @@ class TestPoleZeroSchedule:
                 pole_freqs_hz=np.zeros((0, 1)),
                 pole_radii=np.zeros((0, 1)),
             )
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def recursion_case(rng, n, p, q):
+    """Time-varying monic rows (stable: sum |a_i| < 1) and innovations,
+    with zeros of both signs in the innovations and the coefficients."""
+    a_rows = np.c_[np.ones(n), rng.uniform(-0.9, 0.9, (n, p)) / max(p, 1)]
+    b_rows = np.c_[np.ones(n), rng.uniform(-1.0, 1.0, (n, q))]
+    w = rng.standard_normal(n)
+    w[::7] = -0.0
+    w[3::11] = 0.0
+    a_rows[5::13, 1:] = 0.0
+    b_rows[2::9, 1:] = -0.0
+    return a_rows, b_rows, w
+
+
+class TestRunRecursion:
+    """The blocked recursion against the per-sample loop, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 4095, 4096, 4097, 9000])
+    @pytest.mark.parametrize("p", [0, 1, 3, 6])
+    @pytest.mark.parametrize("q", [0, 1, 4, 8])
+    def test_matches_loop(self, n, p, q):
+        rng = np.random.default_rng([n, p, q])
+        a_rows, b_rows, w = recursion_case(rng, n, p, q)
+        assert_same_bits(simulate._run_recursion(a_rows, b_rows, w),
+                         arma_recursion_loop(a_rows, b_rows, w))
+        # constant rows, broadcast as gen_ar passes them
+        a_const = np.broadcast_to(a_rows[:1], a_rows.shape)
+        b_const = np.broadcast_to(b_rows[:1], b_rows.shape)
+        assert_same_bits(simulate._run_recursion(a_const, b_const, w),
+                         arma_recursion_loop(a_const, b_const, w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.integers(0, 6),
+        q=st.integers(0, 6),
+        block=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_short_records_match_loop(self, n, p, q, block, seed):
+        a_rows, b_rows, w = recursion_case(np.random.default_rng(seed), n, p, q)
+        expected = arma_recursion_loop(a_rows, b_rows, w)
+        # a small block size puts block boundaries inside short records
+        with mock.patch.object(simulate, "_RECURSION_BLOCK", block):
+            assert_same_bits(simulate._run_recursion(a_rows, b_rows, w), expected)
+
+    @pytest.mark.parametrize("pairs", [0, 1, 2, 3])
+    def test_poly_rows_match_loop(self, pairs):
+        rng = np.random.default_rng(pairs)
+        freqs = rng.uniform(0.0, 20.0, (500, pairs))
+        radii = rng.uniform(0.0, 0.99, (500, pairs))
+        radii[::17] = 0.0
+        assert_same_bits(simulate._poly_rows(freqs, radii, 40.0),
+                         poly_rows_loop(freqs, radii, 40.0))
 
 
 class TestGenArmaTv:

@@ -1,13 +1,41 @@
-"""Internal helpers shared across modules."""
+"""Internal helpers shared across modules.
+
+Array ownership follows one rule.  An array that comes from the user is
+copied on input, so later edits to the caller's array cannot reach a
+result.  An array the package has just allocated, and hands to nobody
+else, is adopted without a copy: wrapped in `owned` before it is passed
+to a dataclass.  Either way `frozen_array` marks the stored array
+read-only, so every array a returned result holds is read-only, and
+every check in the dataclass ``__post_init__`` runs the same on both
+paths.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 
+class owned:
+    """Marks an array the package has just allocated and holds no other
+    reference to, so `frozen_array` adopts it instead of copying it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def frozen_array(values, dtype=None, ndim=None, name="array") -> np.ndarray:
-    """Copy ``values`` into a read-only ndarray, optionally checking rank."""
-    arr = np.array(values, dtype=dtype)
+    """A read-only ndarray of ``values``, optionally checking rank.
+
+    ``values`` is copied, unless it is wrapped in `owned`: then the array
+    itself is marked read-only in place (converted only if its dtype
+    differs).
+    """
+    if isinstance(values, owned):
+        arr = np.asarray(values.array, dtype=dtype)
+    else:
+        arr = np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must have {ndim} dimension(s), got shape {arr.shape}")
     arr.setflags(write=False)

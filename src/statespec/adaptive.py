@@ -170,7 +170,8 @@ def assmt_filter(
     Returns
     -------
     (FilterTrace, ndarray)
-        The filter trace and the (K, J, M) state variances actually used.
+        The filter trace and the (K, J, M) state variances actually used,
+        read-only.
 
     Notes
     -----
@@ -187,6 +188,7 @@ def assmt_filter(
         raise ValueError("alpha must lie in [0, 1]")
 
     state_var_trace = _tracked_state_variance(obs.coeffs, params, alpha)
+    state_var_trace.setflags(write=False)
     trace = _filter_trace(obs, state_var_trace, params.obs_var, init_mean, init_var)
     return trace, state_var_trace
 

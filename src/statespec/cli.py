@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
+from ._util import owned
 from ._version import __version__
 from .adaptive import AdaptiveParams, assmt_filter
 from .metrics import itakura_saito
@@ -147,7 +148,7 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    series = TimeSeries(samples=samples, sample_rate_hz=config.sample_rate_hz)
+    series = TimeSeries(samples=owned(samples), sample_rate_hz=config.sample_rate_hz)
     eig = eigen_coefficients(
         segment(series, config.window_samples, config.hop, demean=config.demean), bank
     )
@@ -276,6 +277,18 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_window_grid(window: int, hop: int, n_samples: int) -> None:
+    """Reject a window length or hop, in samples, that cannot cut the record."""
+    if window < 1:
+        raise ConfigError(f"window must hold at least one sample, got {window}")
+    if window > n_samples:
+        raise ConfigError(
+            f"window of {window} samples is longer than the {n_samples}-sample record"
+        )
+    if not 1 <= hop <= window:
+        raise ConfigError(f"hop must lie in [1, {window}] samples, got {hop}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = {
         "duration_s": args.duration,
@@ -331,6 +344,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         window_samples = int(round(cfg["window_seconds"] * cfg["sample_rate_hz"]))
         hop = max(1, int(round(window_samples * (1.0 - cfg["overlap"]))))
+        # the sample count gen_benchmark will produce, so a grid that cannot
+        # cut the record fails before the record is generated
+        n_samples = int(round(cfg["duration_s"] * cfg["sample_rate_hz"]))
+        _check_window_grid(window_samples, hop, n_samples)
         series, truth = gen_benchmark(config)
         spect = truth.spectrogram(window_samples, hop, one_sided=not cfg["full_grid"])
     except (TypeError, ValueError, OverflowError) as exc:

@@ -42,11 +42,12 @@ def write_matrix_csv(path, values: np.ndarray, scale: str | None = None) -> None
     if scale is not None:
         header += f" scale={scale}"
     # one %-format per row: the same float-to-text conversion as f"{v:.9g}",
-    # without holding the whole matrix as Python floats at once
-    row_format = ",".join(["%.9g"] * values.shape[1])
-    lines = [header]
-    lines.extend(row_format % tuple(row.tolist()) for row in values)
-    Path(path).write_text("\n".join(lines) + "\n")
+    # streamed row by row so neither the floats nor the text of the whole
+    # matrix are ever held at once
+    row_format = ",".join(["%.9g"] * values.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in values)
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
@@ -82,7 +83,8 @@ def read_matrix_bin(path) -> np.ndarray:
         raise ValueError(f"{path}: not a matrix binary (bad magic)")
     rows, cols = np.frombuffer(raw[8:16], dtype="<u4")
     data = np.frombuffer(raw[16:], dtype="<f4")
-    if data.size != rows * cols:
+    # Python ints: the uint32 product would wrap around
+    if data.size != int(rows) * int(cols):
         raise ValueError(f"{path}: header says {rows}x{cols}, payload has {data.size} values")
     return data.reshape(int(rows), int(cols)).astype(float)
 

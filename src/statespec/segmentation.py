@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen_array
+from ._util import frozen_array, owned
 from .tapers import TaperBank
 
 __all__ = [
@@ -172,12 +172,12 @@ def segment(
     if hop < 1 or hop > j:
         raise ValueError("hop must satisfy 1 <= hop <= window_length_j")
     k = (samples.size - j) // hop + 1
-    windows = np.lib.stride_tricks.sliding_window_view(samples, j)[:: hop][:k]
-    windows = np.array(windows)  # own the memory before any mutation
+    # a copy: the windows view the read-only samples and overlap when hop < J
+    windows = np.array(np.lib.stride_tricks.sliding_window_view(samples, j)[::hop][:k])
     if demean:
         windows -= windows.mean(axis=1, keepdims=True)
     return SegmentedSeries(
-        windows=windows,
+        windows=owned(windows),
         window_length_j=j,
         hop=hop,
         sample_rate_hz=series.sample_rate_hz,
@@ -220,4 +220,6 @@ def eigen_coefficients(segmented: SegmentedSeries, tapers: TaperBank) -> EigenCo
     np.conjugate(half[:, j - h : 0 : -1], out=coeffs[:, h:])
     frequencies = np.arange(j) / j * fs
     times = (np.arange(k) * segmented.hop + j / 2.0) / fs
-    return EigenCoefficients(coeffs=coeffs, frequencies_hz=frequencies, window_times_s=times)
+    return EigenCoefficients(
+        coeffs=owned(coeffs), frequencies_hz=frequencies, window_times_s=times
+    )

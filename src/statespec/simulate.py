@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import frozen_array
+from ._util import frozen_array, owned
 from .segmentation import TimeSeries
 from .ssm import Spectrogram
 
@@ -128,7 +128,7 @@ def gen_ar(
     a_rows = np.broadcast_to(a_row, (n + burn, coeffs.size + 1))
     b_rows = np.ones((n + burn, 1))
     x = _run_recursion(a_rows, b_rows, w)[burn:]
-    return TimeSeries(samples=x, sample_rate_hz=sample_rate_hz)
+    return TimeSeries(samples=owned(x), sample_rate_hz=sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def gen_arma_tv(
     b_rows = np.vstack([np.repeat(b_rows[:1], burn, axis=0), b_rows])
     w = innovation_std * rng.standard_normal(n + burn)
     x = _run_recursion(a_rows, b_rows, w)[burn:]
-    return TimeSeries(samples=x, sample_rate_hz=sample_rate_hz)
+    return TimeSeries(samples=owned(x), sample_rate_hz=sample_rate_hz)
 
 
 def gen_regime_switch(
@@ -272,7 +272,7 @@ def gen_regime_switch(
     t = np.arange(base.samples.size) / sample_rate_hz
     seg = np.searchsorted(switch_times_s, t, side="right")
     return TimeSeries(
-        samples=base.samples * np.sqrt(levels[seg]),
+        samples=owned(base.samples * np.sqrt(levels[seg])),
         sample_rate_hz=sample_rate_hz,
     )
 
@@ -458,6 +458,6 @@ def gen_benchmark(config: SimulationConfig) -> tuple[TimeSeries, GroundTruth]:
     signal_power = float(np.mean(signal**2))
     noise_var = 0.0 if np.isinf(cfg.snr_db) else signal_power / 10.0 ** (cfg.snr_db / 10.0)
     samples = signal + np.sqrt(noise_var) * rng.standard_normal(n)
-    series = TimeSeries(samples=samples, sample_rate_hz=fs)
+    series = TimeSeries(samples=owned(samples), sample_rate_hz=fs)
     truth = GroundTruth(config=cfg, noise_var=noise_var, n_samples=n)
     return series, truth

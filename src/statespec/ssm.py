@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen_array
+from ._util import frozen_array, owned
 from .segmentation import EigenCoefficients
 
 __all__ = [
@@ -157,13 +157,13 @@ class Spectrogram:
         if self.scale == "dB":
             return self
         power = 10.0 * np.log10(np.maximum(self.power, DB_FLOOR))
-        return Spectrogram(power, self.frequencies_hz, self.window_times_s, scale="dB")
+        return Spectrogram(owned(power), self.frequencies_hz, self.window_times_s, scale="dB")
 
     def to_linear(self) -> "Spectrogram":
         if self.scale == "linear":
             return self
         power = 10.0 ** (self.power / 10.0)
-        return Spectrogram(power, self.frequencies_hz, self.window_times_s, scale="linear")
+        return Spectrogram(owned(power), self.frequencies_hz, self.window_times_s, scale="linear")
 
 
 def kalman_gain(prior_var, state_var, obs_var):
@@ -237,9 +237,9 @@ def _filter_trace(obs, state_var, obs_var, init_mean, init_var) -> FilterTrace:
     """`_forward_pass` over ``obs``, as a FilterTrace of the posterior rows."""
     means, variances, gains = _forward_pass(obs.coeffs, state_var, obs_var, init_mean, init_var)
     return FilterTrace(
-        means=means[1:],
-        variances=variances[1:],
-        gains=gains,
+        means=owned(means[1:]),
+        variances=owned(variances[1:]),
+        gains=owned(gains),
         frequencies_hz=obs.frequencies_hz,
         window_times_s=obs.window_times_s,
     )
@@ -486,31 +486,27 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
             UserWarning,
             stacklevel=2,
         )
-    params = ModelParams(state_var=state_var[source], obs_var=obs_var)
+    params = ModelParams(state_var=owned(state_var[source]), obs_var=owned(obs_var))
     return EMFit(
         params=params,
-        log_likelihoods=np.asarray(lls),
+        log_likelihoods=owned(np.asarray(lls)),
         converged=converged,
         n_iter=len(lls),
     )
 
 
-def _reduce_grid(power, freqs, one_sided):
-    if not one_sided:
-        return power, freqs
-    n = power.shape[1] // 2 + 1
-    return power[:, :n], freqs[:n]
+def _taper_mean_power(values, freqs, times, one_sided):
+    """Spectrogram of |values|^2 averaged over tapers, on bins 0..J//2 if one-sided."""
+    bins = slice(0, values.shape[1] // 2 + 1 if one_sided else None)
+    power = np.mean(np.abs(values[:, bins]) ** 2, axis=2)
+    return Spectrogram(owned(power), freqs[bins], times, scale="linear")
 
 
 def mt_spectrogram(obs: EigenCoefficients, one_sided: bool = False) -> Spectrogram:
     """Classical multitaper estimate: eigen-spectra averaged over tapers."""
-    power = np.mean(np.abs(obs.coeffs) ** 2, axis=2)
-    power, freqs = _reduce_grid(power, obs.frequencies_hz, one_sided)
-    return Spectrogram(power, freqs, obs.window_times_s, scale="linear")
+    return _taper_mean_power(obs.coeffs, obs.frequencies_hz, obs.window_times_s, one_sided)
 
 
 def ssmt_spectrogram(trace: FilterTrace, one_sided: bool = False) -> Spectrogram:
     """Denoised estimate: squared filtered means averaged over tapers."""
-    power = np.mean(np.abs(trace.means) ** 2, axis=2)
-    power, freqs = _reduce_grid(power, trace.frequencies_hz, one_sided)
-    return Spectrogram(power, freqs, trace.window_times_s, scale="linear")
+    return _taper_mean_power(trace.means, trace.frequencies_hz, trace.window_times_s, one_sided)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,23 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("window_seconds", ["0", "-1", "5000"])
+    def test_window_grid_checked_before_generation(self, tmp_path, monkeypatch, capsys,
+                                                   window_seconds):
+        monkeypatch.setattr(cli, "gen_benchmark", not_reached)
+        out = tmp_path / "x"
+        code = main(["simulate", "--out-dir", str(out), "--duration", "3600",
+                     "--window-seconds", window_seconds])
+        assert code == EXIT_CONFIG
+        assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hop", [0, 217])
+    def test_hop_outside_window_rejected(self, hop):
+        # --overlap in [0, 1) keeps the hop in range, so check the rule itself
+        with pytest.raises(cli.ConfigError, match="hop"):
+            cli._check_window_grid(216, hop, 21600)
 
     # SHA-256 of the files `simulate` wrote before its recursion was
     # vectorized; a record must not change by one bit across versions
@@ -268,6 +286,17 @@ class TestCompare:
         assert estimate(out, sim_dir, "mt", "--window-seconds", "3") == EXIT_OK
         code = main(["compare", "--estimate", str(out), "--truth", str(sim_dir)])
         assert code == EXIT_DATA
+
+    def test_wrapping_binary_header_is_data_error(self, sim_dir, tmp_path, capsys):
+        est = tmp_path / "est"
+        est.mkdir()
+        header = io.MATRIX_MAGIC + np.array([65536, 65537], dtype="<u4").tobytes()
+        (est / "spectrogram.f32").write_bytes(header + np.zeros(65536, dtype="<f4").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compare", "--estimate", str(est), "--truth", str(sim_dir)])
+        assert code == EXIT_DATA
+        assert "header says 65536x65537" in capsys.readouterr().err
 
     def test_missing_directory_is_data_error(self, sim_dir, tmp_path):
         code = main([

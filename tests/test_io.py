@@ -1,5 +1,6 @@
 """Round trips for the file formats the command line speaks."""
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,16 @@ class TestMatrixBin:
         path.write_bytes(header + np.zeros(3, dtype="<f4").tobytes())
         with pytest.raises(ValueError, match="payload"):
             io.read_matrix_bin(path)
+
+    def test_header_product_does_not_wrap(self, tmp_path):
+        # 65536 * 65537 wraps to 65536 in uint32 arithmetic
+        path = tmp_path / "m.f32"
+        header = io.MATRIX_MAGIC + np.array([65536, 65537], dtype="<u4").tobytes()
+        path.write_bytes(header + np.zeros(65536, dtype="<f4").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="header says 65536x65537"):
+                io.read_matrix_bin(path)
 
 
 class TestDispatch:

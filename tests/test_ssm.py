@@ -359,6 +359,18 @@ class TestSpectrograms:
         np.testing.assert_array_equal(half.power, full.power[:, :5])
         np.testing.assert_array_equal(half.frequencies_hz, full.frequencies_hz[:5])
 
+    @pytest.mark.parametrize("j", [7, 216])
+    def test_one_sided_is_the_full_grid_bit_for_bit(self, rng, j):
+        # the one-sided power is averaged over the kept bins only, in the
+        # bins-contiguous layout eigen_coefficients returns
+        series = TimeSeries(samples=rng.standard_normal(20 * j), sample_rate_hz=36.0)
+        eig = eigen_coefficients(segment(series, j), dpss(j, 2.0, 3))
+        trace = filter_all(eig, ModelParams(state_var=np.full((j, 3), 0.1), obs_var=np.ones(3)))
+        n = j // 2 + 1
+        for build, source in ((mt_spectrogram, eig), (ssmt_spectrogram, trace)):
+            full = build(source).power
+            np.testing.assert_array_equal(build(source, one_sided=True).power, full[:, :n])
+
     def test_db_roundtrip(self):
         spect = Spectrogram(
             power=np.array([[1.0, 10.0]]),

@@ -171,7 +171,7 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
         # warm start at the first observation: the state prior has no
         # knowledge of absolute level, so seeding with window 0 avoids a
         # long ramp-in at bins whose power sits far above the prior mean
-        init_mean = eig.coeffs[0]
+        init_mean = eig.coeffs[0].copy()
         init_var = np.broadcast_to(
             fit.params.obs_var[None, :], fit.params.state_var.shape
         ).copy()
@@ -187,6 +187,9 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
             )
             for m in range(sv_trace.shape[2]):
                 extras[f"state_var_trace_taper{m}"] = sv_trace[:, :, m]
+        # the filter was the last user of the coefficients and the samples
+        # (init_mean is a copy, not a view that would keep eig alive)
+        del eig, fit_obs, series, samples
         spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
         extras["state_var"] = fit.params.state_var
         extras["obs_var"] = fit.params.obs_var

@@ -38,16 +38,36 @@ MATRIX_MAGIC = b"SSPECF32"
 
 def write_matrix_csv(path, values: np.ndarray, scale: str | None = None) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    header = f"# rows={values.shape[0]} cols={values.shape[1]}"
+    rows, cols = values.shape
+    header = f"# rows={rows} cols={cols}"
     if scale is not None:
         header += f" scale={scale}"
+    # A real signal's full-grid traces repeat column j in column J-j.  When
+    # every such pair holds the same bits (so -0.0 and NaN payloads too),
+    # only columns 0..J//2 are formatted and the rest of each line is the
+    # reversed copy of their text; otherwise every column is formatted.
+    half = cols // 2 + 1
+    bits = values.view(np.uint64)
+    mirrored = cols > 2 and np.array_equal(bits[:, half:], bits[:, cols - half:0:-1])
     # one %-format per row: the same float-to-text conversion as f"{v:.9g}",
     # streamed row by row so neither the floats nor the text of the whole
     # matrix are ever held at once
-    row_format = ",".join(["%.9g"] * values.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(row_format % tuple(row.tolist()) for row in values)
+        if mirrored:
+            row_format = ",".join(["%.9g"] * half)
+            for row in values[:, :half]:
+                text = row_format % tuple(row.tolist())
+                mirror = text.split(",")[cols - half:0:-1]
+                fh.write(text + "," + ",".join(mirror) + "\n")
+        else:
+            row_format = ",".join(["%.9g"] * cols) + "\n"
+            fh.writelines(row_format % tuple(row.tolist()) for row in values)
+
+
+# Data lines parsed per block of read_matrix_csv: bounds the Python floats
+# alive at once to about this many values.
+_PARSE_BLOCK_VALUES = 1 << 12
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
@@ -60,14 +80,24 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
                 key, _, value = token.partition("=")
                 meta[key] = value
         start = 1
-    rows = [np.array([float(v) for v in line.split(",")]) for line in text[start:] if line]
-    if not rows:
+    lines = [line for line in text[start:] if line]
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    values = np.vstack(rows)
+    commas = {line.count(",") for line in lines}
+    if len(commas) > 1:
+        raise ValueError(f"{path}: rows hold different numbers of fields")
+    rows, cols = len(lines), commas.pop() + 1
     expected = (int(meta["rows"]), int(meta["cols"])) if "rows" in meta and "cols" in meta else None
-    if expected is not None and values.shape != expected:
-        raise ValueError(f"{path}: header says {expected}, data is {values.shape}")
-    return values, meta
+    if expected is not None and (rows, cols) != expected:
+        raise ValueError(f"{path}: header says {expected}, data is {(rows, cols)}")
+    values = np.empty(rows * cols)
+    block = max(1, _PARSE_BLOCK_VALUES // cols)
+    for first in range(0, rows, block):
+        fields = ",".join(lines[first:first + block]).split(",")
+        values[first * cols:first * cols + len(fields)] = np.fromiter(
+            map(float, fields), dtype=float, count=len(fields)
+        )
+    return values.reshape(rows, cols), meta
 
 
 def write_matrix_bin(path, values: np.ndarray) -> None:
@@ -120,13 +150,23 @@ def read_vector_csv(path) -> np.ndarray:
     return values.reshape(-1)
 
 
+# Samples formatted per block of write_signal.
+_SIGNAL_BLOCK = 4096
+
+
 def write_signal(path, samples: np.ndarray, fmt: str = "csv") -> Path:
     path = Path(path)
     samples = np.asarray(samples, dtype=float)
     if fmt == "csv":
         path = path.with_suffix(".csv")
-        text = "\n".join(["%.17g"] * samples.size) % tuple(samples.tolist())
-        path.write_text(text + "\n")
+        # one %-format per block of samples, so the text of the whole record
+        # is never held at once
+        with open(path, "w") as fh:
+            for first in range(0, samples.size, _SIGNAL_BLOCK):
+                block = samples[first:first + _SIGNAL_BLOCK].tolist()
+                fh.write("%.17g\n" * len(block) % tuple(block))
+            if samples.size == 0:
+                fh.write("\n")
     elif fmt == "bin":
         path = path.with_suffix(".f64")
         path.write_bytes(np.ascontiguousarray(samples, dtype="<f8").tobytes())

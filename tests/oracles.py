@@ -4,6 +4,8 @@ Everything here is deliberately naive: dense matrices, explicit loops,
 textbook formulas.  Slowness is the point; these must be obviously
 correct rather than efficient.
 """
+from pathlib import Path
+
 import numpy as np
 
 from statespec.ssm import _forward_pass
@@ -78,6 +80,27 @@ def matrix_csv_text(values, scale=None):
     lines = [header]
     lines.extend(",".join(f"{v:.9g}" for v in row) for row in values)
     return "\n".join(lines) + "\n"
+
+
+def read_matrix_csv_rows(path):
+    """Matrix and header fields from a CSV file, one numpy row per line."""
+    text = Path(path).read_text().strip().splitlines()
+    meta = {}
+    start = 0
+    if text and text[0].startswith("#"):
+        for token in text[0].lstrip("#").split():
+            if "=" in token:
+                key, _, value = token.partition("=")
+                meta[key] = value
+        start = 1
+    rows = [np.array([float(v) for v in line.split(",")]) for line in text[start:] if line]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    values = np.vstack(rows)
+    expected = (int(meta["rows"]), int(meta["cols"])) if "rows" in meta and "cols" in meta else None
+    if expected is not None and values.shape != expected:
+        raise ValueError(f"{path}: header says {expected}, data is {values.shape}")
+    return values, meta
 
 
 def signal_csv_text(samples):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,30 @@ class TestEstimate:
         assert not out.exists()
 
 
+class TestMemory:
+    @pytest.mark.parametrize("method, extra", [("ssmt", ()), ("assmt", ("--baseline-seconds", "45"))])
+    def test_coefficients_released_after_filter(self, sim_dir, tmp_path, monkeypatch, method,
+                                                extra):
+        real_coefficients, real_spectrogram = cli.eigen_coefficients, cli.ssmt_spectrogram
+        refs, alive = [], []
+
+        def spy_coefficients(*args, **kwargs):
+            eig = real_coefficients(*args, **kwargs)
+            refs.append(weakref.ref(eig))
+            return eig
+
+        def spy_spectrogram(*args, **kwargs):
+            # the spectrogram and the writes need only the filter's trace
+            alive.append(refs[0]() is not None)
+            return real_spectrogram(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "eigen_coefficients", spy_coefficients)
+        monkeypatch.setattr(cli, "ssmt_spectrogram", spy_spectrogram)
+        assert estimate(tmp_path / method, sim_dir, method, *extra) == EXIT_OK
+        assert len(refs) == 1
+        assert alive == [False]
+
+
 class TestCompare:
     def test_estimate_against_truth(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "mt"
@@ -297,6 +322,17 @@ class TestCompare:
             code = main(["compare", "--estimate", str(est), "--truth", str(sim_dir)])
         assert code == EXIT_DATA
         assert "header says 65536x65537" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"# rows=2 cols=3 scale=linear\n1,2,3\n4,5\n", b"1,2,3\n4,5,6\n7,8\n"],
+        ids=["header-row-count-matches", "no-header"],
+    )
+    def test_ragged_matrix_is_data_error(self, sim_dir, tmp_path, capsys, content):
+        (tmp_path / "spectrogram.csv").write_bytes(content)
+        code = main(["compare", "--estimate", str(tmp_path), "--truth", str(sim_dir)])
+        assert code == EXIT_DATA
+        assert "different numbers of fields" in capsys.readouterr().err
 
     def test_missing_directory_is_data_error(self, sim_dir, tmp_path):
         code = main([

@@ -1,5 +1,6 @@
 """Round trips for the file formats the command line speaks."""
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import matrix_csv_text, parse_signal_csv, signal_csv_text
+from oracles import matrix_csv_text, parse_signal_csv, read_matrix_csv_rows, signal_csv_text
 
 from statespec import io
 
@@ -190,3 +191,173 @@ class TestSignalParser:
             path = Path(tmp) / "s.csv"
             path.write_text(text)
             assert_reads_like_reference(path)
+
+
+def mirror_columns(half, cols):
+    """Full-grid matrix whose column j repeats column cols - j of ``half``.
+
+    ``half`` holds columns 0 .. cols // 2, as a real signal's DFT does.
+    """
+    half = np.atleast_2d(np.asarray(half, dtype=float))
+    distinct = cols // 2 + 1
+    assert half.shape[1] == distinct
+    return np.concatenate([half, half[:, cols - distinct:0:-1]], axis=1)
+
+
+class TestMirroredMatrixCsv:
+    """Mirrored columns are formatted once; the bytes never change."""
+
+    @pytest.fixture
+    def half_rows(self, rng):
+        return rng.standard_normal((5, 9)) * 10.0 ** rng.integers(-8, 8, (5, 9))
+
+    @pytest.mark.parametrize("cols", [16, 15, 3], ids=["even", "odd", "three"])
+    def test_mirrored_bytes(self, tmp_path, half_rows, cols):
+        values = mirror_columns(half_rows[:, :cols // 2 + 1], cols)
+        assert np.array_equal(values[:, 1:], values[:, :0:-1])
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, values, scale="linear")
+        assert path.read_bytes() == matrix_csv_text(values, "linear").encode()
+
+    @pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0), (np.nan, np.nan),
+                                               (np.nan, 1.0), (np.inf, -np.inf)],
+                             ids=["neg-zero", "zero-neg", "nan", "nan-one", "inf"])
+    def test_special_values_at_a_mirrored_pair(self, tmp_path, half_rows, first, second):
+        values = mirror_columns(half_rows[:, :5], 8)
+        values[2, 3], values[2, 5] = first, second
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, values)
+        assert path.read_bytes() == matrix_csv_text(values).encode()
+
+    def test_non_symmetric(self, tmp_path, rng):
+        values = rng.standard_normal((4, 6))
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, values)
+        assert path.read_bytes() == matrix_csv_text(values).encode()
+
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_one_and_two_columns(self, tmp_path, rng, cols):
+        for values in (rng.standard_normal((3, cols)), np.ones((3, cols))):
+            path = tmp_path / "m.csv"
+            io.write_matrix_csv(path, values)
+            assert path.read_bytes() == matrix_csv_text(values).encode()
+
+    def test_strided_trace_slice(self, tmp_path, half_rows):
+        # the command line writes one taper of a (K, J, M) trace: a strided view
+        trace = np.stack([mirror_columns(half_rows, 16)] * 3, axis=2)
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, trace[:, :, 1])
+        assert path.read_bytes() == matrix_csv_text(trace[:, :, 1]).encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6))),
+        odd=st.booleans(),
+    )
+    def test_any_mirrored_matrix(self, half, odd):
+        cols = 2 * (half.shape[1] - 1) + int(odd)
+        if cols == 0:
+            cols = 1
+        values = mirror_columns(half, cols)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            io.write_matrix_csv(path, values)
+            assert path.read_bytes() == matrix_csv_text(values).encode()
+
+
+def assert_matrix_reads_like_reference(path):
+    try:
+        expected, expected_meta = read_matrix_csv_rows(path)
+    except ValueError:
+        with pytest.raises(ValueError):
+            io.read_matrix_csv(path)
+    else:
+        values, meta = io.read_matrix_csv(path)
+        np.testing.assert_array_equal(values, expected)
+        assert values.shape == expected.shape
+        assert meta == expected_meta
+
+
+class TestMatrixCsvParser:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# rows=2 cols=3 scale=dB\n1,2,3\n4,5,6\n",
+            "1,2,3\n4,5,6\n",
+            "# rows=2 cols=3\n1,2,3\n4,5\n",
+            "1,2\n3\n",
+            "1\n2,3\n",
+            "# rows=2 cols=2\n1,2\n\n\n3,4\n\n",
+            "# rows=2 cols=2\n1,2\n   \n3,4\n",
+            "# rows=1 cols=1\n  \n",
+            "# rows=2 cols=2\n1,,\n3,4\n",
+            "# rows=2 cols=2\n1,\n3,4\n",
+            "# rows=0 cols=0\n",
+            "# rows=3 cols=2\n1,2\n3,4\n",
+            "# rows=2 cols=3\n1,2\n3,4\n",
+            " 1.5 , -2e3 \n\tnan,inf\n",
+            "# rows=x cols=2\n1,2\n",
+            "",
+        ],
+        ids=["header", "no-header", "ragged-last", "ragged-short", "ragged-long",
+             "blank-lines", "whitespace-line", "whitespace-only", "empty-fields",
+             "empty-field", "header-only", "rows-disagree", "cols-disagree",
+             "padded-fields", "bad-header", "empty-file"],
+    )
+    def test_matches_reference(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert_matrix_reads_like_reference(path)
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3\n4,5,6\n7,8\n")
+        with pytest.raises(ValueError, match="different numbers of fields"):
+            io.read_matrix_csv(path)
+
+    def test_many_blocks(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(io, "_PARSE_BLOCK_VALUES", 10)
+        values = rng.standard_normal((23, 4))
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, values)
+        assert_matrix_reads_like_reference(path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(text=st.text(alphabet="0123456789.-e,# \t\nrowscl=nai", max_size=60))
+    def test_any_text(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_text(text)
+            assert_matrix_reads_like_reference(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=hnp.arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 7))),
+           block=st.integers(1, 20))
+    def test_round_trip(self, values, block):
+        printed = np.array([[float(f"{v:.9g}") for v in row] for row in values])
+        saved = io._PARSE_BLOCK_VALUES
+        io._PARSE_BLOCK_VALUES = block
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "m.csv"
+                io.write_matrix_csv(path, values, scale="linear")
+                back, meta = io.read_matrix_csv(path)
+        finally:
+            io._PARSE_BLOCK_VALUES = saved
+        np.testing.assert_array_equal(back, printed)
+        assert meta == {"rows": str(values.shape[0]), "cols": str(values.shape[1]),
+                        "scale": "linear"}
+
+
+class TestSignalMemory:
+    def test_write_signal_streams_blocks(self, tmp_path, rng):
+        samples = rng.standard_normal(100_000)
+        tracemalloc.start()
+        try:
+            io.write_signal(tmp_path / "s", samples, fmt="csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole record as floats and text would be about 6 MB
+        assert peak < 1_000_000
+        np.testing.assert_array_equal(io.read_signal(tmp_path / "s.csv"), samples)

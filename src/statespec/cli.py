@@ -74,6 +74,8 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("mt", "ssmt", "assmt"):
             raise ConfigError(f"unknown method {self.method!r}")
+        if not isinstance(self.input_path, str) or not isinstance(self.output_dir, str):
+            raise ConfigError("input path and output directory must be strings")
         if not 0 < self.sample_rate_hz < math.inf:
             raise ConfigError("sample rate must be positive and finite")
         if not 0 < self.window_seconds < math.inf:
@@ -82,8 +84,10 @@ class RunConfig:
             raise ConfigError("overlap must lie in [0, 1)")
         if self.tapers < 1:
             raise ConfigError("taper count must be at least 1")
-        if self.nw is not None and not self.nw > 0:
-            raise ConfigError("nw must be positive")
+        # math.isfinite and math.isnan raise OverflowError on an integer too
+        # large for a float, which a replayed manifest can hold
+        if self.nw is not None and not (self.nw > 0 and math.isfinite(self.nw)):
+            raise ConfigError("nw must be positive and finite")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
         if not 0 <= self.baseline_seconds < math.inf:
@@ -92,34 +96,32 @@ class RunConfig:
             raise ConfigError("assmt requires --baseline-seconds > 0")
         if self.scale not in ("linear", "dB"):
             raise ConfigError("scale must be 'linear' or 'dB'")
-        if not self.em_tol >= 0:
+        if math.isnan(self.em_tol) or self.em_tol < 0:
             raise ConfigError("em tolerance must be non-negative")
         if self.em_max_iter < 1:
             raise ConfigError("em max iterations must be at least 1")
         if self.output_format not in ("csv", "bin"):
             raise ConfigError("output format must be 'csv' or 'bin'")
-
-    @property
-    def window_samples(self) -> int:
-        return int(round(self.window_seconds * self.sample_rate_hz))
-
-    @property
-    def hop(self) -> int:
-        return max(1, int(round(self.window_samples * (1.0 - self.overlap_fraction))))
+        # the sample counts window_samples, hop and baseline_windows depend on the
+        # settings alone, so one that overflows or is too short fails before any I/O
+        try:
+            window = int(round(self.window_seconds * self.sample_rate_hz))
+            hop = max(1, int(round(window * (1.0 - self.overlap_fraction))))
+            baseline = int(round(self.baseline_seconds * self.sample_rate_hz))
+        except OverflowError as exc:
+            raise ConfigError(f"window or baseline sample count out of range: {exc}") from exc
+        baseline_windows = (baseline - window) // hop + 1
+        if self.method != "mt" and self.baseline_seconds > 0 and baseline_windows < 2:
+            raise ConfigError(
+                f"baseline of {self.baseline_seconds:g} s holds fewer than two windows"
+            )
+        object.__setattr__(self, "window_samples", window)
+        object.__setattr__(self, "hop", hop)
+        object.__setattr__(self, "baseline_windows", baseline_windows)
 
     @property
     def time_half_bandwidth(self) -> float:
         return self.nw if self.nw is not None else (self.tapers + 1) / 2.0
-
-
-def _baseline_windows(config: RunConfig, total: int) -> int:
-    samples = int(round(config.baseline_seconds * config.sample_rate_hz))
-    count = (samples - config.window_samples) // config.hop + 1
-    if count < 2:
-        raise DataError(
-            f"baseline of {config.baseline_seconds:g} s holds fewer than two windows"
-        )
-    return min(count, total)
 
 
 def run_pipeline(config: RunConfig) -> dict[str, Path]:
@@ -159,7 +161,7 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
         spect = mt_spectrogram(eig, one_sided=config.one_sided)
     else:
         if config.baseline_seconds > 0:
-            n_base = _baseline_windows(config, eig.shape[0])
+            n_base = min(config.baseline_windows, eig.shape[0])
             fit_obs = EigenCoefficients(
                 coeffs=eig.coeffs[:n_base],
                 frequencies_hz=eig.frequencies_hz,
@@ -251,7 +253,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             cfg_dict["output_dir"] = args.out_dir
         try:
             config = RunConfig(**cfg_dict)
-        except TypeError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{args.from_manifest}: {exc}") from exc
     else:
         if not args.input or not args.out_dir or args.sample_rate is None:
@@ -433,7 +435,10 @@ def _cmd_tapers(args: argparse.Namespace) -> int:
     if args.window_length is not None:
         window = args.window_length
     elif args.window_seconds is not None and args.sample_rate is not None:
-        window = int(round(args.window_seconds * args.sample_rate))
+        try:
+            window = int(round(args.window_seconds * args.sample_rate))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"window sample count out of range: {exc}") from exc
     else:
         raise ConfigError("give --window-length, or --window-seconds with --sample-rate")
     nw = args.nw if args.nw is not None else (args.tapers + 1) / 2.0

@@ -374,15 +374,14 @@ def _moment_init(coeffs: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np
 def _e_step(coeffs, state_var, obs_var, init_var, weight):
     """Filter, smooth, and collect the moments the M-step needs.
 
-    Returns the smoothed first/second moments, the lagged cross moments,
-    and the innovations-form log-likelihood of the current parameters,
-    with bin j's terms counted ``weight[j]`` times.
+    Returns the smoothed means and variances, the smoother gains, whose
+    product sgain[k] * ps[k + 1] is the lag-one covariance Cov(Z_{k+1}, Z_k |
+    all data) (de Jong and Mackinnon, Biometrika 75:601, 1988), and the
+    innovations-form log-likelihood with bin j's terms counted weight[j] times.
     """
-    k_windows, j_bins, m_tapers = coeffs.shape
-    zf, pf, gains = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)
-    # only the last gain is used; release the rest before the temporaries below
-    last_gain = gains[-1].copy()
-    del gains
+    k_windows = coeffs.shape[0]
+    # [:2] frees the unused filter gains before the temporaries below
+    zf, pf = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)[:2]
     pp = pf[:-1] + state_var
     # -ll per cell is log(pi v) + |e|^2 / v for innovation e of variance v,
     # formed in place; window totals are then added in window order
@@ -405,13 +404,7 @@ def _e_step(coeffs, state_var, obs_var, init_var, weight):
         g = sgain[k]
         zs[k] = zf[k] + g * (zs[k + 1] - zf[k])
         ps[k] = pf[k] + g**2 * (ps[k + 1] - pp[k])
-
-    # Lagged second moments: cross[i] holds Cov(Z_{i+1}, Z_i | all data).
-    cross = np.empty((k_windows, j_bins, m_tapers))
-    cross[k_windows - 1] = (1.0 - last_gain) * pf[k_windows - 1]
-    for k in range(k_windows - 1, 0, -1):
-        cross[k - 1] = sgain[k - 1] * (pf[k] + sgain[k] * (cross[k] - pf[k]))
-    return zs, ps, cross, ll
+    return zs, ps, sgain, ll
 
 
 def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
@@ -439,6 +432,8 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     as a constant of the model keeps every iteration an exact ascent
     step.  Each taper's observation variance is pooled across bins, so
     the M-step couples chains within a taper but never across tapers.
+    With Cov(Z_{k+1}, Z_k | all data) = sgain[k] ps[k+1], one smoother pass
+    gives E|Z_{k+1} - Z_k|^2 = |zs[k+1] - zs[k]|^2 + ps[k] + (1 - 2 sgain[k]) ps[k+1].
 
     When the coefficients are those of a real signal (exactly Hermitian
     along the bin axis, see `_distinct_bins`), EM runs on bins
@@ -468,14 +463,13 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     lls: list[float] = []
     converged = False
     for _ in range(cfg.max_iter):
-        zs, ps, cross, ll = _e_step(coeffs, state_var, obs_var, init_var, weight)
+        zs, ps, sgain, ll = _e_step(coeffs, state_var, obs_var, init_var, weight)
         lls.append(ll)
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= cfg.tol * abs(lls[-2]):
             converged = True
             break
-        second = ps + zs.real**2 + zs.imag**2
-        lag = cross + (zs[1:] * np.conj(zs[:-1])).real
-        increments = second[1:] + second[:-1] - 2.0 * lag
+        dz = zs[1:] - zs[:-1]
+        increments = dz.real**2 + dz.imag**2 + ps[:-1] + (1.0 - 2.0 * sgain) * ps[1:]
         state_var = np.maximum(increments.mean(axis=0), 0.0)
         resid = np.abs(coeffs - zs[1:]) ** 2 + ps[1:]
         resid *= weight[:, None]

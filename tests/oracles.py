@@ -146,7 +146,7 @@ def full_grid_em(coeffs, tol=1e-6, max_iter=50, init_params=None):
     lls = []
     converged = False
     for _ in range(max_iter):
-        zf, pf, gains = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)
+        zf, pf, _ = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)
         pp = pf[:-1] + state_var
         innov = coeffs - zf[:-1]
         innov_var = pp + obs_var[None, :]
@@ -166,18 +166,31 @@ def full_grid_em(coeffs, tol=1e-6, max_iter=50, init_params=None):
             zs[k] = zf[k] + g * (zs[k + 1] - zf[k])
             ps[k] = pf[k] + g**2 * (ps[k + 1] - pp[k])
             sgain[k] = g
-        cross = np.empty((k_windows, j_bins, m_tapers))
-        cross[k_windows - 1] = (1.0 - gains[-1]) * pf[k_windows - 1]
-        for k in range(k_windows - 1, 0, -1):
-            cross[k - 1] = sgain[k - 1] * (pf[k] + sgain[k] * (cross[k] - pf[k]))
 
-        second = ps + zs.real**2 + zs.imag**2
-        lag = cross + (zs[1:] * np.conj(zs[:-1])).real
-        increments = second[1:] + second[:-1] - 2.0 * lag
+        # E|Z_{k+1} - Z_k|^2 with Cov(Z_{k+1}, Z_k | all data) = sgain[k] ps[k+1]
+        dz = zs[1:] - zs[:-1]
+        increments = dz.real**2 + dz.imag**2 + ps[:-1] + (1.0 - 2.0 * sgain) * ps[1:]
         state_var = np.maximum(increments.mean(axis=0), 0.0)
         resid = np.abs(coeffs - zs[1:]) ** 2 + ps[1:]
         obs_var = np.maximum(resid.mean(axis=(0, 1)), np.finfo(float).tiny)
     return state_var, obs_var, np.asarray(lls), converged
+
+
+def lag_one_covariance_recursion(pf, sgain, last_gain):
+    """Cov(Z_{k+1}, Z_k | all data) by its own backward recursion.
+
+    The lag-one recursion of Shumway and Stoffer (Property 6.3) for the
+    random walk: ``pf`` holds the K + 1 filtered variances (row 0 the
+    prior), ``sgain`` the K smoother gains pf[k] / (pf[k] + state_var), and
+    ``last_gain`` the filter gain of window K.  Row k of the result is
+    Cov(Z_{k+1}, Z_k | all data).
+    """
+    k_windows = sgain.shape[0]
+    cross = np.empty(sgain.shape)
+    cross[k_windows - 1] = (1.0 - last_gain) * pf[k_windows - 1]
+    for k in range(k_windows - 1, 0, -1):
+        cross[k - 1] = sgain[k - 1] * (pf[k] + sgain[k] * (cross[k] - pf[k]))
+    return cross
 
 
 def arma_recursion_loop(a_rows, b_rows, innovations):

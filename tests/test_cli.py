@@ -7,6 +7,7 @@ import sys
 import tempfile
 import warnings
 import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,51 @@ class TestEstimate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("input_path", 5), ("output_dir", 7),
+         pytest.param("sample_rate_hz", 10**400, id="sample_rate_hz-1e400-int"),
+         pytest.param("window_seconds", 10**400, id="window_seconds-1e400-int"),
+         pytest.param("baseline_seconds", 10**400, id="baseline_seconds-1e400-int"),
+         pytest.param("nw", 10**400, id="nw-1e400-int"),
+         pytest.param("em_tol", 10**400, id="em_tol-1e400-int")],
+    )
+    def test_replay_config_value_types_checked(self, sim_dir, tmp_path, monkeypatch, key, value):
+        monkeypatch.setattr(io, "read_signal", not_reached)
+        monkeypatch.chdir(tmp_path)
+        config = cli.RunConfig(
+            method="ssmt", input_path=str(sim_dir / "signal.csv"),
+            output_dir=str(tmp_path / "replay"), sample_rate_hz=FS, baseline_seconds=45.0,
+        )
+        stored = {"command": "estimate", "version": statespec.__version__,
+                  "config": {**asdict(config), key: value}}
+        io.write_manifest(tmp_path / "manifest.json", stored)
+        code = main(["estimate", "--from-manifest", str(tmp_path / "manifest.json")])
+        assert code == EXIT_CONFIG
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_window_overflowing_sample_count_is_config_error(self, sim_dir, tmp_path,
+                                                             monkeypatch, capsys):
+        monkeypatch.setattr(io, "read_signal", not_reached)
+        out = tmp_path / "x"
+        code = main([
+            "estimate", "--input", str(sim_dir / "signal.csv"), "--sample-rate", "1e200",
+            "--window-seconds", "1e200", "--out-dir", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["ssmt", "assmt"])
+    def test_baseline_under_two_windows_is_config_error(self, sim_dir, tmp_path, monkeypatch,
+                                                        capsys, method):
+        monkeypatch.setattr(io, "read_signal", not_reached)
+        out = tmp_path / "x"
+        code = estimate(out, sim_dir, method, "--baseline-seconds", "6")
+        assert code == EXIT_CONFIG
+        assert "fewer than two windows" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMemory:
     @pytest.mark.parametrize("method, extra", [("ssmt", ()), ("assmt", ("--baseline-seconds", "45"))])
@@ -425,6 +471,14 @@ class TestTapers:
             "--out-dir", str(tmp_path / "x"),
         ])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("seconds, rate", [("1e200", "1e200"), ("inf", "16"), ("nan", "16")])
+    def test_window_sample_count_out_of_range_is_config_error(self, tmp_path, seconds, rate):
+        out = tmp_path / "x"
+        code = main(["tapers", "--window-seconds", seconds, "--sample-rate", rate,
+                     "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestVersion:

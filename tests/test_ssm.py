@@ -4,7 +4,12 @@ import warnings
 import numpy as np
 import pytest
 from conftest import make_eig
-from oracles import full_grid_em, gaussian_conditioning_means, random_walk_realization
+from oracles import (
+    full_grid_em,
+    gaussian_conditioning_means,
+    lag_one_covariance_recursion,
+    random_walk_realization,
+)
 
 from statespec import (
     DB_FLOOR,
@@ -246,6 +251,20 @@ class TestEMFit:
             EMConfig(tol=-1.0)
         with pytest.raises(ValueError, match="max_iter"):
             EMConfig(max_iter=0)
+
+
+class TestLagOneCovariance:
+    @pytest.mark.parametrize("k", [2, 3, 30])
+    def test_closed_form_matches_recursion(self, rng, k):
+        j, m = 6, 2
+        coeffs = rng.standard_normal((k, j, m)) + 1j * rng.standard_normal((k, j, m))
+        state_var = 10.0 ** rng.uniform(-2, 2, (j, m))
+        obs_var = 10.0 ** rng.uniform(-2, 2, m)
+        init_var = 10.0 ** rng.uniform(-2, 2, (j, m))
+        _, ps, sgain, _ = ssm._e_step(coeffs, state_var, obs_var, init_var, np.ones(j))
+        _, pf, gains = ssm._forward_pass(coeffs, state_var, obs_var, init_var=init_var)
+        expected = lag_one_covariance_recursion(pf, pf[:-1] / (pf[:-1] + state_var), gains[-1])
+        np.testing.assert_allclose(sgain * ps[1:], expected, rtol=1e-12)
 
 
 def real_signal_eig(rng, j, k_windows=40):

@@ -49,6 +49,25 @@ class DataError(Exception):
     """Input that cannot be processed under valid settings."""
 
 
+def _check_types(settings: dict, flags=(), integers=(), reals=()) -> None:
+    """Reject settings of the wrong type, which a replayed manifest can hold.
+
+    A bool is an int to Python, so it is turned away where a count or a
+    quantity is meant; a float or a string is never taken for a flag.
+    """
+    for name in flags:
+        if not isinstance(settings[name], bool):
+            raise ConfigError(f"{name} must be true or false, got {settings[name]!r}")
+    for name in integers:
+        value = settings[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in reals:
+        value = settings[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved settings of one estimation run."""
@@ -76,6 +95,17 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if not isinstance(self.input_path, str) or not isinstance(self.output_dir, str):
             raise ConfigError("input path and output directory must be strings")
+        if self.input_format not in (None, "csv", "bin"):
+            raise ConfigError(
+                f"input_format must be 'csv', 'bin' or null, got {self.input_format!r}"
+            )
+        _check_types(
+            vars(self),
+            flags=("one_sided", "demean"),
+            integers=("tapers", "em_max_iter"),
+            reals=("sample_rate_hz", "window_seconds", "overlap_fraction", "alpha",
+                   "baseline_seconds", "em_tol") + (() if self.nw is None else ("nw",)),
+        )
         if not 0 < self.sample_rate_hz < math.inf:
             raise ConfigError("sample rate must be positive and finite")
         if not 0 < self.window_seconds < math.inf:
@@ -321,6 +351,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = stored
     elif not args.out_dir:
         raise ConfigError("--out-dir is required")
+    _check_types(
+        cfg,
+        flags=("full_grid",),
+        integers=("seed",),
+        reals=("duration_s", "sample_rate_hz", "snr_db", "carrier_freq_hz", "window_seconds",
+               "overlap"),
+    )
     # a replayed config can hold values of any JSON type, so a TypeError
     # (or an integer too large for a float) here is a bad setting just
     # like a ValueError

@@ -10,6 +10,7 @@ divergence scoring possible.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -66,6 +67,40 @@ def _burn_in(max_radius: float, order: int) -> int:
 # lists never approach the size of the record.
 _RECURSION_BLOCK = 4096
 
+# Source of the order-p autoregression over one block; `_ar_kernel` fills
+# in the lag indices only.  ``cols`` holds the block's coefficients one
+# list per lag and ``lags`` the p latest outputs, most recent first; the
+# outputs overwrite ``block`` and the new latest outputs are returned.
+_AR_KERNEL_SOURCE = """
+def kernel(block, cols, lags):
+    {lags}, = lags
+    for t, (u, {coeffs}) in enumerate(zip(block, *cols)):
+        acc = u{terms}
+        block[t] = acc
+        {lags}, = {shifted},
+    return {lags},
+"""
+
+
+@functools.cache
+def _ar_kernel(p: int):
+    """The unrolled order-``p`` autoregression block, compiled on first use.
+
+    Python evaluates ``u - c1 * v1 - c2 * v2 - ...`` left to right, so each
+    sample takes the same operations in the same order as subtracting one
+    lag at a time, and the same bits.
+    """
+    lags = range(1, p + 1)
+    source = _AR_KERNEL_SOURCE.format(
+        lags=", ".join(f"v{i}" for i in lags),
+        coeffs=", ".join(f"c{i}" for i in lags),
+        terms="".join(f" - c{i} * v{i}" for i in lags),
+        shifted=", ".join(["acc"] + [f"v{i}" for i in range(1, p)]),
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<ar kernel p={p}>", "exec"), namespace)
+    return namespace["kernel"]
+
 
 def _run_recursion(a_rows: np.ndarray, b_rows: np.ndarray, innovations: np.ndarray) -> np.ndarray:
     """Direct-form ARMA recursion with per-sample coefficients.
@@ -76,10 +111,13 @@ def _run_recursion(a_rows: np.ndarray, b_rows: np.ndarray, innovations: np.ndarr
     where their schedules agree).
 
     Sample t is ``w[t] + sum_i b[t, i] w[t-i] - sum_i a[t, i] x[t-i]``,
-    each sum taken in order of increasing lag.  The moving-average terms
-    do not depend on earlier outputs, so they are added one lag at a time
-    over the whole record; the autoregression then runs on Python floats,
-    ``_RECURSION_BLOCK`` samples at a time so the list objects stay small.
+    each sum taken in order of increasing lag and over the lags inside the
+    record only.  The moving-average terms do not depend on earlier
+    outputs, so they are added one lag at a time over the whole record.
+    The autoregression runs on Python floats: the first ``p`` samples,
+    which see fewer than ``p`` lags, one lag at a time, and the rest in
+    `_ar_kernel` blocks of ``_RECURSION_BLOCK`` samples so the list
+    objects stay small.
     """
     n = innovations.size
     p = a_rows.shape[1] - 1
@@ -88,16 +126,23 @@ def _run_recursion(a_rows: np.ndarray, b_rows: np.ndarray, innovations: np.ndarr
     x = w.copy()
     for i in range(1, q + 1):
         x[i:] += b_rows[i:, i] * w[:-i]
+    if p == 0:
+        return x
+    warm = min(p, n)
     lags = deque(maxlen=p)  # most recent output first
-    for start in range(0, n, _RECURSION_BLOCK):
+    block = x[:warm].tolist()
+    for t, row in enumerate(a_rows[:warm, 1:].tolist()):
+        acc = block[t]
+        for c, v in zip(row, lags):
+            acc -= c * v
+        block[t] = acc
+        lags.appendleft(acc)
+    x[:warm] = block
+    kernel = _ar_kernel(p)
+    for start in range(warm, n, _RECURSION_BLOCK):
         stop = min(start + _RECURSION_BLOCK, n)
         block = x[start:stop].tolist()
-        for t, row in enumerate(a_rows[start:stop, 1:].tolist()):
-            acc = block[t]
-            for c, v in zip(row, lags):
-                acc -= c * v
-            block[t] = acc
-            lags.appendleft(acc)
+        lags = kernel(block, a_rows[start:stop, 1:].T.tolist(), lags)
         x[start:stop] = block
     return x
 

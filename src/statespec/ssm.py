@@ -492,7 +492,9 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
 def _taper_mean_power(values, freqs, times, one_sided):
     """Spectrogram of |values|^2 averaged over tapers, on bins 0..J//2 if one-sided."""
     bins = slice(0, values.shape[1] // 2 + 1 if one_sided else None)
-    power = np.mean(np.abs(values[:, bins]) ** 2, axis=2)
+    # power past the float range stays inf, for Spectrogram to reject
+    with np.errstate(over="ignore"):
+        power = np.mean(np.abs(values[:, bins]) ** 2, axis=2)
     return Spectrogram(owned(power), freqs[bins], times, scale="linear")
 
 

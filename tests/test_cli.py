@@ -100,6 +100,26 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "replay").exists()
 
+    # values of the wrong type that compare like the right one: each of these
+    # once ran to exit 0 (seed 1 for true, a full grid for "no")
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", True), ("full_grid", "no"), ("full_grid", 0), ("overlap", False),
+         ("window_seconds", True), ("carrier_freq_hz", False)],
+    )
+    def test_replay_config_value_kinds_checked(self, sim_dir, tmp_path, monkeypatch, capsys,
+                                               key, value):
+        monkeypatch.setattr(cli, "gen_benchmark", not_reached)
+        stored = io.read_manifest(sim_dir / "manifest.json")
+        stored["config"][key] = value
+        stored["config"]["out_dir"] = str(tmp_path / "replay")
+        manifest = tmp_path / "manifest.json"
+        io.write_manifest(manifest, stored)
+        code = main(["simulate", "--from-manifest", str(manifest)])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
+
     @pytest.mark.parametrize(
         "flag, value, named",
         [("--duration", "inf", "duration"), ("--sample-rate", "inf", "sample rate"),
@@ -282,6 +302,32 @@ class TestEstimate:
         assert code == EXIT_CONFIG
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
+    # values of the wrong type that compare like the right one: each of these
+    # once ran to exit 0 with a different meaning (2 tapers for 2.5, CSV for
+    # an input format of 5 or "txt", true for "no" or [1])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tapers", 2.5), ("tapers", True), ("em_max_iter", 1.5), ("em_max_iter", True),
+         ("input_format", 5), ("input_format", "txt"), ("one_sided", "no"), ("one_sided", 1),
+         ("demean", [1]), ("sample_rate_hz", True), ("window_seconds", True),
+         ("overlap_fraction", False), ("nw", True), ("alpha", True), ("em_tol", False)],
+    )
+    def test_replay_config_value_kinds_checked(self, sim_dir, tmp_path, monkeypatch, capsys,
+                                               key, value):
+        monkeypatch.setattr(io, "read_signal", not_reached)
+        monkeypatch.chdir(tmp_path)
+        config = cli.RunConfig(
+            method="ssmt", input_path=str(sim_dir / "signal.csv"),
+            output_dir=str(tmp_path / "replay"), sample_rate_hz=FS, baseline_seconds=45.0,
+        )
+        stored = {"command": "estimate", "version": statespec.__version__,
+                  "config": {**asdict(config), key: value}}
+        io.write_manifest(tmp_path / "manifest.json", stored)
+        code = main(["estimate", "--from-manifest", str(tmp_path / "manifest.json")])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
     def test_window_overflowing_sample_count_is_config_error(self, sim_dir, tmp_path,
                                                              monkeypatch, capsys):
         monkeypatch.setattr(io, "read_signal", not_reached)
@@ -421,6 +467,21 @@ class TestMalformedInput:
             "replay": ["estimate", "--from-manifest", str(path), "--out-dir", str(out)],
         }[command]
         assert main(argv) == expected
+        assert not out.exists()
+
+    def test_overflowing_power_is_one_error(self, tmp_path, capsys):
+        # the non-finite power is reported once, as a data error, with no
+        # numpy warning ahead of it
+        path = tmp_path / "signal.f64"
+        path.write_bytes(np.full(400, 1e200).astype("<f8").tobytes())
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--input", str(path), "--sample-rate", str(FS),
+                         "--method", "mt", "--out-dir", str(out)])
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
     @settings(max_examples=60, deadline=None)

@@ -1,4 +1,8 @@
 """Signal generators and their closed-form spectra."""
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -223,6 +227,65 @@ class TestRunRecursion:
         radii[::17] = 0.0
         assert_same_bits(simulate._poly_rows(freqs, radii, 40.0),
                          poly_rows_loop(freqs, radii, 40.0))
+
+
+class TestArKernel:
+    """The unrolled per-order kernels against the per-sample loop, bit for bit."""
+
+    @pytest.mark.parametrize("q", [0, 3])
+    @pytest.mark.parametrize("p", [2, 4, 5, 8, 12])
+    def test_matches_loop_around_warm_up(self, p, q):
+        # n < p never reaches a kernel; n = p ends with the warm-up;
+        # n = p + 1 gives the kernel one sample; 2 blocks + p crosses a block edge
+        for n in (p - 1, p, p + 1, 2 * simulate._RECURSION_BLOCK + p):
+            a_rows, b_rows, w = recursion_case(np.random.default_rng([n, p, q]), n, p, q)
+            assert_same_bits(simulate._run_recursion(a_rows, b_rows, w),
+                             arma_recursion_loop(a_rows, b_rows, w))
+            a_const = np.broadcast_to(a_rows[:1], a_rows.shape)
+            b_const = np.broadcast_to(b_rows[:1], b_rows.shape)
+            assert_same_bits(simulate._run_recursion(a_const, b_const, w),
+                             arma_recursion_loop(a_const, b_const, w))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.integers(0, 12),
+        q=st.integers(0, 4),
+        block=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_short_blocks_match_loop(self, n, p, q, block, seed):
+        a_rows, b_rows, w = recursion_case(np.random.default_rng(seed), n, p, q)
+        expected = arma_recursion_loop(a_rows, b_rows, w)
+        # blocks shorter than the order put block edges right after the warm-up
+        with mock.patch.object(simulate, "_RECURSION_BLOCK", block):
+            assert_same_bits(simulate._run_recursion(a_rows, b_rows, w), expected)
+
+    def test_odd_order_through_gen_ar(self):
+        coeffs = np.r_[ar_coefficients([3.0, 7.0], [0.8, 0.7], 40.0), 0.01]
+        series = gen_ar(coeffs, 30.0, 40.0, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        burn = simulate._burn_in(simulate._pole_radius(coeffs), coeffs.size)
+        w = rng.standard_normal(series.samples.size + burn)
+        a_rows = np.broadcast_to(np.r_[1.0, -coeffs], (w.size, coeffs.size + 1))
+        expected = arma_recursion_loop(a_rows, np.ones((w.size, 1)), w)[burn:]
+        assert_same_bits(series.samples, expected)
+
+    def test_kernel_compiled_once_per_order(self):
+        assert simulate._ar_kernel(5) is simulate._ar_kernel(5)
+        assert simulate._ar_kernel(5) is not simulate._ar_kernel(6)
+
+    def test_import_compiles_no_kernel(self):
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import statespec.cli, statespec.simulate as s; "
+             "print(s._ar_kernel.cache_info().currsize)"],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        )
+        assert result.stdout.strip() == "0"
 
 
 class TestGenArmaTv:

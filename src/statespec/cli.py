@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .ssm import (
     mt_spectrogram,
     ssmt_spectrogram,
 )
-from .tapers import dpss
+from .tapers import _bank_args, dpss
 
 __all__ = ["ConfigError", "DataError", "RunConfig", "run_pipeline", "main"]
 
@@ -49,23 +49,38 @@ class DataError(Exception):
     """Input that cannot be processed under valid settings."""
 
 
-def _check_types(settings: dict, flags=(), integers=(), reals=()) -> None:
+# the values each field annotation admits
+_KINDS = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_types(config) -> None:
     """Reject settings of the wrong type, which a replayed manifest can hold.
 
-    A bool is an int to Python, so it is turned away where a count or a
-    quantity is meant; a float or a string is never taken for a flag.
+    Each field must match its annotation: ``bool``, ``int``, ``float`` or
+    ``str``, optionally ``| None``.  A bool is an int to Python, so it is
+    turned away where a count or a quantity is meant; a float or a string
+    is never taken for a flag.
     """
-    for name in flags:
-        if not isinstance(settings[name], bool):
-            raise ConfigError(f"{name} must be true or false, got {settings[name]!r}")
-    for name in integers:
-        value = settings[name]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    for name in reals:
-        value = settings[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
+    for field in fields(config):
+        value = getattr(config, field.name)
+        kind, _, optional = field.type.partition(" | ")
+        if value is None and optional == "None":
+            continue
+        if not isinstance(value, _KINDS[kind]) or (isinstance(value, bool) and kind != "bool"):
+            raise ConfigError(f"{field.name} must be {field.type}, got {value!r}")
+
+
+def _window_grid(seconds: float, rate: float, overlap: float) -> tuple[int, int]:
+    """Samples in ``seconds`` at ``rate``, and the hop that ``overlap`` leaves.
+
+    Estimates and the simulated truth share this rounding, which keeps
+    their window grids aligned for ``compare``.
+    """
+    try:
+        window = int(round(seconds * rate))
+        return window, max(1, int(round(window * (1.0 - overlap))))
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"window, baseline or record sample count out of range: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -91,33 +106,19 @@ class RunConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
+        _check_types(self)
         if self.method not in ("mt", "ssmt", "assmt"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if not isinstance(self.input_path, str) or not isinstance(self.output_dir, str):
-            raise ConfigError("input path and output directory must be strings")
         if self.input_format not in (None, "csv", "bin"):
             raise ConfigError(
                 f"input_format must be 'csv', 'bin' or null, got {self.input_format!r}"
             )
-        _check_types(
-            vars(self),
-            flags=("one_sided", "demean"),
-            integers=("tapers", "em_max_iter"),
-            reals=("sample_rate_hz", "window_seconds", "overlap_fraction", "alpha",
-                   "baseline_seconds", "em_tol") + (() if self.nw is None else ("nw",)),
-        )
         if not 0 < self.sample_rate_hz < math.inf:
             raise ConfigError("sample rate must be positive and finite")
         if not 0 < self.window_seconds < math.inf:
             raise ConfigError("window length must be positive and finite")
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ConfigError("overlap must lie in [0, 1)")
-        if self.tapers < 1:
-            raise ConfigError("taper count must be at least 1")
-        # math.isfinite and math.isnan raise OverflowError on an integer too
-        # large for a float, which a replayed manifest can hold
-        if self.nw is not None and not (self.nw > 0 and math.isfinite(self.nw)):
-            raise ConfigError("nw must be positive and finite")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
         if not 0 <= self.baseline_seconds < math.inf:
@@ -126,6 +127,8 @@ class RunConfig:
             raise ConfigError("assmt requires --baseline-seconds > 0")
         if self.scale not in ("linear", "dB"):
             raise ConfigError("scale must be 'linear' or 'dB'")
+        # math.isnan raises OverflowError on an integer too large for a
+        # float, which a replayed manifest can hold
         if math.isnan(self.em_tol) or self.em_tol < 0:
             raise ConfigError("em tolerance must be non-negative")
         if self.em_max_iter < 1:
@@ -134,13 +137,15 @@ class RunConfig:
             raise ConfigError("output format must be 'csv' or 'bin'")
         # the sample counts window_samples, hop and baseline_windows depend on the
         # settings alone, so one that overflows or is too short fails before any I/O
-        try:
-            window = int(round(self.window_seconds * self.sample_rate_hz))
-            hop = max(1, int(round(window * (1.0 - self.overlap_fraction))))
-            baseline = int(round(self.baseline_seconds * self.sample_rate_hz))
-        except OverflowError as exc:
-            raise ConfigError(f"window or baseline sample count out of range: {exc}") from exc
+        window, hop = _window_grid(self.window_seconds, self.sample_rate_hz,
+                                   self.overlap_fraction)
+        baseline, _ = _window_grid(self.baseline_seconds, self.sample_rate_hz, 0.0)
         baseline_windows = (baseline - window) // hop + 1
+        # the taper count and NW the window can hold, checked without the bank
+        try:
+            _bank_args(window, self.time_half_bandwidth, self.tapers)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.method != "mt" and self.baseline_seconds > 0 and baseline_windows < 2:
             raise ConfigError(
                 f"baseline of {self.baseline_seconds:g} s holds fewer than two windows"
@@ -152,6 +157,94 @@ class RunConfig:
     @property
     def time_half_bandwidth(self) -> float:
         return self.nw if self.nw is not None else (self.tapers + 1) / 2.0
+
+
+@dataclass(frozen=True)
+class SimulateConfig:
+    """Resolved settings of one simulation run, as its manifest stores them."""
+
+    duration_s: float
+    sample_rate_hz: float
+    seed: int
+    snr_db: float
+    carrier_freq_hz: float
+    window_seconds: float
+    overlap: float
+    full_grid: bool
+    format: str
+    out_dir: str
+
+    def __post_init__(self):
+        _check_types(self)
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError("duration must be positive and finite")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ConfigError("sample rate must be positive and finite")
+        if not math.isfinite(self.window_seconds):
+            raise ConfigError("window seconds must be finite")
+        if not math.isfinite(self.carrier_freq_hz):
+            raise ConfigError("carrier frequency must be finite")
+        if math.isnan(self.snr_db):
+            raise ConfigError("snr_db must not be NaN (inf means noise-free)")
+        if not 0.0 <= self.overlap < 1.0:
+            raise ConfigError("overlap must lie in [0, 1)")
+        if self.format not in ("csv", "bin"):
+            raise ConfigError("format must be 'csv' or 'bin'")
+        window, hop = _window_grid(self.window_seconds, self.sample_rate_hz, self.overlap)
+        # the sample count gen_benchmark will produce, so a grid that cannot
+        # cut the record fails before the record is generated
+        n_samples, _ = _window_grid(self.duration_s, self.sample_rate_hz, 0.0)
+        _check_window_grid(window, hop, n_samples)
+        object.__setattr__(self, "window_samples", window)
+        object.__setattr__(self, "hop", hop)
+
+
+def _check_window_grid(window: int, hop: int, n_samples: int) -> None:
+    """Reject a window length or hop, in samples, that cannot cut the record."""
+    if window < 1:
+        raise ConfigError(f"window must hold at least one sample, got {window}")
+    if window > n_samples:
+        raise ConfigError(
+            f"window of {window} samples is longer than the {n_samples}-sample record"
+        )
+    if not 1 <= hop <= window:
+        raise ConfigError(f"hop must lie in [1, {window}] samples, got {hop}")
+
+
+def _read_manifest(path) -> dict:
+    """A manifest that holds a config section."""
+    try:
+        stored = io.read_manifest(path)
+    except ValueError as exc:
+        raise DataError(f"{path}: not a JSON manifest: {exc}") from exc
+    if not isinstance(stored, dict) or not isinstance(stored.get("config"), dict):
+        raise DataError(f"{path}: manifest has no config section")
+    return stored
+
+
+def _settings(cls, args: argparse.Namespace, out_field: str):
+    """``cls`` from the flags, or from the config of the replayed manifest.
+
+    On replay the stored config is used as it is, except that ``--out-dir``,
+    when given, replaces the output directory held in ``out_field``.
+    """
+    if args.from_manifest:
+        stored = _read_manifest(args.from_manifest)
+        if stored.get("command") != args.command:
+            raise ConfigError(f"{args.from_manifest} is not a {args.command} manifest")
+        values = stored["config"]
+        if getattr(args, out_field):
+            values[out_field] = getattr(args, out_field)
+    else:
+        values = {field.name: getattr(args, field.name) for field in fields(cls)}
+    # a replayed config can hold values of any JSON type and any keys, so a
+    # TypeError (or an integer too large for a float) is a bad setting just
+    # like a ValueError
+    try:
+        return cls(**values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        prefix = f"{args.from_manifest}: " if args.from_manifest else ""
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def run_pipeline(config: RunConfig) -> dict[str, Path]:
@@ -175,10 +268,7 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
             f"insufficient data: {config.input_path} holds {samples.size} samples, "
             f"fewer than one {config.window_samples}-sample window"
         )
-    try:
-        bank = dpss(config.window_samples, config.time_half_bandwidth, config.tapers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    bank = dpss(config.window_samples, config.time_half_bandwidth, config.tapers)
 
     series = TimeSeries(samples=owned(samples), sample_rate_hz=config.sample_rate_hz)
     eig = eigen_coefficients(
@@ -263,147 +353,38 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
     return paths
 
 
-def _manifest_config(path, command: str) -> dict:
-    """The config section of a manifest that ``command`` wrote."""
-    try:
-        stored = io.read_manifest(path)
-    except ValueError as exc:
-        raise DataError(f"{path}: not a JSON manifest: {exc}") from exc
-    if not isinstance(stored, dict) or not isinstance(stored.get("config"), dict):
-        raise DataError(f"{path}: manifest has no config section")
-    if stored.get("command") != command:
-        raise ConfigError(f"{path} is not a {command} manifest")
-    return stored["config"]
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    if args.from_manifest:
-        cfg_dict = _manifest_config(args.from_manifest, "estimate")
-        if args.out_dir:
-            cfg_dict["output_dir"] = args.out_dir
-        try:
-            config = RunConfig(**cfg_dict)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{args.from_manifest}: {exc}") from exc
-    else:
-        if not args.input or not args.out_dir or args.sample_rate is None:
-            raise ConfigError("--input, --sample-rate, and --out-dir are required")
-        config = RunConfig(
-            method=args.method,
-            input_path=args.input,
-            output_dir=args.out_dir,
-            sample_rate_hz=args.sample_rate,
-            window_seconds=args.window_seconds,
-            overlap_fraction=args.overlap,
-            tapers=args.tapers,
-            nw=args.nw,
-            alpha=args.alpha,
-            baseline_seconds=args.baseline_seconds,
-            scale=args.scale,
-            one_sided=not args.full_grid,
-            demean=args.demean,
-            em_tol=args.em_tol,
-            em_max_iter=args.em_max_iter,
-            input_format=args.input_format,
-            output_format=args.format,
-        )
-    paths = run_pipeline(config)
+    paths = run_pipeline(_settings(RunConfig, args, "output_dir"))
     print(f"wrote {paths['spectrogram']}")
     return EXIT_OK
 
 
-def _check_window_grid(window: int, hop: int, n_samples: int) -> None:
-    """Reject a window length or hop, in samples, that cannot cut the record."""
-    if window < 1:
-        raise ConfigError(f"window must hold at least one sample, got {window}")
-    if window > n_samples:
-        raise ConfigError(
-            f"window of {window} samples is longer than the {n_samples}-sample record"
-        )
-    if not 1 <= hop <= window:
-        raise ConfigError(f"hop must lie in [1, {window}] samples, got {hop}")
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = {
-        "duration_s": args.duration,
-        "sample_rate_hz": args.sample_rate,
-        "seed": args.seed,
-        "snr_db": args.snr_db,
-        "carrier_freq_hz": args.carrier_freq_hz,
-        "window_seconds": args.window_seconds,
-        "overlap": args.overlap,
-        "full_grid": args.full_grid,
-        "format": args.format,
-        "out_dir": args.out_dir,
-    }
-    if args.from_manifest:
-        stored = _manifest_config(args.from_manifest, "simulate")
-        if args.out_dir:
-            stored["out_dir"] = args.out_dir
-        missing = sorted(cfg.keys() - stored.keys())
-        unknown = sorted(stored.keys() - cfg.keys())
-        if missing or unknown:
-            raise ConfigError(
-                f"{args.from_manifest}: simulate config has missing keys {missing} "
-                f"and unknown keys {unknown}"
-            )
-        cfg = stored
-    elif not args.out_dir:
-        raise ConfigError("--out-dir is required")
-    _check_types(
-        cfg,
-        flags=("full_grid",),
-        integers=("seed",),
-        reals=("duration_s", "sample_rate_hz", "snr_db", "carrier_freq_hz", "window_seconds",
-               "overlap"),
-    )
-    # a replayed config can hold values of any JSON type, so a TypeError
-    # (or an integer too large for a float) here is a bad setting just
-    # like a ValueError
+    config = _settings(SimulateConfig, args, "out_dir")
     try:
-        if not 0 < cfg["duration_s"] < math.inf:
-            raise ConfigError("duration must be positive and finite")
-        if not 0 < cfg["sample_rate_hz"] < math.inf:
-            raise ConfigError("sample rate must be positive and finite")
-        if not math.isfinite(cfg["window_seconds"]):
-            raise ConfigError("window seconds must be finite")
-        if not math.isfinite(cfg["carrier_freq_hz"]):
-            raise ConfigError("carrier frequency must be finite")
-        if math.isnan(cfg["snr_db"]):
-            raise ConfigError("snr_db must not be NaN (inf means noise-free)")
-        if not 0.0 <= cfg["overlap"] < 1.0:
-            raise ConfigError("overlap must lie in [0, 1)")
-        if cfg["format"] not in ("csv", "bin"):
-            raise ConfigError("format must be 'csv' or 'bin'")
-        out = Path(cfg["out_dir"])
-        config = benchmark_config(
-            duration_s=cfg["duration_s"],
-            sample_rate_hz=cfg["sample_rate_hz"],
-            seed=cfg["seed"],
-            snr_db=cfg["snr_db"],
-            carrier_freq_hz=cfg["carrier_freq_hz"],
-        )
-        window_samples = int(round(cfg["window_seconds"] * cfg["sample_rate_hz"]))
-        hop = max(1, int(round(window_samples * (1.0 - cfg["overlap"]))))
-        # the sample count gen_benchmark will produce, so a grid that cannot
-        # cut the record fails before the record is generated
-        n_samples = int(round(cfg["duration_s"] * cfg["sample_rate_hz"]))
-        _check_window_grid(window_samples, hop, n_samples)
-        series, truth = gen_benchmark(config)
-        spect = truth.spectrogram(window_samples, hop, one_sided=not cfg["full_grid"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        series, truth = gen_benchmark(benchmark_config(
+            duration_s=config.duration_s,
+            sample_rate_hz=config.sample_rate_hz,
+            seed=config.seed,
+            snr_db=config.snr_db,
+            carrier_freq_hz=config.carrier_freq_hz,
+        ))
+        spect = truth.spectrogram(config.window_samples, config.hop,
+                                  one_sided=not config.full_grid)
+    except (ValueError, OverflowError) as exc:
         prefix = f"{args.from_manifest}: " if args.from_manifest else ""
         raise ConfigError(f"{prefix}{exc}") from exc
 
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    signal_path = io.write_signal(out / "signal", series.samples, fmt=cfg["format"])
-    io.write_matrix(out / "truth_spectrogram", spect.power, fmt=cfg["format"], scale=spect.scale)
+    signal_path = io.write_signal(out / "signal", series.samples, fmt=config.format)
+    io.write_matrix(out / "truth_spectrogram", spect.power, fmt=config.format,
+                    scale=spect.scale)
     io.write_vector_csv(out / "truth_frequencies.csv", spect.frequencies_hz)
     io.write_vector_csv(out / "truth_times.csv", spect.window_times_s)
     io.write_manifest(
         out / "manifest.json",
-        {"command": "simulate", "version": __version__, "config": cfg,
+        {"command": "simulate", "version": __version__, "config": asdict(config),
          "noise_var": truth.noise_var},
     )
     print(f"wrote {signal_path}")
@@ -431,8 +412,8 @@ def _load_spectrogram(directory: Path, names: tuple[str, ...]) -> Spectrogram:
         manifest_path = directory / "manifest.json"
         if not manifest_path.exists():
             raise DataError(f"{directory}: binary spectrogram without a manifest to supply its scale")
-        manifest = io.read_manifest(manifest_path)
-        scale = manifest.get("config", {}).get("scale", "linear")
+        # a simulate manifest holds no scale: its truth is linear
+        scale = _read_manifest(manifest_path)["config"].get("scale", "linear")
     prefix = "truth_" if stem.startswith("truth_") else ""
     freqs = io.read_vector_csv(directory / f"{prefix}frequencies.csv")
     times = io.read_vector_csv(directory / f"{prefix}times.csv")
@@ -472,10 +453,7 @@ def _cmd_tapers(args: argparse.Namespace) -> int:
     if args.window_length is not None:
         window = args.window_length
     elif args.window_seconds is not None and args.sample_rate is not None:
-        try:
-            window = int(round(args.window_seconds * args.sample_rate))
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"window sample count out of range: {exc}") from exc
+        window, _ = _window_grid(args.window_seconds, args.sample_rate, 0.0)
     else:
         raise ConfigError("give --window-length, or --window-seconds with --sample-rate")
     nw = args.nw if args.nw is not None else (args.tapers + 1) / 2.0
@@ -515,8 +493,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate the benchmark record and its ground truth")
     sim.add_argument("--out-dir", help="directory for signal, truth, and manifest")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--duration", type=float, default=600.0, help="record length in seconds")
-    sim.add_argument("--sample-rate", type=float, default=36.0)
+    sim.add_argument("--duration", dest="duration_s", type=float, default=600.0,
+                     help="record length in seconds")
+    sim.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=36.0)
     sim.add_argument("--snr-db", type=float, default=30.0)
     sim.add_argument("--carrier-freq-hz", type=float, default=0.02)
     sim.add_argument("--window-seconds", type=float, default=6.0,
@@ -528,29 +507,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--from-manifest", help="replay a previous simulate run")
     sim.set_defaults(func=_cmd_simulate)
 
+    # each dest is a RunConfig field, whose default is the flag's default
     est = sub.add_parser("estimate", help="estimate a spectrogram from a signal file")
-    est.add_argument("--input", help="signal file (csv or raw little-endian float64)")
-    est.add_argument("--input-format", choices=("csv", "bin"), default=None,
+    est.add_argument("--input", dest="input_path",
+                     help="signal file (csv or raw little-endian float64)")
+    est.add_argument("--input-format", choices=("csv", "bin"),
                      help="inferred from the extension when omitted")
-    est.add_argument("--sample-rate", type=float)
+    est.add_argument("--sample-rate", dest="sample_rate_hz", type=float)
     est.add_argument("--method", choices=("mt", "ssmt", "assmt"), default="mt")
-    est.add_argument("--out-dir")
-    est.add_argument("--window-seconds", type=float, default=6.0)
-    est.add_argument("--overlap", type=float, default=0.0)
-    est.add_argument("--tapers", type=int, default=3)
-    est.add_argument("--nw", type=float, default=None,
-                     help="time-bandwidth product; default (tapers + 1) / 2")
-    est.add_argument("--alpha", type=float, default=0.95)
-    est.add_argument("--baseline-seconds", type=float, default=0.0,
+    est.add_argument("--out-dir", dest="output_dir")
+    est.add_argument("--window-seconds", type=float)
+    est.add_argument("--overlap", dest="overlap_fraction", type=float)
+    est.add_argument("--tapers", type=int)
+    est.add_argument("--nw", type=float, help="time-bandwidth product; default (tapers + 1) / 2")
+    est.add_argument("--alpha", type=float)
+    est.add_argument("--baseline-seconds", type=float,
                      help="initial stretch used to fit model parameters")
-    est.add_argument("--scale", choices=("linear", "dB"), default="dB")
-    est.add_argument("--full-grid", action="store_true")
+    est.add_argument("--scale", choices=("linear", "dB"))
+    est.add_argument("--full-grid", dest="one_sided", action="store_false")
     est.add_argument("--demean", action="store_true", help="remove each window's mean")
-    est.add_argument("--em-tol", type=float, default=1e-6)
-    est.add_argument("--em-max-iter", type=int, default=100)
-    est.add_argument("--format", choices=("csv", "bin"), default="csv")
+    est.add_argument("--em-tol", type=float)
+    est.add_argument("--em-max-iter", type=int)
+    est.add_argument("--format", dest="output_format", choices=("csv", "bin"))
     est.add_argument("--from-manifest", help="replay a previous estimate run")
-    est.set_defaults(func=_cmd_estimate)
+    est.set_defaults(func=_cmd_estimate, **{
+        field.name: field.default for field in fields(RunConfig) if field.default is not MISSING
+    })
 
     cmp_ = sub.add_parser("compare", help="score an estimate against a reference spectrogram")
     cmp_.add_argument("--estimate", required=True, help="directory written by estimate")

@@ -452,6 +452,12 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     h, source = _distinct_bins(obs.coeffs, None if init is None else init.state_var)
     weight = np.bincount(source).astype(float)  # grid bins per fitted bin
     coeffs = np.ascontiguousarray(obs.coeffs[:, :h])
+    # smoothed means are convex combinations of zero and the coefficients, so
+    # no sum of squared residuals over the cells exceeds 16 * peak**2 * size
+    parts = coeffs.view(float)  # real and imaginary parts, no copy
+    peak = max(float(parts.max()), -float(parts.min()))
+    if not peak < np.sqrt(np.finfo(float).max / (16 * coeffs.size)):
+        raise ValueError(f"eigen-coefficients up to {peak:.3g} overflow EM's squared sums")
     if init is not None:
         state_var = init.state_var[:h].copy()
         obs_var = init.obs_var.copy()

@@ -100,6 +100,22 @@ def _concentration(taper: np.ndarray, half_bandwidth: float) -> float:
     return 2.0 * half_bandwidth * float(taper @ taper) + 2.0 * float(kernel @ acf)
 
 
+def _bank_args(window_length_j, time_half_bandwidth, num_tapers) -> tuple[int, float, int]:
+    """``(J, NW, M)`` as `dpss` uses them; ValueError, at no cost, if no bank has them."""
+    j = int(window_length_j)
+    m = int(num_tapers)
+    nw = float(time_half_bandwidth)
+    if j < 2:
+        raise ValueError("window_length_j must be at least 2")
+    if m < 1:
+        raise ValueError("num_tapers must be at least 1")
+    if m >= j:
+        raise ValueError("num_tapers must be smaller than the window length")
+    if not 0.0 < nw < j / 2.0:
+        raise ValueError("time_half_bandwidth must satisfy 0 < NW < J/2")
+    return j, nw, m
+
+
 def dpss(window_length_j: int, time_half_bandwidth: float, num_tapers: int) -> TaperBank:
     """Compute the ``num_tapers`` most concentrated tapers of a window.
 
@@ -124,17 +140,7 @@ def dpss(window_length_j: int, time_half_bandwidth: float, num_tapers: int) -> T
     ValueError
         If the window length, bandwidth, or taper count is out of range.
     """
-    j = int(window_length_j)
-    m = int(num_tapers)
-    nw = float(time_half_bandwidth)
-    if j < 2:
-        raise ValueError("window_length_j must be at least 2")
-    if m < 1:
-        raise ValueError("num_tapers must be at least 1")
-    if m >= j:
-        raise ValueError("num_tapers must be smaller than the window length")
-    if not 0.0 < nw < j / 2.0:
-        raise ValueError("time_half_bandwidth must satisfy 0 < NW < J/2")
+    j, nw, m = _bank_args(window_length_j, time_half_bandwidth, num_tapers)
     usable = math.floor(2.0 * nw) - 1
     if m > usable:
         warnings.warn(

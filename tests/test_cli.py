@@ -7,7 +7,7 @@ import sys
 import tempfile
 import warnings
 import weakref
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import statespec
-from statespec import cli, io
+from statespec import cli, io, ssm
 from statespec.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 FS = 32.0
@@ -286,7 +286,8 @@ class TestEstimate:
          pytest.param("window_seconds", 10**400, id="window_seconds-1e400-int"),
          pytest.param("baseline_seconds", 10**400, id="baseline_seconds-1e400-int"),
          pytest.param("nw", 10**400, id="nw-1e400-int"),
-         pytest.param("em_tol", 10**400, id="em_tol-1e400-int")],
+         pytest.param("em_tol", 10**400, id="em_tol-1e400-int"),
+         pytest.param("tapers", 10**400, id="tapers-1e400-int")],
     )
     def test_replay_config_value_types_checked(self, sim_dir, tmp_path, monkeypatch, key, value):
         monkeypatch.setattr(io, "read_signal", not_reached)
@@ -338,6 +339,19 @@ class TestEstimate:
         ])
         assert code == EXIT_CONFIG
         assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("input_name", ["signal.csv", "missing.csv"])
+    def test_impossible_taper_count_fails_before_read(self, sim_dir, tmp_path, monkeypatch,
+                                                      capsys, input_name):
+        monkeypatch.setattr(io, "read_signal", not_reached)
+        out = tmp_path / "x"
+        code = main([
+            "estimate", "--input", str(sim_dir / input_name), "--sample-rate", str(FS),
+            "--tapers", "500", "--out-dir", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["ssmt", "assmt"])
@@ -426,6 +440,18 @@ class TestCompare:
         assert code == EXIT_DATA
         assert "different numbers of fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"[]", b"null", b'{"config": 5}'],
+                             ids=["list", "null", "config-not-object"])
+    def test_malformed_manifest_is_data_error(self, sim_dir, tmp_path, capsys, content):
+        est = tmp_path / "est"
+        assert estimate(est, sim_dir, "mt", "--format", "bin") == EXIT_OK
+        (est / "manifest.json").write_bytes(content)
+        capsys.readouterr()
+        code = main(["compare", "--estimate", str(est), "--truth", str(sim_dir)])
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_missing_directory_is_data_error(self, sim_dir, tmp_path):
         code = main([
             "compare", "--estimate", str(tmp_path / "nothing"), "--truth", str(sim_dir),
@@ -484,6 +510,24 @@ class TestMalformedInput:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, extra", [("ssmt", ()), ("assmt", ("--baseline-seconds", "12"))])
+    def test_overflowing_coefficients_fail_before_em(self, tmp_path, monkeypatch, capsys,
+                                                     method, extra):
+        # EM is refused before its first E-step, with no numpy warning or
+        # non-convergence warning ahead of the one error
+        monkeypatch.setattr(ssm, "_e_step", not_reached)
+        path = tmp_path / "signal.f64"
+        path.write_bytes(np.full(400, 1e200).astype("<f8").tobytes())
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--input", str(path), "--sample-rate", str(FS),
+                         "--method", method, "--out-dir", str(out), *extra])
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
     @settings(max_examples=60, deadline=None)
     @given(content=st.binary(max_size=400), suffix=st.sampled_from([".csv", ".f64"]))
     def test_arbitrary_bytes_never_raise(self, content, suffix):
@@ -495,6 +539,47 @@ class TestMalformedInput:
                 "--window-seconds", "4", "--method", "mt", "--out-dir", str(Path(tmp) / "out"),
             ])
         assert code in (EXIT_OK, EXIT_DATA)
+
+
+def subcommand_dests(command):
+    """The dest of every flag of a subcommand."""
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return {action.dest for action in sub.choices[command]._actions}
+
+
+class TestSettings:
+    def test_flags_cover_every_field_with_its_default(self):
+        args = cli._build_parser().parse_args(["estimate"])
+        defaults = {f.name: f.default for f in fields(cli.RunConfig) if f.default is not MISSING}
+        assert {name: getattr(args, name) for name in defaults} == defaults
+        for command, cls in [("estimate", cli.RunConfig), ("simulate", cli.SimulateConfig)]:
+            assert {f.name for f in fields(cls)} <= subcommand_dests(command)
+
+    def test_manifest_config_rebuilds_the_same_settings(self, sim_dir, tmp_path):
+        out = tmp_path / "mt"
+        assert estimate(out, sim_dir, "mt", "--full-grid", "--nw", "2.5",
+                        "--overlap", "0.5") == EXIT_OK
+        for directory, cls in [(sim_dir, cli.SimulateConfig), (out, cli.RunConfig)]:
+            stored = io.read_manifest(directory / "manifest.json")["config"]
+            assert asdict(cls(**stored)) == stored
+
+    @pytest.mark.parametrize(
+        "key",
+        ["duration_s", "sample_rate_hz", "seed", "snr_db", "carrier_freq_hz", "window_seconds",
+         "overlap", "full_grid", "format", "out_dir"],
+    )
+    def test_simulate_replay_missing_key_is_config_error(self, sim_dir, tmp_path, monkeypatch,
+                                                         key):
+        monkeypatch.setattr(cli, "gen_benchmark", not_reached)
+        out = tmp_path / "replay"
+        stored = io.read_manifest(sim_dir / "manifest.json")
+        stored["config"]["out_dir"] = str(out)
+        del stored["config"][key]
+        manifest = tmp_path / "manifest.json"
+        io.write_manifest(manifest, stored)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--from-manifest", str(manifest)]) == EXIT_CONFIG
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 class TestTapers:

@@ -26,6 +26,7 @@ from .segmentation import EigenCoefficients, TimeSeries, eigen_coefficients, seg
 from .simulate import benchmark_config, gen_benchmark
 from .ssm import (
     EMConfig,
+    ModelParams,
     Spectrogram,
     em_fit,
     filter_all,
@@ -261,6 +262,12 @@ def run_pipeline(config: RunConfig) -> dict[str, Path]:
         raise DataError(f"{config.input_path}: {exc}") from exc
 
 
+def _unfold(half: np.ndarray, j_bins: int) -> np.ndarray:
+    """The full grid of J bins from columns 0..J//2: column j repeated in J - j."""
+    h = half.shape[1]
+    return np.concatenate([half, half[:, j_bins - h : 0 : -1]], axis=1)
+
+
 def _run_pipeline(config: RunConfig) -> dict[str, Path]:
     samples = io.read_signal(config.input_path, config.input_format)
     if samples.size < config.window_samples:
@@ -274,9 +281,13 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
     eig = eigen_coefficients(
         segment(series, config.window_samples, config.hop, demean=config.demean), bank
     )
+    del series, samples
 
     em_info = None
     extras: dict[str, np.ndarray] = {}
+    # per-window traces on bins 0..J//2, unfolded to the full grid one file
+    # at a time as they are written
+    traces: dict[str, np.ndarray] = {}
     if config.method == "mt":
         spect = mt_spectrogram(eig, one_sided=config.one_sided)
     else:
@@ -290,33 +301,46 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
         else:
             fit_obs = eig
         fit = em_fit(fit_obs, EMConfig(tol=config.em_tol, max_iter=config.em_max_iter))
+        # the signal is real, so bin J - j holds the conjugate of bin j and its
+        # chain runs with the same variances and gains: filtering bins
+        # 0..J//2 gives every value of the full grid, and needs half the memory
+        h = config.window_samples // 2 + 1
+        frequencies = eig.frequencies_hz
+        obs = EigenCoefficients(
+            coeffs=owned(np.ascontiguousarray(eig.coeffs[:, :h])),
+            frequencies_hz=frequencies[:h],
+            window_times_s=eig.window_times_s,
+        )
+        del eig, fit_obs
+        params = ModelParams(state_var=fit.params.state_var[:h], obs_var=fit.params.obs_var)
         # warm start at the first observation: the state prior has no
         # knowledge of absolute level, so seeding with window 0 avoids a
         # long ramp-in at bins whose power sits far above the prior mean
-        init_mean = eig.coeffs[0].copy()
-        init_var = np.broadcast_to(
-            fit.params.obs_var[None, :], fit.params.state_var.shape
-        ).copy()
+        init_mean = obs.coeffs[0].copy()
+        init_var = np.broadcast_to(params.obs_var[None, :], params.state_var.shape).copy()
         if config.method == "ssmt":
-            trace = filter_all(eig, fit.params, init_mean=init_mean, init_var=init_var)
+            trace = filter_all(obs, params, init_mean=init_mean, init_var=init_var)
         else:
             trace, sv_trace = assmt_filter(
-                eig,
-                AdaptiveParams.from_model_params(fit.params),
+                obs,
+                AdaptiveParams.from_model_params(params),
                 alpha=config.alpha,
                 init_mean=init_mean,
                 init_var=init_var,
             )
             for m in range(sv_trace.shape[2]):
-                extras[f"state_var_trace_taper{m}"] = sv_trace[:, :, m]
-        # the filter was the last user of the coefficients and the samples
-        # (init_mean is a copy, not a view that would keep eig alive)
-        del eig, fit_obs, series, samples
-        spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
+                traces[f"state_var_trace_taper{m}"] = sv_trace[:, :, m]
+        # the filter was the last user of the coefficients
+        del obs
+        # the trace holds bins 0..J//2 only: its whole grid is the one-sided one
+        spect = ssmt_spectrogram(trace)
+        if not config.one_sided:
+            spect = Spectrogram(owned(_unfold(spect.power, config.window_samples)),
+                                frequencies, spect.window_times_s)
         extras["state_var"] = fit.params.state_var
         extras["obs_var"] = fit.params.obs_var
         for m in range(trace.gains.shape[2]):
-            extras[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
+            traces[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
         em_info = {
             "converged": fit.converged,
             "n_iter": fit.n_iter,
@@ -341,6 +365,9 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
             paths[name] = out / f"{name}.csv"
         else:
             paths[name] = io.write_matrix(out / name, values, fmt=config.output_format)
+    for name, values in traces.items():
+        paths[name] = io.write_matrix(out / name, _unfold(values, config.window_samples),
+                                      fmt=config.output_format)
     manifest = {
         "command": "estimate",
         "version": __version__,
@@ -412,8 +439,16 @@ def _load_spectrogram(directory: Path, names: tuple[str, ...]) -> Spectrogram:
         manifest_path = directory / "manifest.json"
         if not manifest_path.exists():
             raise DataError(f"{directory}: binary spectrogram without a manifest to supply its scale")
-        # a simulate manifest holds no scale: its truth is linear
-        scale = _read_manifest(manifest_path)["config"].get("scale", "linear")
+        manifest = _read_manifest(manifest_path)
+        if "scale" in manifest["config"]:
+            scale = manifest["config"]["scale"]
+        elif manifest.get("command") == "simulate":
+            # a simulate manifest holds no scale: its truth is linear
+            scale = "linear"
+        else:
+            raise DataError(
+                f"{manifest_path}: no config.scale to give the scale of {stem}.f32"
+            )
     prefix = "truth_" if stem.startswith("truth_") else ""
     freqs = io.read_vector_csv(directory / f"{prefix}frequencies.csv")
     times = io.read_vector_csv(directory / f"{prefix}times.csv")

@@ -12,6 +12,7 @@ a JSON manifest that is sufficient to replay it.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -65,39 +66,88 @@ def write_matrix_csv(path, values: np.ndarray, scale: str | None = None) -> None
             fh.writelines(row_format % tuple(row.tolist()) for row in values)
 
 
-# Data lines parsed per block of read_matrix_csv: bounds the Python floats
-# alive at once to about this many values.
-_PARSE_BLOCK_VALUES = 1 << 12
+# Characters of text the CSV readers take from the file per block.
+_READ_BLOCK_CHARS = 1 << 16
+
+
+def _strip_chunks(chunks):
+    """The chunks of a text with the whitespace at both of its ends left out.
+
+    Whitespace between the first and the last non-blank chunk is kept: it
+    is held back until a later chunk shows that text follows it.
+    """
+    held = None  # whitespace since the last text; None before any text
+    for chunk in chunks:
+        body = chunk.rstrip()
+        if not body:
+            if held is not None:
+                held += chunk
+            continue
+        yield body.lstrip() if held is None else held + body
+        held = chunk[len(body):]
+
+
+def _line_blocks(path, strip: bool = False):
+    """The lines of a text file as ``str.splitlines`` cuts them, in blocks.
+
+    With ``strip``, the lines of the text stripped at both ends, as
+    ``text.strip().splitlines()`` gives them.  The file is read
+    ``_READ_BLOCK_CHARS`` characters at a time, so its whole text is never
+    held at once.  No block is empty.
+    """
+    with open(path) as fh:
+        chunks = iter(functools.partial(fh.read, _READ_BLOCK_CHARS), "")
+        if strip:
+            chunks = _strip_chunks(chunks)
+        tail = ""
+        for chunk in chunks:
+            # the sentinel ends the last line, so what follows the chunk's last
+            # line break (often nothing) is split off and carried to the next
+            *lines, tail = (tail + chunk + "x").splitlines()
+            tail = tail[:-1]
+            if lines:
+                yield lines
+        if tail:
+            yield [tail]
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
-    text = Path(path).read_text().strip().splitlines()
     meta: dict = {}
-    start = 0
-    if text and text[0].startswith("#"):
-        for token in text[0].lstrip("#").split():
-            if "=" in token:
-                key, _, value = token.partition("=")
-                meta[key] = value
-        start = 1
-    lines = [line for line in text[start:] if line]
-    if not lines:
+    commas: set[int] = set()
+    blocks: list[np.ndarray] = []
+    rows = 0
+    error = None
+    # the shape checks need every line, so a value that does not parse is
+    # kept and raised after them
+    for index, lines in enumerate(_line_blocks(path, strip=True)):
+        if index == 0 and lines[0].startswith("#"):
+            for token in lines[0].lstrip("#").split():
+                if "=" in token:
+                    key, _, value = token.partition("=")
+                    meta[key] = value
+            lines = lines[1:]
+        lines = list(filter(None, lines))
+        if not lines:
+            continue
+        rows += len(lines)
+        commas.update({line.count(",") for line in lines})
+        if error is None:
+            fields = ",".join(lines).split(",")
+            try:
+                blocks.append(np.fromiter(map(float, fields), dtype=float, count=len(fields)))
+            except ValueError as exc:
+                error = exc
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    commas = {line.count(",") for line in lines}
     if len(commas) > 1:
         raise ValueError(f"{path}: rows hold different numbers of fields")
-    rows, cols = len(lines), commas.pop() + 1
+    cols = commas.pop() + 1
     expected = (int(meta["rows"]), int(meta["cols"])) if "rows" in meta and "cols" in meta else None
     if expected is not None and (rows, cols) != expected:
         raise ValueError(f"{path}: header says {expected}, data is {(rows, cols)}")
-    values = np.empty(rows * cols)
-    block = max(1, _PARSE_BLOCK_VALUES // cols)
-    for first in range(0, rows, block):
-        fields = ",".join(lines[first:first + block]).split(",")
-        values[first * cols:first * cols + len(fields)] = np.fromiter(
-            map(float, fields), dtype=float, count=len(fields)
-        )
-    return values.reshape(rows, cols), meta
+    if error is not None:
+        raise error
+    return np.concatenate(blocks).reshape(rows, cols), meta
 
 
 def write_matrix_bin(path, values: np.ndarray) -> None:
@@ -176,23 +226,32 @@ def write_signal(path, samples: np.ndarray, fmt: str = "csv") -> Path:
 
 
 def read_signal(path, fmt: str | None = None) -> np.ndarray:
-    """Read a signal file; CSV may carry one non-numeric header line."""
+    """Read a signal file; CSV may carry one non-numeric header line.
+
+    A CSV is parsed block by block, so neither its text nor its samples as
+    Python floats are ever held whole.
+    """
     path = Path(path)
     if fmt is None:
         fmt = "bin" if path.suffix == ".f64" else "csv"
     if fmt == "bin":
         return np.frombuffer(path.read_bytes(), dtype="<f8").astype(float)
-    text = path.read_text()
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if not lines:
-        return np.array([])
-    if "," in text:
-        lines = [line.split(",", 1)[0] for line in lines]
-    try:
-        float(lines[0])
-    except ValueError:
-        lines = lines[1:]
-    return np.array(list(map(float, lines)))
+    blocks = []
+    header_checked = False
+    for lines in _line_blocks(path):
+        lines = list(filter(None, map(str.strip, lines)))
+        # a line with a comma gives its first field; the test is one
+        # search of the block instead of one per line
+        if "," in "".join(lines):
+            lines = [line.split(",", 1)[0] for line in lines]
+        if lines and not header_checked:
+            header_checked = True
+            try:
+                float(lines[0])
+            except ValueError:
+                del lines[0]
+        blocks.append(np.fromiter(map(float, lines), dtype=float, count=len(lines)))
+    return np.concatenate(blocks) if blocks else np.array([])
 
 
 def write_manifest(path, payload: dict) -> None:

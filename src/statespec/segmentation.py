@@ -184,6 +184,10 @@ def segment(
     )
 
 
+# Tapered samples per block of windows in eigen_coefficients.
+_BLOCK_VALUES = 1 << 15
+
+
 def eigen_coefficients(segmented: SegmentedSeries, tapers: TaperBank) -> EigenCoefficients:
     """Taper each window and apply the unitary DFT.
 
@@ -210,14 +214,20 @@ def eigen_coefficients(segmented: SegmentedSeries, tapers: TaperBank) -> EigenCo
     j = segmented.window_length_j
     fs = segmented.sample_rate_hz
     k = segmented.num_windows
-    tapered = segmented.windows[:, :, None] * tapers.tapers.T[None, :, :]
-    half = np.fft.rfft(tapered, axis=1, norm="ortho")
-    h = half.shape[1]
+    m = tapers.num_tapers
+    h = j // 2 + 1
     # bins contiguous per (window, taper), the layout np.fft.fft returns,
     # which keeps the taper mean of the spectrogram on a strided fast path
-    coeffs = np.empty((k, tapers.num_tapers, j), dtype=complex).transpose(0, 2, 1)
-    coeffs[:, :h] = half
-    np.conjugate(half[:, j - h : 0 : -1], out=coeffs[:, h:])
+    coeffs = np.empty((k, m, j), dtype=complex).transpose(0, 2, 1)
+    # each transform sees one window, so blocks of windows give the bits of
+    # one transform of them all, with temporaries bounded by the block
+    step = max(1, _BLOCK_VALUES // (j * m))
+    for first in range(0, k, step):
+        rows = slice(first, first + step)
+        tapered = segmented.windows[rows, :, None] * tapers.tapers.T[None, :, :]
+        half = np.fft.rfft(tapered, axis=1, norm="ortho")
+        coeffs[rows, :h] = half
+        np.conjugate(half[:, j - h : 0 : -1], out=coeffs[rows, h:])
     frequencies = np.arange(j) / j * fs
     times = (np.arange(k) * segmented.hop + j / 2.0) / fs
     return EigenCoefficients(

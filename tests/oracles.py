@@ -8,7 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
-from statespec.ssm import _forward_pass
+from statespec import io
+from statespec.adaptive import AdaptiveParams, assmt_filter
+from statespec.segmentation import EigenCoefficients, TimeSeries, eigen_coefficients, segment
+from statespec.ssm import EMConfig, _forward_pass, em_fit, filter_all, ssmt_spectrogram
+from statespec.tapers import dpss
 
 
 def gaussian_conditioning_means(observations, state_var, obs_var, init_mean=0.0, init_var=None):
@@ -69,6 +73,22 @@ def correlate_concentration(taper, half_bandwidth):
     lags = np.arange(1, j)
     kernel = np.sin(2.0 * np.pi * half_bandwidth * lags) / (np.pi * lags)
     return 2.0 * half_bandwidth * float(taper @ taper) + 2.0 * float(kernel @ acf)
+
+
+def one_shot_eigen_coefficients(windows, tapers):
+    """(K, J, M) coefficients from one tapered product and one rfft of them all.
+
+    The whole-record transform `statespec.segmentation.eigen_coefficients`
+    made before it ran in blocks of windows, with its strided layout.
+    """
+    k, j = windows.shape
+    m = tapers.shape[0]
+    half = np.fft.rfft(windows[:, :, None] * tapers.T[None, :, :], axis=1, norm="ortho")
+    h = half.shape[1]
+    coeffs = np.empty((k, m, j), dtype=complex).transpose(0, 2, 1)
+    coeffs[:, :h] = half
+    np.conjugate(half[:, j - h : 0 : -1], out=coeffs[:, h:])
+    return coeffs
 
 
 def matrix_csv_text(values, scale=None):
@@ -230,3 +250,47 @@ def poly_rows_loop(freqs, radii, sample_rate_hz):
                 out[:, i + k] += poly[:, i] * quad[:, k]
         poly = out
     return poly
+
+
+def full_grid_estimate(config):
+    """Every array an ssmt or assmt estimate writes, by file stem, with the
+    filter run on all J bins.
+
+    ``config`` is the estimate's `statespec.cli.RunConfig`.  This is the
+    library path the command line followed before it filtered bins
+    0..J//2 only.  Returns ``(arrays, scale)``: per-window traces and the
+    state variances as (rows, cols) arrays, the frequencies, times and
+    observation variances as vectors, and the spectrogram's scale.
+    """
+    samples = io.read_signal(config.input_path, config.input_format)
+    series = TimeSeries(samples=samples, sample_rate_hz=config.sample_rate_hz)
+    bank = dpss(config.window_samples, config.time_half_bandwidth, config.tapers)
+    eig = eigen_coefficients(
+        segment(series, config.window_samples, config.hop, demean=config.demean), bank
+    )
+    fit_obs = eig
+    if config.baseline_seconds > 0:
+        n_base = min(config.baseline_windows, eig.shape[0])
+        fit_obs = EigenCoefficients(coeffs=eig.coeffs[:n_base], frequencies_hz=eig.frequencies_hz,
+                                    window_times_s=eig.window_times_s[:n_base])
+    fit = em_fit(fit_obs, EMConfig(tol=config.em_tol, max_iter=config.em_max_iter))
+    init_var = np.broadcast_to(fit.params.obs_var[None, :], fit.params.state_var.shape)
+    arrays = {"state_var": fit.params.state_var, "obs_var": fit.params.obs_var}
+    if config.method == "ssmt":
+        trace = filter_all(eig, fit.params, init_mean=eig.coeffs[0], init_var=init_var)
+    else:
+        trace, state_var_trace = assmt_filter(
+            eig, AdaptiveParams.from_model_params(fit.params), alpha=config.alpha,
+            init_mean=eig.coeffs[0], init_var=init_var,
+        )
+        for m in range(config.tapers):
+            arrays[f"state_var_trace_taper{m}"] = state_var_trace[:, :, m]
+    for m in range(config.tapers):
+        arrays[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
+    spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
+    if config.scale == "dB":
+        spect = spect.to_db()
+    arrays["spectrogram"] = spect.power
+    arrays["frequencies"] = spect.frequencies_hz
+    arrays["times"] = spect.window_times_s
+    return arrays, spect.scale

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import MISSING, asdict, fields
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import full_grid_estimate
 
 import statespec
 from statespec import cli, io, ssm
@@ -388,6 +390,76 @@ class TestMemory:
         assert len(refs) == 1
         assert alive == [False]
 
+    def test_assmt_peak_within_twice_the_coefficients(self, tmp_path, rng):
+        # 300 windows of 192 samples: 2.8 MB of (K, J, M) coefficients
+        signal = io.write_signal(tmp_path / "signal", rng.standard_normal(300 * 192))
+        # binary output and a loose EM tolerance keep tracemalloc's cost low;
+        # the peak is set by the filter, which neither changes
+        config = cli.RunConfig(method="assmt", input_path=str(signal),
+                               output_dir=str(tmp_path / "out"), sample_rate_hz=FS,
+                               baseline_seconds=60.0, em_tol=1.0, output_format="bin")
+        coeff_bytes = 300 * 192 * config.tapers * 16
+        tracemalloc.start()
+        try:
+            cli.run_pipeline(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the coefficients, then their half grid and its filter trace: the
+        # full-grid filter, with its trace beside the coefficients, is 3.8x
+        assert peak <= 2.2 * coeff_bytes
+
+
+class TestHalfGridFilter:
+    """The command line filters bins 0..J//2 of the real signal only and
+    unfolds the traces as it writes them; every file must be the one the
+    full-grid library path makes."""
+
+    @pytest.mark.parametrize("window", ["6", "5.03125"], ids=["even-J", "odd-J"])
+    @pytest.mark.parametrize("fmt, scale", [("csv", "linear"), ("bin", "dB")])
+    @pytest.mark.parametrize("grid", [(), ("--full-grid",)], ids=["one-sided", "full-grid"])
+    @pytest.mark.parametrize("method", ["ssmt", "assmt"])
+    def test_files_match_full_grid_filter(self, sim_dir, tmp_path, monkeypatch, window, fmt,
+                                          scale, grid, method):
+        written = {}
+        real_matrix, real_vector = io.write_matrix, io.write_vector_csv
+
+        def spy_matrix(path, values, *args, **kwargs):
+            written[Path(path).stem] = np.array(values)
+            return real_matrix(path, values, *args, **kwargs)
+
+        def spy_vector(path, values):
+            written[Path(path).stem] = np.array(values)
+            return real_vector(path, values)
+
+        monkeypatch.setattr(io, "write_matrix", spy_matrix)
+        monkeypatch.setattr(io, "write_vector_csv", spy_vector)
+        out = tmp_path / "cli"
+        code = estimate(out, sim_dir, method, "--window-seconds", window, "--format", fmt,
+                        "--scale", scale, "--baseline-seconds", "45", "--em-tol", "1e-4", *grid)
+        assert code == EXIT_OK
+        config = cli.RunConfig(**io.read_manifest(out / "manifest.json")["config"])
+        arrays, spect_scale = full_grid_estimate(config)
+        assert config.window_samples % 2 == (window != "6")
+        monkeypatch.undo()
+
+        assert sorted(written) == sorted(arrays)
+        expected = tmp_path / "library"
+        expected.mkdir()
+        for name, values in arrays.items():
+            # the float64 values, bit for bit, before any format rounds them
+            assert written[name].shape == values.shape, name
+            assert written[name].tobytes() == np.ascontiguousarray(values).tobytes(), name
+            if values.ndim == 1:
+                io.write_vector_csv(expected / f"{name}.csv", values)
+            else:
+                io.write_matrix(expected / name, values, fmt=fmt,
+                                scale=spect_scale if name == "spectrogram" else None)
+        files = sorted(path.name for path in expected.iterdir())
+        assert sorted(path.name for path in out.iterdir()) == sorted(files + ["manifest.json"])
+        for name in files:
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
 
 class TestCompare:
     def test_estimate_against_truth(self, sim_dir, tmp_path, capsys):
@@ -457,6 +529,33 @@ class TestCompare:
             "compare", "--estimate", str(tmp_path / "nothing"), "--truth", str(sim_dir),
         ])
         assert code == EXIT_DATA
+
+    def test_binary_estimate_without_scale_is_data_error(self, sim_dir, tmp_path, capsys):
+        est = tmp_path / "est"
+        code = main(["estimate", "--input", str(sim_dir / "signal.csv"), "--sample-rate",
+                     str(FS), "--out-dir", str(est), "--format", "bin"])
+        assert code == EXIT_OK
+        manifest = io.read_manifest(est / "manifest.json")
+        assert manifest["config"].pop("scale") == "dB"
+        io.write_manifest(est / "manifest.json", manifest)
+        capsys.readouterr()
+        code = main(["compare", "--estimate", str(est), "--truth", str(sim_dir)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "no config.scale" in err and "spectrogram.f32" in err
+
+    def test_binary_simulate_truth_is_linear(self, sim_dir, tmp_path):
+        truth = tmp_path / "truth"
+        code = main(["simulate", "--out-dir", str(truth), "--seed", "3", "--duration", "90",
+                     "--sample-rate", str(FS), "--format", "bin"])
+        assert code == EXIT_OK
+        assert not (truth / "truth_spectrogram.csv").exists()
+        assert "scale" not in io.read_manifest(truth / "manifest.json")["config"]
+        names = ("truth_spectrogram",)
+        binary = cli._load_spectrogram(truth, names)
+        text = cli._load_spectrogram(sim_dir, names)
+        assert binary.scale == text.scale == "linear"
+        np.testing.assert_allclose(binary.power, text.power, rtol=1e-6)
 
 
 class TestMalformedInput:

@@ -1,4 +1,5 @@
 """Round trips for the file formats the command line speaks."""
+import contextlib
 import tempfile
 import tracemalloc
 import warnings
@@ -151,6 +152,22 @@ class TestGoldenBytes:
             assert signal.read_bytes() == signal_csv_text(values.ravel()).encode()
 
 
+# numbers, separators, and every line break and some other whitespace
+# that str.splitlines and str.strip know
+LINE_TEXT = "0123456789.-e,nai \t\n\r\x0b\x0c\x1c\x85\xa0\u2028"
+
+
+@contextlib.contextmanager
+def block_chars(chars):
+    """Let the CSV readers take ``chars`` characters of text per block."""
+    saved = io._READ_BLOCK_CHARS
+    io._READ_BLOCK_CHARS = chars
+    try:
+        yield
+    finally:
+        io._READ_BLOCK_CHARS = saved
+
+
 def assert_reads_like_reference(path):
     text = path.read_text()
     try:
@@ -188,6 +205,15 @@ class TestSignalParser:
     @given(text=st.text(alphabet="0123456789.-+e, \t\nainf", max_size=40))
     def test_any_text(self, text):
         with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_text(text)
+            assert_reads_like_reference(path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(text=st.text(alphabet=LINE_TEXT, max_size=40), block=st.integers(1, 9))
+    def test_any_text_in_small_blocks(self, text, block):
+        # blocks end inside lines, inside "\r\n" and between line breaks
+        with block_chars(block), tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.csv"
             path.write_text(text)
             assert_reads_like_reference(path)
@@ -316,7 +342,7 @@ class TestMatrixCsvParser:
             io.read_matrix_csv(path)
 
     def test_many_blocks(self, tmp_path, rng, monkeypatch):
-        monkeypatch.setattr(io, "_PARSE_BLOCK_VALUES", 10)
+        monkeypatch.setattr(io, "_READ_BLOCK_CHARS", 10)
         values = rng.standard_normal((23, 4))
         path = tmp_path / "m.csv"
         io.write_matrix_csv(path, values)
@@ -330,20 +356,23 @@ class TestMatrixCsvParser:
             path.write_text(text)
             assert_matrix_reads_like_reference(path)
 
+    @settings(max_examples=80, deadline=None)
+    @given(text=st.text(alphabet=LINE_TEXT + "#rowscl=", max_size=60), block=st.integers(1, 9))
+    def test_any_text_in_small_blocks(self, text, block):
+        with block_chars(block), tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_text(text)
+            assert_matrix_reads_like_reference(path)
+
     @settings(max_examples=40, deadline=None)
     @given(values=hnp.arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 7))),
            block=st.integers(1, 20))
     def test_round_trip(self, values, block):
         printed = np.array([[float(f"{v:.9g}") for v in row] for row in values])
-        saved = io._PARSE_BLOCK_VALUES
-        io._PARSE_BLOCK_VALUES = block
-        try:
-            with tempfile.TemporaryDirectory() as tmp:
-                path = Path(tmp) / "m.csv"
-                io.write_matrix_csv(path, values, scale="linear")
-                back, meta = io.read_matrix_csv(path)
-        finally:
-            io._PARSE_BLOCK_VALUES = saved
+        with block_chars(block), tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            io.write_matrix_csv(path, values, scale="linear")
+            back, meta = io.read_matrix_csv(path)
         np.testing.assert_array_equal(back, printed)
         assert meta == {"rows": str(values.shape[0]), "cols": str(values.shape[1]),
                         "scale": "linear"}
@@ -361,3 +390,15 @@ class TestSignalMemory:
         # the whole record as floats and text would be about 6 MB
         assert peak < 1_000_000
         np.testing.assert_array_equal(io.read_signal(tmp_path / "s.csv"), samples)
+
+    def test_read_signal_streams_blocks(self, tmp_path, rng):
+        path = io.write_signal(tmp_path / "s", rng.standard_normal(100_000), fmt="csv")
+        tracemalloc.start()
+        try:
+            samples = io.read_signal(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the blocks, their concatenation and one block's text: the whole
+        # text with its lines and floats would be about 17 times the array
+        assert peak <= 3 * samples.nbytes

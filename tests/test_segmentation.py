@@ -1,8 +1,9 @@
 """Windowing and tapered-DFT front end."""
 import numpy as np
 import pytest
+from oracles import one_shot_eigen_coefficients
 
-from statespec import TaperBank, TimeSeries, dpss, eigen_coefficients, segment
+from statespec import TaperBank, TimeSeries, dpss, eigen_coefficients, segment, segmentation
 
 
 def brute_force_coeffs(windows, tapers):
@@ -22,6 +23,13 @@ def brute_force_coeffs(windows, tapers):
                     )
                 out[k, freq, taper] = acc / np.sqrt(j)
     return out
+
+
+def assert_same_layout_and_bytes(actual, expected):
+    """Same dtype, shape and memory layout, and every value's bits equal."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.strides == expected.strides
+    assert actual.tobytes() == expected.tobytes()
 
 
 def unit_bank(j, m):
@@ -136,6 +144,29 @@ class TestEigenCoefficients:
         series = TimeSeries(samples=rng.standard_normal(5 * j), sample_rate_hz=8.0)
         coeffs = eigen_coefficients(segment(series, j), dpss(j, 2.0, 3)).coeffs
         assert np.array_equal(coeffs[:, -np.arange(j) % j], coeffs.conj())
+
+    @pytest.mark.parametrize("j", [16, 17], ids=["even-J", "odd-J"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 9], ids=lambda k: f"K={k}")
+    def test_blocks_match_one_transform_bit_for_bit(self, rng, monkeypatch, j, m, k):
+        # four windows per block: K = 1, block - 1, block, block + 1, and
+        # two full blocks plus one window
+        monkeypatch.setattr(segmentation, "_BLOCK_VALUES", 4 * j * m)
+        series = TimeSeries(samples=rng.standard_normal(k * j), sample_rate_hz=8.0)
+        seg = segment(series, j)
+        bank = dpss(j, 2.0, m)
+        expected = one_shot_eigen_coefficients(seg.windows, bank.tapers)
+        assert_same_layout_and_bytes(eigen_coefficients(seg, bank).coeffs, expected)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_default_blocks_match_one_transform_bit_for_bit(self, rng, extra):
+        j, m = 16, 2
+        k = segmentation._BLOCK_VALUES // (j * m) + extra
+        series = TimeSeries(samples=rng.standard_normal(k * j + 5), sample_rate_hz=8.0)
+        seg = segment(series, j, hop=j, demean=True)
+        bank = dpss(j, 2.0, m)
+        expected = one_shot_eigen_coefficients(seg.windows, bank.tapers)
+        assert_same_layout_and_bytes(eigen_coefficients(seg, bank).coeffs, expected)
 
     def test_linearity(self, rng):
         x = rng.standard_normal(36)

@@ -285,8 +285,7 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
 
     em_info = None
     extras: dict[str, np.ndarray] = {}
-    # per-window traces on bins 0..J//2, unfolded to the full grid one file
-    # at a time as they are written
+    # per-window traces, one column per row of frequencies.csv
     traces: dict[str, np.ndarray] = {}
     if config.method == "mt":
         spect = mt_spectrogram(eig, one_sided=config.one_sided)
@@ -332,15 +331,17 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
                 traces[f"state_var_trace_taper{m}"] = sv_trace[:, :, m]
         # the filter was the last user of the coefficients
         del obs
+        for m in range(trace.gains.shape[2]):
+            traces[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
         # the trace holds bins 0..J//2 only: its whole grid is the one-sided one
         spect = ssmt_spectrogram(trace)
         if not config.one_sided:
             spect = Spectrogram(owned(_unfold(spect.power, config.window_samples)),
                                 frequencies, spect.window_times_s)
+            traces = {name: _unfold(values, config.window_samples)
+                      for name, values in traces.items()}
         extras["state_var"] = fit.params.state_var
         extras["obs_var"] = fit.params.obs_var
-        for m in range(trace.gains.shape[2]):
-            traces[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
         em_info = {
             "converged": fit.converged,
             "n_iter": fit.n_iter,
@@ -366,8 +367,7 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
         else:
             paths[name] = io.write_matrix(out / name, values, fmt=config.output_format)
     for name, values in traces.items():
-        paths[name] = io.write_matrix(out / name, _unfold(values, config.window_samples),
-                                      fmt=config.output_format)
+        paths[name] = io.write_matrix(out / name, values, fmt=config.output_format)
     manifest = {
         "command": "estimate",
         "version": __version__,

@@ -43,27 +43,13 @@ def write_matrix_csv(path, values: np.ndarray, scale: str | None = None) -> None
     header = f"# rows={rows} cols={cols}"
     if scale is not None:
         header += f" scale={scale}"
-    # A real signal's full-grid traces repeat column j in column J-j.  When
-    # every such pair holds the same bits (so -0.0 and NaN payloads too),
-    # only columns 0..J//2 are formatted and the rest of each line is the
-    # reversed copy of their text; otherwise every column is formatted.
-    half = cols // 2 + 1
-    bits = values.view(np.uint64)
-    mirrored = cols > 2 and np.array_equal(bits[:, half:], bits[:, cols - half:0:-1])
     # one %-format per row: the same float-to-text conversion as f"{v:.9g}",
     # streamed row by row so neither the floats nor the text of the whole
     # matrix are ever held at once
+    row_format = ",".join(["%.9g"] * cols) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        if mirrored:
-            row_format = ",".join(["%.9g"] * half)
-            for row in values[:, :half]:
-                text = row_format % tuple(row.tolist())
-                mirror = text.split(",")[cols - half:0:-1]
-                fh.write(text + "," + ",".join(mirror) + "\n")
-        else:
-            row_format = ",".join(["%.9g"] * cols) + "\n"
-            fh.writelines(row_format % tuple(row.tolist()) for row in values)
+        fh.writelines(row_format % tuple(row.tolist()) for row in values)
 
 
 # Characters of text the CSV readers take from the file per block.

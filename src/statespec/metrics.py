@@ -47,7 +47,8 @@ def itakura_saito(
     Parameters
     ----------
     estimate, truth : Spectrogram
-        Same shape, same frequency grid, both on the linear scale.
+        Same shape, same frequency and window-time grids, both on the
+        linear scale.
     bins_used : ndarray of bool, optional
         Frequency mask; defaults to every bin with nonzero frequency
         (the DC bin is excluded).
@@ -71,6 +72,8 @@ def itakura_saito(
         raise ValueError("spectrogram shapes must match")
     if not np.allclose(estimate.frequencies_hz, truth.frequencies_hz):
         raise ValueError("frequency grids must match")
+    if not np.allclose(estimate.window_times_s, truth.window_times_s):
+        raise ValueError("window times must match")
     if bins_used is None:
         bins_used = truth.frequencies_hz > 0
     else:

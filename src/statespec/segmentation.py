@@ -152,7 +152,9 @@ def segment(
     -------
     SegmentedSeries
         With ``K = (T - J) // hop + 1`` windows; trailing samples that do
-        not fill a window are dropped.
+        not fill a window are dropped.  Without ``demean`` the windows are
+        a read-only view of the series' samples, overlapping when
+        ``hop < J``; with it they are one new array.
 
     Raises
     ------
@@ -172,10 +174,10 @@ def segment(
     if hop < 1 or hop > j:
         raise ValueError("hop must satisfy 1 <= hop <= window_length_j")
     k = (samples.size - j) // hop + 1
-    # a copy: the windows view the read-only samples and overlap when hop < J
-    windows = np.array(np.lib.stride_tricks.sliding_window_view(samples, j)[::hop][:k])
+    # the series' samples are read-only, so a view of them is adopted as is
+    windows = np.lib.stride_tricks.sliding_window_view(samples, j)[::hop][:k]
     if demean:
-        windows -= windows.mean(axis=1, keepdims=True)
+        windows = windows - windows.mean(axis=1, keepdims=True)
     return SegmentedSeries(
         windows=owned(windows),
         window_length_j=j,

@@ -299,13 +299,11 @@ class EMConfig:
     """Convergence settings for `em_fit`.
 
     ``tol`` is the relative log-likelihood change that counts as
-    converged; ``init_params`` optionally replaces the moment-based
-    starting point.
+    converged.
     """
 
     tol: float = 1e-6
     max_iter: int = 50
-    init_params: ModelParams | None = None
 
     def __post_init__(self):
         if not self.tol >= 0:
@@ -331,23 +329,19 @@ class EMFit:
         object.__setattr__(self, "n_iter", int(self.n_iter))
 
 
-def _distinct_bins(coeffs: np.ndarray, state_var: np.ndarray | None = None):
+def _distinct_bins(coeffs: np.ndarray):
     """Bins whose chains EM has to fit, and the bin each one stands for.
 
     The DFT of a real window is Hermitian: bin J - j holds the conjugate of
-    bin j, so with Hermitian-symmetric state variances both chains have the
-    same variances, gains and likelihood terms.  Returns ``(h, source)``:
-    EM fits bins ``0 .. h-1`` and bin j takes the fit of bin ``source[j]``.
-    That is h = J // 2 + 1 when ``coeffs`` (and ``state_var``, if given) are
-    exactly Hermitian along the bin axis, and h = J with the identity map
-    otherwise.
+    bin j, so both chains have the same variances, gains and likelihood
+    terms.  Returns ``(h, source)``: EM fits bins ``0 .. h-1`` and bin j
+    takes the fit of bin ``source[j]``.  That is h = J // 2 + 1 when
+    ``coeffs`` are exactly Hermitian along the bin axis, and h = J with the
+    identity map otherwise.
     """
     j_bins = coeffs.shape[1]
     mirror = -np.arange(j_bins) % j_bins
-    hermitian = np.array_equal(coeffs[:, mirror], np.conjugate(coeffs)) and (
-        state_var is None or np.array_equal(state_var[mirror], state_var)
-    )
-    if not hermitian:
+    if not np.array_equal(coeffs[:, mirror], np.conjugate(coeffs)):
         return j_bins, np.arange(j_bins)
     return j_bins // 2 + 1, np.minimum(np.arange(j_bins), mirror)
 
@@ -442,14 +436,11 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     fit up to round-off.
     """
     cfg = config if config is not None else EMConfig()
-    k_windows, j_bins, m_tapers = obs.coeffs.shape
+    k_windows, j_bins, _ = obs.coeffs.shape
     if k_windows < 2:
         raise ValueError("em_fit requires at least two windows")
-    init = cfg.init_params
-    if init is not None and init.state_var.shape != (j_bins, m_tapers):
-        raise ValueError("init_params shape must match (bins, tapers) of obs")
 
-    h, source = _distinct_bins(obs.coeffs, None if init is None else init.state_var)
+    h, source = _distinct_bins(obs.coeffs)
     weight = np.bincount(source).astype(float)  # grid bins per fitted bin
     coeffs = np.ascontiguousarray(obs.coeffs[:, :h])
     # smoothed means are convex combinations of zero and the coefficients, so
@@ -458,12 +449,10 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     peak = max(float(parts.max()), -float(parts.min()))
     if not peak < np.sqrt(np.finfo(float).max / (16 * coeffs.size)):
         raise ValueError(f"eigen-coefficients up to {peak:.3g} overflow EM's squared sums")
-    if init is not None:
-        state_var = init.state_var[:h].copy()
-        obs_var = init.obs_var.copy()
-    else:
-        state_var, obs_var = _moment_init(coeffs, source)
-    init_var = state_var.copy()  # first-window prior, fixed across iterations
+    state_var, obs_var = _moment_init(coeffs, source)
+    # first-window prior, fixed across iterations: each M-step rebinds
+    # state_var to a new array, so this one is never written
+    init_var = state_var
 
     tiny = np.finfo(float).tiny
     lls: list[float] = []

@@ -142,7 +142,7 @@ def parse_signal_csv(text):
     return np.array([float(line.split(",")[0]) for line in lines])
 
 
-def full_grid_em(coeffs, tol=1e-6, max_iter=50, init_params=None):
+def full_grid_em(coeffs, tol=1e-6, max_iter=50):
     """EM on every (bin, taper) chain, mirrored bins included.
 
     Moment start, then E-step and M-step over the full grid with
@@ -153,14 +153,10 @@ def full_grid_em(coeffs, tol=1e-6, max_iter=50, init_params=None):
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     k_windows, j_bins, m_tapers = coeffs.shape
-    if init_params is not None:
-        state_var = init_params.state_var.copy()
-        obs_var = init_params.obs_var.copy()
-    else:
-        dbar = (np.abs(np.diff(coeffs, axis=0)) ** 2).mean(axis=0)
-        obs_var = np.maximum(0.25 * np.median(dbar, axis=0), np.finfo(float).tiny)
-        state_var = np.maximum(dbar - 2.0 * obs_var[None, :], 0.05 * dbar)
-        state_var = np.maximum(state_var, np.finfo(float).tiny)
+    dbar = (np.abs(np.diff(coeffs, axis=0)) ** 2).mean(axis=0)
+    obs_var = np.maximum(0.25 * np.median(dbar, axis=0), np.finfo(float).tiny)
+    state_var = np.maximum(dbar - 2.0 * obs_var[None, :], 0.05 * dbar)
+    state_var = np.maximum(state_var, np.finfo(float).tiny)
     init_var = state_var.copy()
 
     lls = []
@@ -260,7 +256,8 @@ def full_grid_estimate(config):
     library path the command line followed before it filtered bins
     0..J//2 only.  Returns ``(arrays, scale)``: per-window traces and the
     state variances as (rows, cols) arrays, the frequencies, times and
-    observation variances as vectors, and the spectrogram's scale.
+    observation variances as vectors, and the spectrogram's scale.  Each
+    trace has one column per frequency: bins 0..J//2 when one-sided.
     """
     samples = io.read_signal(config.input_path, config.input_format)
     series = TimeSeries(samples=samples, sample_rate_hz=config.sample_rate_hz)
@@ -288,6 +285,9 @@ def full_grid_estimate(config):
     for m in range(config.tapers):
         arrays[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
     spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
+    for name in arrays:
+        if "_trace_" in name:
+            arrays[name] = arrays[name][:, :spect.frequencies_hz.size]
     if config.scale == "dB":
         spect = spect.to_db()
     arrays["spectrogram"] = spect.power

@@ -214,9 +214,21 @@ class TestEstimate:
         out = tmp_path / "assmt"
         assert estimate(out, sim_dir, "assmt", "--baseline-seconds", "45") == EXIT_OK
         trace, _ = io.read_matrix_csv(out / "state_var_trace_taper0.csv")
-        assert trace.shape == (15, int(6 * FS))
+        half = int(6 * FS) // 2 + 1
+        assert trace.shape == (15, half)
         base, _ = io.read_matrix_csv(out / "state_var.csv")
-        assert np.all(trace >= base[:, 0][None, :] - 1e-12)
+        assert np.all(trace >= base[:half, 0][None, :] - 1e-12)
+
+    @pytest.mark.parametrize("grid", [(), ("--full-grid",)], ids=["one-sided", "full-grid"])
+    def test_trace_columns_follow_frequencies(self, sim_dir, tmp_path, grid):
+        out = tmp_path / "assmt"
+        assert estimate(out, sim_dir, "assmt", "--baseline-seconds", "45", "--em-tol", "1e-4",
+                        *grid) == EXIT_OK
+        freqs = io.read_vector_csv(out / "frequencies.csv")
+        traces = sorted(out.glob("*_trace_taper*.csv"))
+        assert len(traces) == 6
+        for path in traces:
+            assert io.read_matrix_csv(path)[1]["cols"] == str(freqs.size), path.name
 
     def test_estimate_manifest_replay(self, sim_dir, tmp_path):
         first = tmp_path / "first"
@@ -412,8 +424,9 @@ class TestMemory:
 
 class TestHalfGridFilter:
     """The command line filters bins 0..J//2 of the real signal only and
-    unfolds the traces as it writes them; every file must be the one the
-    full-grid library path makes."""
+    unfolds the spectrogram and traces under --full-grid alone; every file
+    must be the one the full-grid library path makes, each trace on the
+    grid of frequencies.csv."""
 
     @pytest.mark.parametrize("window", ["6", "5.03125"], ids=["even-J", "odd-J"])
     @pytest.mark.parametrize("fmt, scale", [("csv", "linear"), ("bin", "dB")])
@@ -489,6 +502,19 @@ class TestCompare:
         assert estimate(out, sim_dir, "mt", "--window-seconds", "3") == EXIT_OK
         code = main(["compare", "--estimate", str(out), "--truth", str(sim_dir)])
         assert code == EXIT_DATA
+
+    def test_mismatched_window_times_is_data_error(self, sim_dir, tmp_path, capsys):
+        # a 48 s truth at half overlap has the estimate's shape, (15, 97), but
+        # windows at 3, 6, ... 45 s against the estimate's 3, 9, ... 87 s
+        truth = tmp_path / "truth"
+        assert main(["simulate", "--out-dir", str(truth), "--duration", "48",
+                     "--sample-rate", str(FS), "--overlap", "0.5"]) == EXIT_OK
+        out = tmp_path / "mt"
+        assert estimate(out, sim_dir, "mt") == EXIT_OK
+        capsys.readouterr()
+        code = main(["compare", "--estimate", str(out), "--truth", str(truth)])
+        assert code == EXIT_DATA
+        assert "window times" in capsys.readouterr().err
 
     def test_wrapping_binary_header_is_data_error(self, sim_dir, tmp_path, capsys):
         est = tmp_path / "est"

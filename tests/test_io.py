@@ -128,8 +128,10 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("scale", [None, "dB"])
     @pytest.mark.parametrize(
         "values",
-        [np.reshape(SPECIAL_VALUES, (2, 4)), np.reshape(SPECIAL_VALUES, (8, 1)), [[-0.0]]],
-        ids=["2x4", "8x1", "1x1"],
+        [np.reshape(SPECIAL_VALUES, (2, 4)), np.reshape(SPECIAL_VALUES, (8, 1)), [[-0.0]],
+         # one taper of a (K, J, M) trace, as the command line writes it: a strided view
+         np.stack([np.reshape(SPECIAL_VALUES, (2, 4))] * 3, axis=2)[:, :, 1]],
+        ids=["2x4", "8x1", "1x1", "strided"],
     )
     def test_matrix_csv(self, tmp_path, values, scale):
         path = tmp_path / "m.csv"
@@ -217,78 +219,6 @@ class TestSignalParser:
             path = Path(tmp) / "s.csv"
             path.write_text(text)
             assert_reads_like_reference(path)
-
-
-def mirror_columns(half, cols):
-    """Full-grid matrix whose column j repeats column cols - j of ``half``.
-
-    ``half`` holds columns 0 .. cols // 2, as a real signal's DFT does.
-    """
-    half = np.atleast_2d(np.asarray(half, dtype=float))
-    distinct = cols // 2 + 1
-    assert half.shape[1] == distinct
-    return np.concatenate([half, half[:, cols - distinct:0:-1]], axis=1)
-
-
-class TestMirroredMatrixCsv:
-    """Mirrored columns are formatted once; the bytes never change."""
-
-    @pytest.fixture
-    def half_rows(self, rng):
-        return rng.standard_normal((5, 9)) * 10.0 ** rng.integers(-8, 8, (5, 9))
-
-    @pytest.mark.parametrize("cols", [16, 15, 3], ids=["even", "odd", "three"])
-    def test_mirrored_bytes(self, tmp_path, half_rows, cols):
-        values = mirror_columns(half_rows[:, :cols // 2 + 1], cols)
-        assert np.array_equal(values[:, 1:], values[:, :0:-1])
-        path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, values, scale="linear")
-        assert path.read_bytes() == matrix_csv_text(values, "linear").encode()
-
-    @pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0), (np.nan, np.nan),
-                                               (np.nan, 1.0), (np.inf, -np.inf)],
-                             ids=["neg-zero", "zero-neg", "nan", "nan-one", "inf"])
-    def test_special_values_at_a_mirrored_pair(self, tmp_path, half_rows, first, second):
-        values = mirror_columns(half_rows[:, :5], 8)
-        values[2, 3], values[2, 5] = first, second
-        path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, values)
-        assert path.read_bytes() == matrix_csv_text(values).encode()
-
-    def test_non_symmetric(self, tmp_path, rng):
-        values = rng.standard_normal((4, 6))
-        path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, values)
-        assert path.read_bytes() == matrix_csv_text(values).encode()
-
-    @pytest.mark.parametrize("cols", [1, 2])
-    def test_one_and_two_columns(self, tmp_path, rng, cols):
-        for values in (rng.standard_normal((3, cols)), np.ones((3, cols))):
-            path = tmp_path / "m.csv"
-            io.write_matrix_csv(path, values)
-            assert path.read_bytes() == matrix_csv_text(values).encode()
-
-    def test_strided_trace_slice(self, tmp_path, half_rows):
-        # the command line writes one taper of a (K, J, M) trace: a strided view
-        trace = np.stack([mirror_columns(half_rows, 16)] * 3, axis=2)
-        path = tmp_path / "m.csv"
-        io.write_matrix_csv(path, trace[:, :, 1])
-        assert path.read_bytes() == matrix_csv_text(trace[:, :, 1]).encode()
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        half=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6))),
-        odd=st.booleans(),
-    )
-    def test_any_mirrored_matrix(self, half, odd):
-        cols = 2 * (half.shape[1] - 1) + int(odd)
-        if cols == 0:
-            cols = 1
-        values = mirror_columns(half, cols)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.csv"
-            io.write_matrix_csv(path, values)
-            assert path.read_bytes() == matrix_csv_text(values).encode()
 
 
 def assert_matrix_reads_like_reference(path):

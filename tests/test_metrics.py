@@ -95,6 +95,10 @@ class TestItakuraSaito:
         c = spect(np.ones((2, 3)), freqs=[0.0, 1.0, 2.5])
         with pytest.raises(ValueError, match="grids"):
             itakura_saito(a, c)
+        # a's windows are at 0 and 1 s
+        d = Spectrogram(np.ones((2, 3)), np.arange(3.0), np.array([0.0, 2.0]))
+        with pytest.raises(ValueError, match="window times"):
+            itakura_saito(a, d)
 
     def test_rejects_nonpositive_power_in_mask(self):
         truth = spect(np.ones((1, 3)))

@@ -44,6 +44,9 @@ class TestSegment:
         series = TimeSeries(samples=rng.standard_normal(101), sample_rate_hz=10.0)
         seg = segment(series, 20, hop=7)
         assert seg.num_windows == (101 - 20) // 7 + 1
+        # a read-only view of the samples, not a copy
+        assert np.shares_memory(seg.windows, series.samples)
+        assert not seg.windows.flags.writeable
         for k in range(seg.num_windows):
             np.testing.assert_array_equal(
                 seg.windows[k], series.samples[k * 7 : k * 7 + 20]

@@ -226,21 +226,6 @@ class TestEMFit:
         assert fit.n_iter < 500
         assert fit.log_likelihoods.size == fit.n_iter
 
-    def test_init_params_respected(self, rng):
-        eig = make_eig(rng, k=40, j=3, m=2)
-        init = ModelParams(state_var=np.full((3, 2), 2.0), obs_var=np.array([1.0, 1.0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = em_fit(eig, EMConfig(max_iter=5, init_params=init))
-            b = em_fit(eig, EMConfig(max_iter=5))
-        assert not np.allclose(a.params.state_var, b.params.state_var)
-
-    def test_init_params_shape_checked(self, rng):
-        eig = make_eig(rng, k=10, j=3, m=2)
-        init = ModelParams(state_var=np.ones((2, 2)), obs_var=np.ones(2))
-        with pytest.raises(ValueError, match="init_params"):
-            em_fit(eig, EMConfig(max_iter=5, init_params=init))
-
     def test_requires_two_windows(self, rng):
         eig = make_eig(rng, k=1, j=2, m=1)
         with pytest.raises(ValueError, match="two windows"):
@@ -313,16 +298,6 @@ class TestHermitianReduction:
         assert np.array_equal(fit.params.obs_var, obs_var)
         assert np.array_equal(fit.log_likelihoods, lls)
         assert fit.converged == converged
-
-    def test_asymmetric_init_params_keep_full_grid(self, rng):
-        eig = real_signal_eig(rng, 16)
-        state_var = np.linspace(0.5, 2.0, 32).reshape(16, 2)
-        init = ModelParams(state_var=state_var, obs_var=np.array([0.3, 0.4]))
-        fit = fit_quietly(eig, EMConfig(max_iter=10, init_params=init))
-        expected, obs_var, lls, _ = full_grid_em(eig.coeffs, max_iter=10, init_params=init)
-        np.testing.assert_allclose(fit.params.state_var, expected, rtol=1e-9)
-        np.testing.assert_allclose(fit.params.obs_var, obs_var, rtol=1e-9)
-        np.testing.assert_allclose(fit.log_likelihoods, lls, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "make, bins",

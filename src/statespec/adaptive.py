@@ -68,7 +68,7 @@ class AdaptiveParams:
     stale.
     """
 
-    baseline_state_var: np.ndarray  # (J, M)
+    baseline_state_var: np.ndarray  # (B, M)
     obs_var: np.ndarray  # (M,)
 
     def __post_init__(self):
@@ -129,7 +129,7 @@ def adaptive_state_variance(ema_value, baseline_state_var, obs_var):
 
 
 def _tracked_state_variance(coeffs, params: AdaptiveParams, alpha: float) -> np.ndarray:
-    """The (K, J, M) state variances `assmt_filter` runs with.
+    """The (K, B, M) state variances `assmt_filter` runs with.
 
     `ema_update` applied window after window to every chain at once, in
     place over the squared differences, seeded with the first of them.
@@ -164,20 +164,20 @@ def assmt_filter(
     alpha : float
         Tracker weight on the newest squared difference, in [0, 1].
     init_mean, init_var : ndarray, optional
-        Starting state, (J, M); zero mean and the baseline variance when
-        omitted, mirroring the fixed-parameter filter.
+        Starting state, (B, M) for the B bins of ``obs``; zero mean and the
+        baseline variance when omitted, mirroring the fixed-parameter filter.
 
     Returns
     -------
     (FilterTrace, ndarray)
-        The filter trace and the (K, J, M) state variances actually used,
+        The filter trace and the (K, B, M) state variances actually used,
         read-only.
 
     Notes
     -----
     The tracker depends on the observations alone, so it runs first, over
     every window at once; the fixed-parameter forward pass then runs with
-    the resulting (K, J, M) state variance.  The first window is filtered
+    the resulting (K, B, M) state variance.  The first window is filtered
     under the baseline because no difference exists yet; the tracker is
     seeded with the first available squared difference, so the second
     window already sees it at full weight.

@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags or
 incompatible settings), 3 for data errors (missing, empty, or malformed
-input).  Every run writes a ``manifest.json`` into its output directory;
-``--from-manifest`` replays a previous run bit for bit, optionally into
-a different directory.
+input).  ``simulate``, ``estimate`` and ``tapers`` write a ``manifest.json``
+into their output directory; ``simulate`` and ``estimate`` replay one bit
+for bit with ``--from-manifest``, optionally into a different directory.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .segmentation import EigenCoefficients, TimeSeries, eigen_coefficients, seg
 from .simulate import benchmark_config, gen_benchmark
 from .ssm import (
     EMConfig,
-    ModelParams,
     Spectrogram,
+    _unfold,
     em_fit,
     filter_all,
     mt_spectrogram,
@@ -262,12 +262,6 @@ def run_pipeline(config: RunConfig) -> dict[str, Path]:
         raise DataError(f"{config.input_path}: {exc}") from exc
 
 
-def _unfold(half: np.ndarray, j_bins: int) -> np.ndarray:
-    """The full grid of J bins from columns 0..J//2: column j repeated in J - j."""
-    h = half.shape[1]
-    return np.concatenate([half, half[:, j_bins - h : 0 : -1]], axis=1)
-
-
 def _run_pipeline(config: RunConfig) -> dict[str, Path]:
     samples = io.read_signal(config.input_path, config.input_format)
     if samples.size < config.window_samples:
@@ -290,6 +284,14 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
     if config.method == "mt":
         spect = mt_spectrogram(eig, one_sided=config.one_sided)
     else:
+        # EM and the filters step window by window: one window-major copy of
+        # the coefficients serves them all, and the transform's array goes
+        eig = EigenCoefficients(
+            coeffs=owned(np.ascontiguousarray(eig.coeffs)),
+            frequencies_hz=eig.frequencies_hz,
+            window_times_s=eig.window_times_s,
+        )
+        fit_obs = eig
         if config.baseline_seconds > 0:
             n_base = min(config.baseline_windows, eig.shape[0])
             fit_obs = EigenCoefficients(
@@ -297,32 +299,22 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
                 frequencies_hz=eig.frequencies_hz,
                 window_times_s=eig.window_times_s[:n_base],
             )
-        else:
-            fit_obs = eig
         fit = em_fit(fit_obs, EMConfig(tol=config.em_tol, max_iter=config.em_max_iter))
-        # the signal is real, so bin J - j holds the conjugate of bin j and its
-        # chain runs with the same variances and gains: filtering bins
-        # 0..J//2 gives every value of the full grid, and needs half the memory
-        h = config.window_samples // 2 + 1
-        frequencies = eig.frequencies_hz
-        obs = EigenCoefficients(
-            coeffs=owned(np.ascontiguousarray(eig.coeffs[:, :h])),
-            frequencies_hz=frequencies[:h],
-            window_times_s=eig.window_times_s,
-        )
-        del eig, fit_obs
-        params = ModelParams(state_var=fit.params.state_var[:h], obs_var=fit.params.obs_var)
+        del fit_obs
         # warm start at the first observation: the state prior has no
         # knowledge of absolute level, so seeding with window 0 avoids a
         # long ramp-in at bins whose power sits far above the prior mean
-        init_mean = obs.coeffs[0].copy()
-        init_var = np.broadcast_to(params.obs_var[None, :], params.state_var.shape).copy()
+        init_mean = eig.coeffs[0].copy()
+        init_var = np.broadcast_to(fit.params.obs_var[None, :], fit.params.state_var.shape).copy()
+        # the fit holds bins 0..J//2; state_var.csv holds the model's (J, M) grid
+        extras["state_var"] = _unfold(fit.params.state_var, config.window_samples, axis=0)
+        extras["obs_var"] = fit.params.obs_var
         if config.method == "ssmt":
-            trace = filter_all(obs, params, init_mean=init_mean, init_var=init_var)
+            trace = filter_all(eig, fit.params, init_mean=init_mean, init_var=init_var)
         else:
             trace, sv_trace = assmt_filter(
-                obs,
-                AdaptiveParams.from_model_params(params),
+                eig,
+                AdaptiveParams.from_model_params(fit.params),
                 alpha=config.alpha,
                 init_mean=init_mean,
                 init_var=init_var,
@@ -330,18 +322,13 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
             for m in range(sv_trace.shape[2]):
                 traces[f"state_var_trace_taper{m}"] = sv_trace[:, :, m]
         # the filter was the last user of the coefficients
-        del obs
+        del eig
         for m in range(trace.gains.shape[2]):
             traces[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
-        # the trace holds bins 0..J//2 only: its whole grid is the one-sided one
-        spect = ssmt_spectrogram(trace)
+        spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
         if not config.one_sided:
-            spect = Spectrogram(owned(_unfold(spect.power, config.window_samples)),
-                                frequencies, spect.window_times_s)
             traces = {name: _unfold(values, config.window_samples)
                       for name, values in traces.items()}
-        extras["state_var"] = fit.params.state_var
-        extras["obs_var"] = fit.params.obs_var
         em_info = {
             "converged": fit.converged,
             "n_iter": fit.n_iter,
@@ -349,6 +336,11 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
         }
     if config.scale == "dB":
         spect = spect.to_db()
+    if config.output_format == "bin":
+        # a finite value past the float32 range would be written as inf
+        for name, values in {"spectrogram": spect.power, **extras, **traces}.items():
+            if values.ndim == 2:
+                io.check_float32(values, name)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

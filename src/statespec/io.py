@@ -22,6 +22,7 @@ __all__ = [
     "MATRIX_MAGIC",
     "write_matrix_csv",
     "read_matrix_csv",
+    "check_float32",
     "write_matrix_bin",
     "read_matrix_bin",
     "write_matrix",
@@ -136,7 +137,19 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     return np.concatenate(blocks).reshape(rows, cols), meta
 
 
+def check_float32(values, name: str = "values") -> None:
+    """Reject finite values past the float32 range, which a cast writes as inf.
+
+    numpy warns about such a cast only from version 1.24 on.
+    """
+    magnitude = np.abs(np.asarray(values, dtype=float))
+    beyond = magnitude[(magnitude > np.finfo(np.float32).max) & (magnitude < np.inf)]
+    if beyond.size:
+        raise ValueError(f"{name}: values up to {beyond.max():.3g} exceed the float32 range")
+
+
 def write_matrix_bin(path, values: np.ndarray) -> None:
+    check_float32(values, str(path))
     values = np.atleast_2d(np.ascontiguousarray(values, dtype="<f4"))
     rows, cols = values.shape
     header = MATRIX_MAGIC + np.array([rows, cols], dtype="<u4").tobytes()

@@ -94,13 +94,21 @@ class SegmentedSeries:
         return self.windows.shape[0]
 
 
+def _check_bins(stored: int, frequencies_hz: np.ndarray) -> None:
+    """Accept all J bins of the grid, or the J//2 + 1 a real signal stores."""
+    j = frequencies_hz.size
+    if stored not in (j, j // 2 + 1):
+        raise ValueError(f"{stored} bins stored for {j} frequencies_hz, not {j} or {j // 2 + 1}")
+
+
 @dataclass(frozen=True)
 class EigenCoefficients:
-    """Tapered Fourier coefficients, shape (K windows, J bins, M tapers).
+    """Tapered Fourier coefficients, shape (K windows, B bins, M tapers).
 
     Frequencies follow the DFT bin convention ``frequencies_hz[j] =
     j / J * sample_rate_hz`` on the full grid; ``window_times_s[k]`` is the
-    center time of window k.
+    center time of window k.  B is J, or J//2 + 1 for a real signal, whose
+    bin J - j is the conjugate of bin j and is not stored.
     """
 
     coeffs: np.ndarray
@@ -111,11 +119,10 @@ class EigenCoefficients:
         coeffs = frozen_array(self.coeffs, dtype=complex, ndim=3, name="coeffs")
         freqs = frozen_array(self.frequencies_hz, dtype=float, ndim=1, name="frequencies_hz")
         times = frozen_array(self.window_times_s, dtype=float, ndim=1, name="window_times_s")
-        k, j, m = coeffs.shape
-        if k < 1 or j < 1 or m < 1:
+        k, b, m = coeffs.shape
+        if k < 1 or b < 1 or m < 1:
             raise ValueError("coeffs must be nonempty along every axis")
-        if freqs.shape != (j,):
-            raise ValueError("frequencies_hz must have one entry per bin")
+        _check_bins(b, freqs)
         if times.shape != (k,):
             raise ValueError("window_times_s must have one entry per window")
         if not np.all(np.isfinite(coeffs)):
@@ -202,11 +209,11 @@ def eigen_coefficients(segmented: SegmentedSeries, tapers: TaperBank) -> EigenCo
     Returns
     -------
     EigenCoefficients
-        ``coeffs[k, :, m]`` is the unitary DFT (scaling ``J ** -0.5``) of
-        window k multiplied elementwise by taper m.  By Parseval the total
-        energy per (window, taper) equals the energy of the tapered window.
-        The windows are real, so the coefficients are exactly Hermitian
-        along the bin axis: bin ``J - j`` holds the conjugate of bin ``j``.
+        ``coeffs[k, :, m]`` is bins 0..J//2 of the unitary DFT (scaling
+        ``J ** -0.5``) of window k multiplied elementwise by taper m; the
+        windows are real, so bin ``J - j`` would be the conjugate of bin
+        ``j``.  By Parseval the energy of the tapered window is the stored
+        energy with bins 1..J - J//2 - 1 counted twice.
     """
     if tapers.window_length != segmented.window_length_j:
         raise ValueError(
@@ -217,19 +224,16 @@ def eigen_coefficients(segmented: SegmentedSeries, tapers: TaperBank) -> EigenCo
     fs = segmented.sample_rate_hz
     k = segmented.num_windows
     m = tapers.num_tapers
-    h = j // 2 + 1
-    # bins contiguous per (window, taper), the layout np.fft.fft returns,
+    # bins contiguous per (window, taper), the layout np.fft.rfft returns,
     # which keeps the taper mean of the spectrogram on a strided fast path
-    coeffs = np.empty((k, m, j), dtype=complex).transpose(0, 2, 1)
+    coeffs = np.empty((k, m, j // 2 + 1), dtype=complex).transpose(0, 2, 1)
     # each transform sees one window, so blocks of windows give the bits of
     # one transform of them all, with temporaries bounded by the block
     step = max(1, _BLOCK_VALUES // (j * m))
     for first in range(0, k, step):
         rows = slice(first, first + step)
         tapered = segmented.windows[rows, :, None] * tapers.tapers.T[None, :, :]
-        half = np.fft.rfft(tapered, axis=1, norm="ortho")
-        coeffs[rows, :h] = half
-        np.conjugate(half[:, j - h : 0 : -1], out=coeffs[rows, h:])
+        coeffs[rows] = np.fft.rfft(tapered, axis=1, norm="ortho")
     frequencies = np.arange(j) / j * fs
     times = (np.arange(k) * segmented.hop + j / 2.0) / fs
     return EigenCoefficients(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import frozen_array, owned
-from .segmentation import EigenCoefficients
+from .segmentation import EigenCoefficients, _check_bins
 
 __all__ = [
     "DB_FLOOR",
@@ -48,8 +48,9 @@ class ModelParams:
 
     Attributes
     ----------
-    state_var : ndarray, shape (J, M)
-        Random-walk increment variance per (bin, taper) chain, >= 0.
+    state_var : ndarray, shape (B, M)
+        Random-walk increment variance per (bin, taper) chain, >= 0, on the
+        B bins of the `EigenCoefficients` it models.
     obs_var : ndarray, shape (M,)
         Observation noise variance per taper, shared across bins, > 0.
     """
@@ -95,9 +96,9 @@ class FilterState:
 class FilterTrace:
     """Filtered means, variances, and gains for every window and chain."""
 
-    means: np.ndarray  # (K, J, M) complex
-    variances: np.ndarray  # (K, J, M)
-    gains: np.ndarray  # (K, J, M)
+    means: np.ndarray  # (K, B, M) complex, B as in EigenCoefficients
+    variances: np.ndarray  # (K, B, M)
+    gains: np.ndarray  # (K, B, M)
     frequencies_hz: np.ndarray  # (J,)
     window_times_s: np.ndarray  # (K,)
 
@@ -109,9 +110,10 @@ class FilterTrace:
         times = frozen_array(self.window_times_s, dtype=float, ndim=1, name="window_times_s")
         if variances.shape != means.shape or gains.shape != means.shape:
             raise ValueError("means, variances, and gains must share a shape")
-        k, j, _ = means.shape
-        if freqs.shape != (j,) or times.shape != (k,):
-            raise ValueError("axis lengths must match the trace shape")
+        k, b, _ = means.shape
+        _check_bins(b, freqs)
+        if times.shape != (k,):
+            raise ValueError("window_times_s must have one entry per window")
         if np.any(variances < 0):
             raise ValueError("variances must be non-negative")
         if np.any(gains < 0) or np.any(gains > 1):
@@ -203,7 +205,7 @@ def kalman_step(prev: FilterState, observation: complex, state_var: float, obs_v
 def _forward_pass(coeffs, state_var, obs_var, init_mean=None, init_var=None):
     """Causal filter over every window for all chains at once.
 
-    ``state_var`` is (J, M), or (K, J, M) when it changes per window.  The
+    ``state_var`` is (B, M), or (K, B, M) when it changes per window.  The
     state prior defaults to zero mean and the first window's state
     variance.  Returns ``(means, variances, gains)``; means and variances
     have K + 1 rows, row 0 holding the prior and row k the posterior after
@@ -218,7 +220,7 @@ def _forward_pass(coeffs, state_var, obs_var, init_mean=None, init_var=None):
     if np.any(var < 0):
         raise ValueError("init_var must be non-negative")
 
-    # a full (J, M) copy keeps the per-window sum on numpy's contiguous path
+    # a full (B, M) copy keeps the per-window sum on numpy's contiguous path
     obs_var = np.broadcast_to(obs_var, shape).copy()
     means = np.empty((len(coeffs) + 1, *shape), dtype=complex)
     variances = np.empty((len(coeffs) + 1, *shape))
@@ -257,7 +259,7 @@ def filter_all(
     ----------
     obs : EigenCoefficients
     params : ModelParams
-        Shapes must match the (J, M) layout of ``obs``.
+        Shapes must match the (B, M) layout of ``obs``.
     init_mean, init_var : ndarray, optional
         State prior before the first window.  Defaults: zero mean and a
         variance equal to each chain's state variance.
@@ -329,36 +331,18 @@ class EMFit:
         object.__setattr__(self, "n_iter", int(self.n_iter))
 
 
-def _distinct_bins(coeffs: np.ndarray):
-    """Bins whose chains EM has to fit, and the bin each one stands for.
-
-    The DFT of a real window is Hermitian: bin J - j holds the conjugate of
-    bin j, so both chains have the same variances, gains and likelihood
-    terms.  Returns ``(h, source)``: EM fits bins ``0 .. h-1`` and bin j
-    takes the fit of bin ``source[j]``.  That is h = J // 2 + 1 when
-    ``coeffs`` are exactly Hermitian along the bin axis, and h = J with the
-    identity map otherwise.
-    """
-    j_bins = coeffs.shape[1]
-    mirror = -np.arange(j_bins) % j_bins
-    if not np.array_equal(coeffs[:, mirror], np.conjugate(coeffs)):
-        return j_bins, np.arange(j_bins)
-    return j_bins // 2 + 1, np.minimum(np.arange(j_bins), mirror)
-
-
-def _moment_init(coeffs: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _moment_init(coeffs: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Moment-based starting point for EM.
 
     The mean squared window-to-window difference of a chain equals
     state_var + 2 obs_var, so the median difference across bins (least
     contaminated by narrowband activity) anchors the noise level and the
-    per-bin excess above it seeds the state variance.  ``coeffs`` holds the
-    distinct bins only; ``source`` maps every bin of the grid to one of
-    them, so the median is over the full grid.
+    per-bin excess above it seeds the state variance.  Stored bin j stands
+    for ``weight[j]`` bins of the grid, so the median is over the full grid.
     """
     diff2 = np.abs(np.diff(coeffs, axis=0)) ** 2
-    dbar = diff2.mean(axis=0)  # (h, M)
-    obs_var = 0.25 * np.median(dbar[source], axis=0)  # (M,)
+    dbar = diff2.mean(axis=0)  # (B, M)
+    obs_var = 0.25 * np.median(np.repeat(dbar, weight.astype(int), axis=0), axis=0)  # (M,)
     obs_var = np.maximum(obs_var, np.finfo(float).tiny)
     state_var = np.maximum(dbar - 2.0 * obs_var[None, :], 0.05 * dbar)
     state_var = np.maximum(state_var, np.finfo(float).tiny)
@@ -429,27 +413,28 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     With Cov(Z_{k+1}, Z_k | all data) = sgain[k] ps[k+1], one smoother pass
     gives E|Z_{k+1} - Z_k|^2 = |zs[k+1] - zs[k]|^2 + ps[k] + (1 - 2 sgain[k]) ps[k+1].
 
-    When the coefficients are those of a real signal (exactly Hermitian
-    along the bin axis, see `_distinct_bins`), EM runs on bins
-    ``0 .. J // 2`` only and counts each mirrored bin twice in the
-    likelihood and in the observation variance; the fit is the full-grid
-    fit up to round-off.
+    EM fits the B bins ``obs`` stores and returns parameters on them.  When
+    they are bins 0..J//2 of a real signal, bins 1..J - B also stand for
+    their mirrors J - j, so their terms count twice in the likelihood and
+    in the observation variance; the fit is then the full-grid fit up to
+    round-off.
     """
     cfg = config if config is not None else EMConfig()
-    k_windows, j_bins, _ = obs.coeffs.shape
+    k_windows, b_bins, _ = obs.coeffs.shape
+    j_bins = obs.frequencies_hz.size
     if k_windows < 2:
         raise ValueError("em_fit requires at least two windows")
 
-    h, source = _distinct_bins(obs.coeffs)
-    weight = np.bincount(source).astype(float)  # grid bins per fitted bin
-    coeffs = np.ascontiguousarray(obs.coeffs[:, :h])
+    weight = np.ones(b_bins)  # grid bins per stored bin
+    weight[1 : j_bins - b_bins + 1] = 2.0
+    coeffs = np.ascontiguousarray(obs.coeffs)
     # smoothed means are convex combinations of zero and the coefficients, so
     # no sum of squared residuals over the cells exceeds 16 * peak**2 * size
     parts = coeffs.view(float)  # real and imaginary parts, no copy
     peak = max(float(parts.max()), -float(parts.min()))
     if not peak < np.sqrt(np.finfo(float).max / (16 * coeffs.size)):
         raise ValueError(f"eigen-coefficients up to {peak:.3g} overflow EM's squared sums")
-    state_var, obs_var = _moment_init(coeffs, source)
+    state_var, obs_var = _moment_init(coeffs, weight)
     # first-window prior, fixed across iterations: each M-step rebinds
     # state_var to a new array, so this one is never written
     init_var = state_var
@@ -475,7 +460,7 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
             UserWarning,
             stacklevel=2,
         )
-    params = ModelParams(state_var=owned(state_var[source]), obs_var=owned(obs_var))
+    params = ModelParams(state_var=owned(state_var), obs_var=owned(obs_var))
     return EMFit(
         params=params,
         log_likelihoods=owned(np.asarray(lls)),
@@ -484,13 +469,24 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     )
 
 
+def _unfold(half: np.ndarray, j_bins: int, axis: int = 1) -> np.ndarray:
+    """All J bins of a real signal's real per-bin values from bins 0..J//2 on ``axis``."""
+    mirror = np.arange(j_bins - half.shape[axis], 0, -1)
+    return np.concatenate([half, np.take(half, mirror, axis=axis)], axis=axis)
+
+
 def _taper_mean_power(values, freqs, times, one_sided):
-    """Spectrogram of |values|^2 averaged over tapers, on bins 0..J//2 if one-sided."""
-    bins = slice(0, values.shape[1] // 2 + 1 if one_sided else None)
+    """Spectrogram of |values|^2 averaged over tapers, on bins 0..J//2 if
+    one-sided, else on all J bins, unfolded from a real signal's half."""
+    if one_sided:
+        h = freqs.size // 2 + 1
+        values, freqs = values[:, :h], freqs[:h]
     # power past the float range stays inf, for Spectrogram to reject
     with np.errstate(over="ignore"):
-        power = np.mean(np.abs(values[:, bins]) ** 2, axis=2)
-    return Spectrogram(owned(power), freqs[bins], times, scale="linear")
+        power = np.mean(np.abs(values) ** 2, axis=2)
+    if power.shape[1] < freqs.size:
+        power = _unfold(power, freqs.size)
+    return Spectrogram(owned(power), freqs, times, scale="linear")
 
 
 def mt_spectrogram(obs: EigenCoefficients, one_sided: bool = False) -> Spectrogram:

@@ -11,7 +11,15 @@ import numpy as np
 from statespec import io
 from statespec.adaptive import AdaptiveParams, assmt_filter
 from statespec.segmentation import EigenCoefficients, TimeSeries, eigen_coefficients, segment
-from statespec.ssm import EMConfig, _forward_pass, em_fit, filter_all, ssmt_spectrogram
+from statespec.ssm import (
+    EMConfig,
+    ModelParams,
+    _forward_pass,
+    em_fit,
+    filter_all,
+    mt_spectrogram,
+    ssmt_spectrogram,
+)
 from statespec.tapers import dpss
 
 
@@ -76,15 +84,27 @@ def correlate_concentration(taper, half_bandwidth):
 
 
 def one_shot_eigen_coefficients(windows, tapers):
-    """(K, J, M) coefficients from one tapered product and one rfft of them all.
+    """(K, J//2 + 1, M) coefficients from one tapered product and one rfft of them all.
 
     The whole-record transform `statespec.segmentation.eigen_coefficients`
-    made before it ran in blocks of windows, with its strided layout.
+    made before it ran in blocks of windows, with its strided layout: bins
+    contiguous per (window, taper).
     """
-    k, j = windows.shape
+    k = windows.shape[0]
     m = tapers.shape[0]
     half = np.fft.rfft(windows[:, :, None] * tapers.T[None, :, :], axis=1, norm="ortho")
-    h = half.shape[1]
+    coeffs = np.empty((k, m, half.shape[1]), dtype=complex).transpose(0, 2, 1)
+    coeffs[...] = half
+    return coeffs
+
+
+def full_grid_coefficients(half, j):
+    """All J bins of a real signal's coefficients from its bins 0..J//2.
+
+    Bin J - j is the conjugate of bin j.  The layout is the strided one of
+    `one_shot_eigen_coefficients`, bins contiguous per (window, taper).
+    """
+    k, h, m = half.shape
     coeffs = np.empty((k, m, j), dtype=complex).transpose(0, 2, 1)
     coeffs[:, :h] = half
     np.conjugate(half[:, j - h : 0 : -1], out=coeffs[:, h:])
@@ -147,8 +167,9 @@ def full_grid_em(coeffs, tol=1e-6, max_iter=50):
 
     Moment start, then E-step and M-step over the full grid with
     unweighted means, in the same arithmetic as `statespec.ssm.em_fit`.
-    That fit must match this one bit for bit on non-Hermitian input and to
-    round-off on a real signal's coefficients, where it fits half the bins.
+    That fit must match this one bit for bit on the same J bins, and to
+    round-off on a real signal's bins 0..J//2, of which this one gets the
+    conjugate-unfolded grid.
     Returns ``(state_var, obs_var, log_likelihoods, converged)``.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -249,42 +270,56 @@ def poly_rows_loop(freqs, radii, sample_rate_hz):
 
 
 def full_grid_estimate(config):
-    """Every array an ssmt or assmt estimate writes, by file stem, with the
-    filter run on all J bins.
+    """Every array an estimate writes, by file stem, with mt or the filter
+    run on all J bins.
 
-    ``config`` is the estimate's `statespec.cli.RunConfig`.  This is the
-    library path the command line followed before it filtered bins
-    0..J//2 only.  Returns ``(arrays, scale)``: per-window traces and the
-    state variances as (rows, cols) arrays, the frequencies, times and
-    observation variances as vectors, and the spectrogram's scale.  Each
-    trace has one column per frequency: bins 0..J//2 when one-sided.
+    ``config`` is the estimate's `statespec.cli.RunConfig`.  The full grid
+    is this module's own: `one_shot_eigen_coefficients` unfolded by
+    `full_grid_coefficients`.  EM fits bins 0..J//2, the real signal's
+    distinct chains, and its state variances are mirrored onto all J bins
+    by index before the filter runs.  Returns ``(arrays, scale)``:
+    per-window traces and the state variances as (rows, cols) arrays, the
+    frequencies, times and observation variances as vectors, and the
+    spectrogram's scale.  Each trace has one column per frequency: bins
+    0..J//2 when one-sided.
     """
+    j = config.window_samples
     samples = io.read_signal(config.input_path, config.input_format)
     series = TimeSeries(samples=samples, sample_rate_hz=config.sample_rate_hz)
-    bank = dpss(config.window_samples, config.time_half_bandwidth, config.tapers)
-    eig = eigen_coefficients(
-        segment(series, config.window_samples, config.hop, demean=config.demean), bank
-    )
-    fit_obs = eig
-    if config.baseline_seconds > 0:
-        n_base = min(config.baseline_windows, eig.shape[0])
-        fit_obs = EigenCoefficients(coeffs=eig.coeffs[:n_base], frequencies_hz=eig.frequencies_hz,
-                                    window_times_s=eig.window_times_s[:n_base])
-    fit = em_fit(fit_obs, EMConfig(tol=config.em_tol, max_iter=config.em_max_iter))
-    init_var = np.broadcast_to(fit.params.obs_var[None, :], fit.params.state_var.shape)
-    arrays = {"state_var": fit.params.state_var, "obs_var": fit.params.obs_var}
-    if config.method == "ssmt":
-        trace = filter_all(eig, fit.params, init_mean=eig.coeffs[0], init_var=init_var)
+    bank = dpss(j, config.time_half_bandwidth, config.tapers)
+    seg = segment(series, j, config.hop, demean=config.demean)
+    half = one_shot_eigen_coefficients(seg.windows, bank.tapers)
+    grid = eigen_coefficients(seg, bank)
+    eig = EigenCoefficients(coeffs=full_grid_coefficients(half, j),
+                            frequencies_hz=grid.frequencies_hz, window_times_s=grid.window_times_s)
+    arrays = {}
+    if config.method == "mt":
+        spect = mt_spectrogram(eig, one_sided=config.one_sided)
     else:
-        trace, state_var_trace = assmt_filter(
-            eig, AdaptiveParams.from_model_params(fit.params), alpha=config.alpha,
-            init_mean=eig.coeffs[0], init_var=init_var,
+        n_base = eig.shape[0]
+        if config.baseline_seconds > 0:
+            n_base = min(config.baseline_windows, n_base)
+        fit = em_fit(
+            EigenCoefficients(coeffs=half[:n_base], frequencies_hz=eig.frequencies_hz,
+                              window_times_s=eig.window_times_s[:n_base]),
+            EMConfig(tol=config.em_tol, max_iter=config.em_max_iter),
         )
+        mirror = np.minimum(np.arange(j), -np.arange(j) % j)
+        params = ModelParams(state_var=fit.params.state_var[mirror], obs_var=fit.params.obs_var)
+        init_var = np.broadcast_to(params.obs_var[None, :], params.state_var.shape)
+        arrays = {"state_var": params.state_var, "obs_var": params.obs_var}
+        if config.method == "ssmt":
+            trace = filter_all(eig, params, init_mean=eig.coeffs[0], init_var=init_var)
+        else:
+            trace, state_var_trace = assmt_filter(
+                eig, AdaptiveParams.from_model_params(params), alpha=config.alpha,
+                init_mean=eig.coeffs[0], init_var=init_var,
+            )
+            for m in range(config.tapers):
+                arrays[f"state_var_trace_taper{m}"] = state_var_trace[:, :, m]
         for m in range(config.tapers):
-            arrays[f"state_var_trace_taper{m}"] = state_var_trace[:, :, m]
-    for m in range(config.tapers):
-        arrays[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
-    spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
+            arrays[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
+        spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
     for name in arrays:
         if "_trace_" in name:
             arrays[name] = arrays[name][:, :spect.frequencies_hz.size]

@@ -515,8 +515,11 @@ def test_tapered_transform_preserves_energy():
         x = rng.standard_normal(j) * 10.0 ** rng.uniform(-2, 2)
         series = TimeSeries(samples=x, sample_rate_hz=float(j))
         eig = eigen_coefficients(segment(series, j), bank)
+        # bins 0..J//2 are stored; bins 1..J - J//2 - 1 stand for their mirrors too
+        weight = np.ones(j // 2 + 1)
+        weight[1 : j - j // 2] = 2.0
         for m in range(bank.num_tapers):
-            spectral = float(np.sum(np.abs(eig.coeffs[0, :, m]) ** 2))
+            spectral = float(np.sum(weight * np.abs(eig.coeffs[0, :, m]) ** 2))
             temporal = float(np.sum((bank.tapers[m] * x) ** 2))
             worst = max(worst, abs(spectral - temporal) / temporal)
     _verdict(

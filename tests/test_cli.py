@@ -417,16 +417,17 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the coefficients, then their half grid and its filter trace: the
-        # full-grid filter, with its trace beside the coefficients, is 3.8x
+        # bins 0..J//2 of the coefficients, their window-major copy and its
+        # filter trace measure 1.8x: the full-grid filter, with its trace
+        # beside the coefficients, is 3.8x
         assert peak <= 2.2 * coeff_bytes
 
 
 class TestHalfGridFilter:
-    """The command line filters bins 0..J//2 of the real signal only and
-    unfolds the spectrogram and traces under --full-grid alone; every file
-    must be the one the full-grid library path makes, each trace on the
-    grid of frequencies.csv."""
+    """The coefficients hold bins 0..J//2 of the real signal only, and the
+    command line unfolds the spectrogram and traces under --full-grid
+    alone; every file must be the one mt or the filter makes on the full
+    grid, each trace on the grid of frequencies.csv."""
 
     @pytest.mark.parametrize("window", ["6", "5.03125"], ids=["even-J", "odd-J"])
     @pytest.mark.parametrize("fmt, scale", [("csv", "linear"), ("bin", "dB")])
@@ -434,6 +435,20 @@ class TestHalfGridFilter:
     @pytest.mark.parametrize("method", ["ssmt", "assmt"])
     def test_files_match_full_grid_filter(self, sim_dir, tmp_path, monkeypatch, window, fmt,
                                           scale, grid, method):
+        self.check_files(sim_dir, tmp_path, monkeypatch, method, fmt,
+                         "--window-seconds", window, "--scale", scale, *grid)
+        config = cli.RunConfig(**io.read_manifest(tmp_path / "cli" / "manifest.json")["config"])
+        assert config.window_samples % 2 == (window != "6")
+
+    # from 8 tapers on, numpy's taper mean gives other bits on a taper-
+    # contiguous array, so mt's spectrogram depends on the coefficients' layout
+    @pytest.mark.parametrize("method", ["mt", "ssmt", "assmt"])
+    def test_nine_tapers_match_full_grid(self, sim_dir, tmp_path, monkeypatch, method):
+        self.check_files(sim_dir, tmp_path, monkeypatch, method, "csv", "--tapers", "9",
+                         "--full-grid")
+
+    @staticmethod
+    def check_files(sim_dir, tmp_path, monkeypatch, method, fmt, *extra):
         written = {}
         real_matrix, real_vector = io.write_matrix, io.write_vector_csv
 
@@ -448,12 +463,11 @@ class TestHalfGridFilter:
         monkeypatch.setattr(io, "write_matrix", spy_matrix)
         monkeypatch.setattr(io, "write_vector_csv", spy_vector)
         out = tmp_path / "cli"
-        code = estimate(out, sim_dir, method, "--window-seconds", window, "--format", fmt,
-                        "--scale", scale, "--baseline-seconds", "45", "--em-tol", "1e-4", *grid)
+        code = estimate(out, sim_dir, method, "--format", fmt, "--baseline-seconds", "45",
+                        "--em-tol", "1e-4", *extra)
         assert code == EXIT_OK
         config = cli.RunConfig(**io.read_manifest(out / "manifest.json")["config"])
         arrays, spect_scale = full_grid_estimate(config)
-        assert config.window_samples % 2 == (window != "6")
         monkeypatch.undo()
 
         assert sorted(written) == sorted(arrays)
@@ -653,6 +667,27 @@ class TestMalformedInput:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt, expected", [("bin", EXIT_DATA), ("csv", EXIT_OK)])
+    def test_values_past_float32_fail_before_binary_writes(self, tmp_path, capsys, fmt,
+                                                          expected):
+        # white noise x 1e20: state-variance traces reach 1e39, which a float32
+        # file could hold only as inf, and a CSV file holds as it is
+        path = tmp_path / "signal.f64"
+        noise = np.random.default_rng(5).standard_normal(120 * 36) * 1e20
+        path.write_bytes(noise.astype("<f8").tobytes())
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)
+            code = main(["estimate", "--input", str(path), "--sample-rate", "36",
+                         "--method", "assmt", "--baseline-seconds", "30", "--format", fmt,
+                         "--out-dir", str(out)])
+        assert code == expected
+        if expected == EXIT_DATA:
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and "float32 range" in lines[0]
+            assert not out.exists()
+
     @settings(max_examples=60, deadline=None)
     @given(content=st.binary(max_size=400), suffix=st.sampled_from([".csv", ".f64"]))
     def test_arbitrary_bytes_never_raise(self, content, suffix):
@@ -705,6 +740,59 @@ class TestSettings:
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--from-manifest", str(manifest)]) == EXIT_CONFIG
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+# Values a replayed manifest's config may hold: every JSON type, and an
+# integer too large for a float.
+PALETTE = (None, True, False, 0, 1, -1, 2.5, 10**400, "x", [], {})
+DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def tiny_manifests(tmp_path_factory):
+    """Manifests of tiny simulate and estimate runs, by command: J = 16 bins."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert main(["simulate", "--out-dir", str(root / "sim"), "--duration", "20",
+                 "--sample-rate", "8", "--window-seconds", "2"]) == EXIT_OK
+    signal = io.write_signal(root / "signal", np.random.default_rng(9).standard_normal(320))
+    manifests = {"simulate": [root / "sim" / "manifest.json"], "estimate": []}
+    for method in ("mt", "ssmt", "assmt"):
+        out = root / method
+        assert main(["estimate", "--input", str(signal), "--sample-rate", "8",
+                     "--window-seconds", "2", "--baseline-seconds", "10", "--em-tol", "1e-3",
+                     "--method", method, "--format", "bin", "--out-dir", str(out)]) == EXIT_OK
+        manifests["estimate"].append(out / "manifest.json")
+    return manifests
+
+
+class TestReplayExitCodes:
+    """A replayed config with any one value replaced from `PALETTE`, any one
+    key deleted or one unknown key added exits 0, 2 or 3: no exception
+    escapes, exit 2 leaves no output directory, and numpy raises no
+    RuntimeWarning."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(["simulate", "estimate"]))
+    def test_edited_config(self, tiny_manifests, data, command):
+        base = data.draw(st.sampled_from(tiny_manifests[command]), label="manifest")
+        stored = io.read_manifest(base)
+        key = data.draw(st.sampled_from(sorted(stored["config"]) + ["unknown"]), label="key")
+        value = data.draw(st.sampled_from((DELETE,) + PALETTE), label="value")
+        if value is DELETE:
+            stored["config"].pop(key, None)
+        else:
+            stored["config"][key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest, out = Path(tmp) / "manifest.json", Path(tmp) / "out"
+            # the JSON text of 10**400 is an integer, and it reads back as one
+            io.write_manifest(manifest, stored)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, "--from-manifest", str(manifest), "--out-dir", str(out)])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+            if code == EXIT_CONFIG:
+                assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestTapers:

@@ -71,6 +71,26 @@ class TestMatrixBin:
             with pytest.raises(ValueError, match="header says 65536x65537"):
                 io.read_matrix_bin(path)
 
+    @pytest.mark.parametrize("value", [1e39, -3.5e38, np.finfo(float).max])
+    def test_finite_values_past_float32_rejected(self, tmp_path, value):
+        # a cast would write inf; numpy 1.23 does not even warn about it
+        path = tmp_path / "m.f32"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float32 range"):
+                io.write_matrix_bin(path, np.array([[1.0, value], [np.inf, np.nan]]))
+        assert not path.exists()
+
+    def test_float32_extremes_and_non_finite_values_written(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        values = np.array([[top, -top, 1e-50], [np.inf, -np.inf, np.nan]])
+        path = tmp_path / "m.f32"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            io.write_matrix_bin(path, values)
+        np.testing.assert_array_equal(io.read_matrix_bin(path),
+                                      values.astype(np.float32).astype(float))
+
 
 class TestDispatch:
     def test_write_matrix_picks_extension(self, tmp_path):

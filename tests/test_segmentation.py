@@ -1,9 +1,17 @@
 """Windowing and tapered-DFT front end."""
 import numpy as np
 import pytest
-from oracles import one_shot_eigen_coefficients
+from oracles import full_grid_coefficients, one_shot_eigen_coefficients
 
-from statespec import TaperBank, TimeSeries, dpss, eigen_coefficients, segment, segmentation
+from statespec import (
+    EigenCoefficients,
+    TaperBank,
+    TimeSeries,
+    dpss,
+    eigen_coefficients,
+    segment,
+    segmentation,
+)
 
 
 def brute_force_coeffs(windows, tapers):
@@ -23,6 +31,13 @@ def brute_force_coeffs(windows, tapers):
                     )
                 out[k, freq, taper] = acc / np.sqrt(j)
     return out
+
+
+def full_grid_energy(half, j):
+    """Energy of all J bins from bins 0..J//2 of a real signal: bins
+    1..J - J//2 - 1 also stand for their mirrors."""
+    power = np.abs(half) ** 2
+    return power.sum() + power[1 : j - half.size + 1].sum()
 
 
 def assert_same_layout_and_bytes(actual, expected):
@@ -119,7 +134,7 @@ class TestEigenCoefficients:
         bank = dpss(16, 2.0, 3)
         eig = eigen_coefficients(seg, bank)
         expected = brute_force_coeffs(seg.windows, bank.tapers)
-        np.testing.assert_allclose(eig.coeffs, expected, atol=1e-9)
+        np.testing.assert_allclose(eig.coeffs, expected[:, : 16 // 2 + 1], atol=1e-9)
 
     def test_parseval_energy(self, rng):
         series = TimeSeries(samples=rng.standard_normal(96), sample_rate_hz=32.0)
@@ -129,24 +144,34 @@ class TestEigenCoefficients:
         for k in range(seg.num_windows):
             for m in range(bank.num_tapers):
                 tapered = seg.windows[k] * bank.tapers[m]
-                assert np.sum(np.abs(eig.coeffs[k, :, m]) ** 2) == pytest.approx(
+                assert full_grid_energy(eig.coeffs[k, :, m], 32) == pytest.approx(
                     np.sum(tapered**2), abs=1e-9
                 )
 
     def test_conjugate_symmetry_for_real_input(self, rng):
+        # the stored bins 0..J//2 and their conjugates in bins J - j are the
+        # complex transform of the tapered windows
         series = TimeSeries(samples=rng.standard_normal(40), sample_rate_hz=8.0)
-        eig = eigen_coefficients(segment(series, 20), dpss(20, 2.0, 2))
+        seg = segment(series, 20)
+        bank = dpss(20, 2.0, 2)
+        eig = eigen_coefficients(seg, bank)
         j = 20
+        full = np.fft.fft(seg.windows[:, :, None] * bank.tapers.T[None], axis=1, norm="ortho")
+        np.testing.assert_allclose(full_grid_coefficients(eig.coeffs, j), full, atol=1e-12)
         for freq in range(1, j):
             np.testing.assert_allclose(
-                eig.coeffs[:, freq, :], np.conj(eig.coeffs[:, j - freq, :]), atol=1e-12
+                full[:, freq, :], np.conj(full[:, j - freq, :]), atol=1e-12
             )
 
     @pytest.mark.parametrize("j", [20, 21])
     def test_exactly_hermitian_for_real_input(self, rng, j):
+        # bins 0..J//2 are stored, and the bins that are their own mirror,
+        # 0 and J/2 for even J, are exactly real
         series = TimeSeries(samples=rng.standard_normal(5 * j), sample_rate_hz=8.0)
         coeffs = eigen_coefficients(segment(series, j), dpss(j, 2.0, 3)).coeffs
-        assert np.array_equal(coeffs[:, -np.arange(j) % j], coeffs.conj())
+        assert coeffs.shape == (5, j // 2 + 1, 3)
+        self_mirrored = [0, j // 2] if j % 2 == 0 else [0]
+        assert np.all(coeffs[:, self_mirrored].imag == 0.0)
 
     @pytest.mark.parametrize("j", [16, 17], ids=["even-J", "odd-J"])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -191,7 +216,8 @@ class TestEigenCoefficients:
         series = TimeSeries(samples=np.array([3.0, -1.0, 2.0, 5.0]), sample_rate_hz=4.0)
         eig = eigen_coefficients(segment(series, 4), unit_bank(4, 2))
         j = 4
-        for freq in range(j):
+        assert eig.shape == (1, j // 2 + 1, 2)
+        for freq in range(j // 2 + 1):
             assert eig.coeffs[0, freq, 0] == pytest.approx(3.0 / 2.0)
             expected = -1.0 * np.exp(-2j * np.pi * freq / j) / 2.0
             assert eig.coeffs[0, freq, 1] == pytest.approx(expected)
@@ -214,11 +240,23 @@ class TestEigenCoefficients:
         with pytest.raises(ValueError, match="does not match"):
             eigen_coefficients(seg, dpss(12, 2.0, 2))
 
+    @pytest.mark.parametrize("j, bins", [(6, 6), (6, 4), (7, 7), (7, 4), (1, 1), (2, 2)])
+    def test_stores_every_bin_or_the_distinct_half(self, rng, j, bins):
+        coeffs = rng.standard_normal((2, bins, 1)) + 0j
+        eig = EigenCoefficients(coeffs=coeffs, frequencies_hz=np.arange(float(j)),
+                                window_times_s=np.arange(2.0))
+        assert eig.shape == (2, bins, 1)
+
+    @pytest.mark.parametrize("j, bins", [(6, 1), (6, 3), (6, 5), (6, 7), (7, 3), (7, 5), (7, 8)])
+    def test_rejects_any_other_bin_count(self, rng, j, bins):
+        coeffs = rng.standard_normal((2, bins, 1)) + 0j
+        with pytest.raises(ValueError, match="bins stored"):
+            EigenCoefficients(coeffs=coeffs, frequencies_hz=np.arange(float(j)),
+                              window_times_s=np.arange(2.0))
+
     def test_validation_rejects_mismatched_axes(self, rng):
         coeffs = rng.standard_normal((2, 3, 1)) + 0j
         with pytest.raises(ValueError, match="frequencies_hz"):
-            from statespec import EigenCoefficients
-
             EigenCoefficients(
                 coeffs=coeffs,
                 frequencies_hz=np.arange(2.0),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import make_eig
 from oracles import (
+    full_grid_coefficients,
     full_grid_em,
     gaussian_conditioning_means,
     lag_one_covariance_recursion,
@@ -16,6 +17,7 @@ from statespec import (
     EMConfig,
     EigenCoefficients,
     FilterState,
+    FilterTrace,
     ModelParams,
     Spectrogram,
     TimeSeries,
@@ -263,6 +265,14 @@ def real_signal_eig(rng, j, k_windows=40):
     return eigen_coefficients(segment(series, j), dpss(j, 2.0, 2))
 
 
+def full_grid_eig(eig):
+    """The same coefficients on all J bins: bins 0..J//2 and their conjugates."""
+    j = eig.frequencies_hz.size
+    return EigenCoefficients(coeffs=full_grid_coefficients(eig.coeffs, j),
+                             frequencies_hz=eig.frequencies_hz,
+                             window_times_s=eig.window_times_s)
+
+
 def fit_quietly(eig, config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -270,23 +280,31 @@ def fit_quietly(eig, config):
 
 
 class TestHermitianReduction:
-    """EM on a real signal fits bins 0..J//2 and counts mirrored bins twice."""
+    """EM on a real signal's bins 0..J//2 counts mirrored bins twice: it is
+    the fit of all J chains."""
 
     @pytest.mark.parametrize("j", [24, 25])
     def test_real_signal_matches_full_grid_oracle(self, rng, j):
         eig = real_signal_eig(rng, j)
         fit = fit_quietly(eig, EMConfig(tol=1e-5, max_iter=400))
-        state_var, obs_var, lls, converged = full_grid_em(eig.coeffs, tol=1e-5, max_iter=400)
+        state_var, obs_var, lls, converged = full_grid_em(
+            full_grid_eig(eig).coeffs, tol=1e-5, max_iter=400
+        )
         assert fit.converged and converged
         assert fit.n_iter == lls.size
+        assert fit.params.state_var.shape == (j // 2 + 1, 2)
         np.testing.assert_allclose(fit.log_likelihoods, lls, rtol=1e-12)
-        np.testing.assert_allclose(fit.params.state_var, state_var, rtol=1e-9)
+        np.testing.assert_allclose(fit.params.state_var, state_var[: j // 2 + 1], rtol=1e-9)
         np.testing.assert_allclose(fit.params.obs_var, obs_var, rtol=1e-9)
 
     def test_fitted_state_var_is_mirror_symmetric(self, rng):
+        # every chain of the full grid fitted: bin J - j gets exactly the
+        # variance of bin j, which the fit on bins 0..J//2 holds to round-off
         eig = real_signal_eig(rng, 25)
-        state_var = fit_quietly(eig, EMConfig(max_iter=5)).params.state_var
+        state_var = fit_quietly(full_grid_eig(eig), EMConfig(max_iter=5)).params.state_var
         assert np.array_equal(state_var[-np.arange(25) % 25], state_var)
+        half = fit_quietly(eig, EMConfig(max_iter=5)).params.state_var
+        np.testing.assert_allclose(half, state_var[:13], rtol=1e-9)
 
     @pytest.mark.parametrize("shape", [(6, 4, 2), (9, 7, 3), (30, 16, 1)])
     def test_non_hermitian_input_is_bit_identical(self, rng, shape):
@@ -355,14 +373,20 @@ class TestSpectrograms:
 
     @pytest.mark.parametrize("j", [7, 216])
     def test_one_sided_is_the_full_grid_bit_for_bit(self, rng, j):
-        # the one-sided power is averaged over the kept bins only, in the
-        # bins-contiguous layout eigen_coefficients returns
+        # from bins 0..J//2, the one-sided power and the unfolded full grid
+        # are the power of every bin of the conjugate-unfolded coefficients
         series = TimeSeries(samples=rng.standard_normal(20 * j), sample_rate_hz=36.0)
         eig = eigen_coefficients(segment(series, j), dpss(j, 2.0, 3))
-        trace = filter_all(eig, ModelParams(state_var=np.full((j, 3), 0.1), obs_var=np.ones(3)))
+        full_eig = full_grid_eig(eig)
         n = j // 2 + 1
-        for build, source in ((mt_spectrogram, eig), (ssmt_spectrogram, trace)):
-            full = build(source).power
+        trace = filter_all(eig, ModelParams(state_var=np.full((n, 3), 0.1), obs_var=np.ones(3)))
+        full_trace = filter_all(
+            full_eig, ModelParams(state_var=np.full((j, 3), 0.1), obs_var=np.ones(3))
+        )
+        for build, source, full_source in ((mt_spectrogram, eig, full_eig),
+                                           (ssmt_spectrogram, trace, full_trace)):
+            full = build(full_source).power
+            np.testing.assert_array_equal(build(source).power, full)
             np.testing.assert_array_equal(build(source, one_sided=True).power, full[:, :n])
 
     def test_db_roundtrip(self):
@@ -409,6 +433,21 @@ class TestParamValidation:
             ModelParams(state_var=np.ones((2, 1)), obs_var=np.zeros(1))
         with pytest.raises(ValueError, match="columns"):
             ModelParams(state_var=np.ones((2, 2)), obs_var=np.ones(1))
+
+    @pytest.mark.parametrize("bins, ok", [(6, True), (4, True), (5, False), (3, False)])
+    def test_filter_trace_bins(self, bins, ok):
+        # the bins of EigenCoefficients: all J of the grid, or J//2 + 1
+        values = np.full((2, bins, 1), 0.5)
+
+        def build():
+            return FilterTrace(means=values + 0j, variances=values, gains=values,
+                               frequencies_hz=np.arange(6.0), window_times_s=np.arange(2.0))
+
+        if ok:
+            assert build().shape == (2, bins, 1)
+        else:
+            with pytest.raises(ValueError, match="bins stored"):
+                build()
 
     def test_filter_state(self):
         with pytest.raises(ValueError, match="gain"):

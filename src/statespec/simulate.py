@@ -102,48 +102,57 @@ def _ar_kernel(p: int):
     return namespace["kernel"]
 
 
-def _run_recursion(a_rows: np.ndarray, b_rows: np.ndarray, innovations: np.ndarray) -> np.ndarray:
+def _run_recursion(coefficients, innovations: np.ndarray) -> np.ndarray:
     """Direct-form ARMA recursion with per-sample coefficients.
 
-    ``a_rows`` and ``b_rows`` carry the monic denominator/numerator
-    coefficients for every output sample, so constant-coefficient and
-    scheduled processes share one code path (and bit-identical output
-    where their schedules agree).
+    ``coefficients(start, stop)`` returns the monic denominator and
+    numerator coefficients of samples ``start`` to ``stop - 1``, lag-major:
+    shapes (p + 1, stop - start) and (q + 1, stop - start), row i holding
+    lag i.  The recursion asks for them one block of ``_RECURSION_BLOCK``
+    samples at a time, so no whole-record coefficient array is made, and
+    constant-coefficient and scheduled processes share one code path (and
+    bit-identical output where their schedules agree).
 
-    Sample t is ``w[t] + sum_i b[t, i] w[t-i] - sum_i a[t, i] x[t-i]``,
+    Sample t is ``w[t] + sum_i b[i, t] w[t-i] - sum_i a[i, t] x[t-i]``,
     each sum taken in order of increasing lag and over the lags inside the
     record only.  The moving-average terms do not depend on earlier
-    outputs, so they are added one lag at a time over the whole record.
-    The autoregression runs on Python floats: the first ``p`` samples,
-    which see fewer than ``p`` lags, one lag at a time, and the rest in
-    `_ar_kernel` blocks of ``_RECURSION_BLOCK`` samples so the list
-    objects stay small.
+    outputs, so each block adds them one lag at a time.  The autoregression
+    runs on Python floats: the first ``p`` samples, which see fewer than
+    ``p`` lags, one lag at a time, and the rest in `_ar_kernel` blocks so
+    the list objects stay small.
     """
     n = innovations.size
-    p = a_rows.shape[1] - 1
-    q = b_rows.shape[1] - 1
     w = innovations
-    x = w.copy()
-    for i in range(1, q + 1):
-        x[i:] += b_rows[i:, i] * w[:-i]
-    if p == 0:
-        return x
-    warm = min(p, n)
-    lags = deque(maxlen=p)  # most recent output first
-    block = x[:warm].tolist()
-    for t, row in enumerate(a_rows[:warm, 1:].tolist()):
-        acc = block[t]
-        for c, v in zip(row, lags):
-            acc -= c * v
-        block[t] = acc
-        lags.appendleft(acc)
-    x[:warm] = block
-    kernel = _ar_kernel(p)
-    for start in range(warm, n, _RECURSION_BLOCK):
+    x = np.empty(n)
+    lags = deque()  # most recent output first; p of them once t reaches p
+    for start in range(0, n, _RECURSION_BLOCK):
         stop = min(start + _RECURSION_BLOCK, n)
-        block = x[start:stop].tolist()
-        lags = kernel(block, a_rows[start:stop, 1:].T.tolist(), lags)
-        x[start:stop] = block
+        a, b = coefficients(start, stop)
+        block = w[start:stop].copy()
+        # lag i reaches inside the record from sample i on
+        for i in range(1, min(b.shape[0], stop)):
+            first = max(i - start, 0)
+            block[first:] += b[i, first:] * w[start + first - i : stop - i]
+        p = a.shape[0] - 1
+        if p == 0:
+            x[start:stop] = block
+            continue
+        values = block.tolist()
+        cols = a[1:].tolist()
+        # samples t < p see fewer than p lags: one lag at a time
+        warm = min(max(p - start, 0), stop - start)
+        for t in range(warm):
+            acc = values[t]
+            for col, v in zip(cols, lags):
+                acc -= col[t] * v
+            values[t] = acc
+            lags.appendleft(acc)
+        x[start : start + warm] = values[:warm]
+        if warm:
+            values, cols = values[warm:], [col[warm:] for col in cols]
+        if values:
+            lags = _ar_kernel(p)(values, cols, lags)
+            x[start + warm : stop] = values
     return x
 
 
@@ -169,10 +178,12 @@ def gen_ar(
         raise ValueError("duration must cover at least one sample")
     burn = _burn_in(radius, coeffs.size)
     w = innovation_std * rng.standard_normal(n + burn)
-    a_row = np.r_[1.0, -coeffs][None, :]
-    a_rows = np.broadcast_to(a_row, (n + burn, coeffs.size + 1))
-    b_rows = np.ones((n + burn, 1))
-    x = _run_recursion(a_rows, b_rows, w)[burn:]
+    a_col = np.r_[1.0, -coeffs][:, None]
+
+    def coefficients(start, stop):
+        return np.broadcast_to(a_col, (a_col.size, stop - start)), np.ones((1, stop - start))
+
+    x = _run_recursion(coefficients, w)[burn:]
     return TimeSeries(samples=owned(x), sample_rate_hz=sample_rate_hz)
 
 
@@ -224,11 +235,12 @@ class PoleZeroSchedule:
         return 2 * self.zero_freqs_hz.shape[1] if self.zero_freqs_hz.size else 0
 
     def _interp(self, t: np.ndarray, table: np.ndarray) -> np.ndarray:
-        cols = [np.interp(t, self.times_s, table[:, p]) for p in range(table.shape[1])]
-        return np.stack(cols, axis=1) if cols else np.zeros((t.size, 0))
+        """(pairs, T): each column of ``table`` interpolated at times ``t``."""
+        rows = [np.interp(t, self.times_s, table[:, p]) for p in range(table.shape[1])]
+        return np.stack(rows) if rows else np.zeros((0, t.size))
 
-    def coefficient_rows(self, t: np.ndarray, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-        """Monic denominator and numerator coefficient rows at times ``t``."""
+    def _lag_rows(self, t: np.ndarray, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+        """Monic denominator and numerator coefficients at times ``t``, one row per lag."""
         t = np.asarray(t, dtype=float)
         a = _poly_rows(self._interp(t, self.pole_freqs_hz),
                        self._interp(t, self.pole_radii), sample_rate_hz)
@@ -236,8 +248,14 @@ class PoleZeroSchedule:
             b = _poly_rows(self._interp(t, self.zero_freqs_hz),
                            self._interp(t, self.zero_radii), sample_rate_hz)
         else:
-            b = np.ones((t.size, 1))
+            b = np.ones((1, t.size))
         return a, b
+
+    def coefficient_rows(self, t: np.ndarray, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+        """Monic denominator and numerator coefficient rows at times ``t``,
+        shapes (T, 2P + 1) and (T, 2Q + 1)."""
+        a, b = self._lag_rows(t, sample_rate_hz)
+        return np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
 
     @property
     def max_pole_radius(self) -> float:
@@ -245,17 +263,19 @@ class PoleZeroSchedule:
 
 
 def _poly_rows(freqs: np.ndarray, radii: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    """Per-row product of conjugate-pair quadratics, monic, shape (T, 2P+1)."""
-    n, pairs = freqs.shape
-    poly = np.ones((n, 1))
+    """Per-time product of conjugate-pair quadratics, monic, lag-major.
+
+    ``freqs`` and ``radii`` are (P, T); row i of the (2P + 1, T) result
+    holds lag i's coefficient at every time.
+    """
+    pairs, n = freqs.shape
+    poly = np.ones((1, n))
     for p in range(pairs):
-        theta = 2.0 * np.pi * freqs[:, p] / sample_rate_hz
-        quad = np.stack(
-            [np.ones(n), -2.0 * radii[:, p] * np.cos(theta), radii[:, p] ** 2], axis=1
-        )
-        out = np.zeros((n, poly.shape[1] + 2))
-        for i in range(poly.shape[1]):
-            out[:, i:i + 3] += poly[:, i:i + 1] * quad
+        theta = 2.0 * np.pi * freqs[p] / sample_rate_hz
+        quad = np.stack([np.ones(n), -2.0 * radii[p] * np.cos(theta), radii[p] ** 2])
+        out = np.zeros((poly.shape[0] + 2, n))
+        for i in range(poly.shape[0]):
+            out[i:i + 3] += poly[i] * quad
         poly = out
     return poly
 
@@ -271,18 +291,21 @@ def gen_arma_tv(
 
     Burn-in is run with the schedule frozen at its starting point and
     discarded.  With a constant schedule and no zeros this reproduces
-    `gen_ar` exactly for the same generator state.
+    `gen_ar` exactly for the same generator state.  The schedule is
+    evaluated one recursion block at a time.
     """
     n = int(round(duration_s * sample_rate_hz))
     if n < 1:
         raise ValueError("duration must cover at least one sample")
     burn = _burn_in(schedule.max_pole_radius, schedule.ar_order)
-    t = np.arange(n) / sample_rate_hz
-    a_rows, b_rows = schedule.coefficient_rows(t, sample_rate_hz)
-    a_rows = np.vstack([np.repeat(a_rows[:1], burn, axis=0), a_rows])
-    b_rows = np.vstack([np.repeat(b_rows[:1], burn, axis=0), b_rows])
     w = innovation_std * rng.standard_normal(n + burn)
-    x = _run_recursion(a_rows, b_rows, w)[burn:]
+
+    def coefficients(start, stop):
+        # burn-in samples sit at t = 0, sample burn + i at i / fs
+        t = np.maximum(np.arange(start - burn, stop - burn), 0) / sample_rate_hz
+        return schedule._lag_rows(t, sample_rate_hz)
+
+    x = _run_recursion(coefficients, w)[burn:]
     return TimeSeries(samples=owned(x), sample_rate_hz=sample_rate_hz)
 
 

@@ -13,6 +13,7 @@ imaginary part carries sigma^2 / 2).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -301,18 +302,30 @@ class EMConfig:
     """Convergence settings for `em_fit`.
 
     ``tol`` is the relative log-likelihood change that counts as
-    converged.
+    converged, a real number; ``max_iter`` is an integer, Python's or
+    numpy's.  A bool or a string is neither, and a float ``max_iter`` is
+    refused rather than truncated.
     """
 
     tol: float = 1e-6
     max_iter: int = 50
 
     def __post_init__(self):
-        if not self.tol >= 0:
+        tol, max_iter = self.tol, self.max_iter
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValueError(f"tol must be a real number, got {tol!r}")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+        try:
+            tol = float(tol)
+        except OverflowError:
+            raise ValueError("tol must fit in a float") from None
+        if not tol >= 0:
             raise ValueError("tol must be non-negative")
-        if int(self.max_iter) < 1:
+        if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_iter", int(max_iter))
 
 
 @dataclass(frozen=True)
@@ -356,33 +369,69 @@ def _e_step(coeffs, state_var, obs_var, init_var, weight):
     product sgain[k] * ps[k + 1] is the lag-one covariance Cov(Z_{k+1}, Z_k |
     all data) (de Jong and Mackinnon, Biometrika 75:601, 1988), and the
     innovations-form log-likelihood with bin j's terms counted weight[j] times.
+    The smoothed moments overwrite the forward pass's means and variances,
+    row by row from the last, so the filter's buffers are the only K + 1 row
+    arrays made.
     """
     k_windows = coeffs.shape[0]
     # [:2] frees the unused filter gains before the temporaries below
-    zf, pf = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)[:2]
-    pp = pf[:-1] + state_var
+    zs, ps = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)[:2]
+    pp = ps[:-1] + state_var
     # -ll per cell is log(pi v) + |e|^2 / v for innovation e of variance v,
-    # formed in place; window totals are then added in window order
-    innov = coeffs - zf[:-1]
+    # formed in place; complex subtraction is componentwise, so e's real and
+    # imaginary parts are taken apart, the same bits with no complex array.
+    # Window totals are then added in window order
+    nll = np.subtract(coeffs.real, zs.real[:-1])
+    np.square(nll, out=nll)
+    part = np.subtract(coeffs.imag, zs.imag[:-1])
+    nll += np.square(part, out=part)
+    del part
     innov_var = pp + obs_var[None, :]
-    nll = innov.real**2 + innov.imag**2
     nll /= innov_var
     innov_var *= np.pi
     nll += np.log(innov_var, out=innov_var)
+    del innov_var
     nll *= weight[:, None]
     ll = -float(np.cumsum(nll.sum(axis=(1, 2)))[-1])
-    del innov, innov_var, nll
+    del nll
 
-    zs = np.empty_like(zf)
-    ps = np.empty_like(pf)
-    zs[k_windows] = zf[k_windows]
-    ps[k_windows] = pf[k_windows]
-    sgain = pf[:-1] / pp
+    # RTS smoother: row K is already smoothed, and each row k below it reads
+    # the smoothed row k + 1 and its own filtered values before it is overwritten
+    sgain = ps[:-1] / pp
     for k in range(k_windows - 1, -1, -1):
         g = sgain[k]
-        zs[k] = zf[k] + g * (zs[k + 1] - zf[k])
-        ps[k] = pf[k] + g**2 * (ps[k + 1] - pp[k])
+        zs[k] += g * (zs[k + 1] - zs[k])
+        ps[k] += g**2 * (ps[k + 1] - pp[k])
     return zs, ps, sgain, ll
+
+
+def _m_step(coeffs, zs, ps, sgain, weight, j_bins):
+    """New ``(state_var, obs_var)`` from the E-step's smoothed moments.
+
+    Bin j's residuals count weight[j] times in the observation variance,
+    which is pooled over the J bins of the grid.  Every temporary dies at return.
+    """
+    k_windows = coeffs.shape[0]
+    # E|Z_{k+1} - Z_k|^2, the real and imaginary differences taken apart as
+    # in the E-step, summed in the order |dz|^2 + ps[k] + (1 - 2 sgain) ps[k+1]
+    increments = np.subtract(zs.real[1:], zs.real[:-1])
+    np.square(increments, out=increments)
+    part = np.subtract(zs.imag[1:], zs.imag[:-1])
+    increments += np.square(part, out=part)
+    increments += ps[:-1]
+    np.multiply(2.0, sgain, out=part)
+    np.subtract(1.0, part, out=part)
+    part *= ps[1:]
+    increments += part
+    del part
+    state_var = np.maximum(increments.mean(axis=0), 0.0)
+    del increments
+    resid = np.abs(coeffs - zs[1:])
+    np.square(resid, out=resid)
+    resid += ps[1:]
+    resid *= weight[:, None]
+    obs_var = np.maximum(resid.sum(axis=(0, 1)) / (k_windows * j_bins), np.finfo(float).tiny)
+    return state_var, obs_var
 
 
 def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
@@ -439,7 +488,6 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     # state_var to a new array, so this one is never written
     init_var = state_var
 
-    tiny = np.finfo(float).tiny
     lls: list[float] = []
     converged = False
     for _ in range(cfg.max_iter):
@@ -448,12 +496,10 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= cfg.tol * abs(lls[-2]):
             converged = True
             break
-        dz = zs[1:] - zs[:-1]
-        increments = dz.real**2 + dz.imag**2 + ps[:-1] + (1.0 - 2.0 * sgain) * ps[1:]
-        state_var = np.maximum(increments.mean(axis=0), 0.0)
-        resid = np.abs(coeffs - zs[1:]) ** 2 + ps[1:]
-        resid *= weight[:, None]
-        obs_var = np.maximum(resid.sum(axis=(0, 1)) / (k_windows * j_bins), tiny)
+        state_var, obs_var = _m_step(coeffs, zs, ps, sgain, weight, j_bins)
+        # the next E-step makes its own moments: dropping these first keeps
+        # one iteration's arrays alive at a time
+        del zs, ps, sgain
     if not converged:
         warnings.warn(
             f"em_fit did not converge within {cfg.max_iter} iterations",

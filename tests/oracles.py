@@ -213,6 +213,62 @@ def full_grid_em(coeffs, tol=1e-6, max_iter=50):
     return state_var, obs_var, np.asarray(lls), converged
 
 
+def allocating_em(coeffs, j_bins, tol=1e-6, max_iter=50):
+    """`statespec.ssm.em_fit` as it was before it smoothed in place: a frozen copy.
+
+    Separate smoothed arrays beside the filter's, a complex innovation and a
+    complex window difference, and each iteration's moments held while the
+    next E-step runs.  ``coeffs`` holds B of the ``j_bins`` grid bins, B = J
+    or J//2 + 1, and bins 1..J - B count twice.  The fit must match this
+    one bit for bit.  Returns ``(state_var, obs_var, log_likelihoods,
+    n_iter, converged)``.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+    k_windows, b_bins, _ = coeffs.shape
+    weight = np.ones(b_bins)
+    weight[1 : j_bins - b_bins + 1] = 2.0
+    diff2 = np.abs(np.diff(coeffs, axis=0)) ** 2
+    dbar = diff2.mean(axis=0)
+    obs_var = 0.25 * np.median(np.repeat(dbar, weight.astype(int), axis=0), axis=0)
+    obs_var = np.maximum(obs_var, np.finfo(float).tiny)
+    state_var = np.maximum(dbar - 2.0 * obs_var[None, :], 0.05 * dbar)
+    state_var = np.maximum(state_var, np.finfo(float).tiny)
+    init_var = state_var
+
+    lls = []
+    converged = False
+    for _ in range(max_iter):
+        zf, pf = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)[:2]
+        pp = pf[:-1] + state_var
+        innov = coeffs - zf[:-1]
+        innov_var = pp + obs_var[None, :]
+        nll = innov.real**2 + innov.imag**2
+        nll /= innov_var
+        innov_var *= np.pi
+        nll += np.log(innov_var, out=innov_var)
+        nll *= weight[:, None]
+        lls.append(-float(np.cumsum(nll.sum(axis=(1, 2)))[-1]))
+        zs = np.empty_like(zf)
+        ps = np.empty_like(pf)
+        zs[k_windows] = zf[k_windows]
+        ps[k_windows] = pf[k_windows]
+        sgain = pf[:-1] / pp
+        for k in range(k_windows - 1, -1, -1):
+            g = sgain[k]
+            zs[k] = zf[k] + g * (zs[k + 1] - zf[k])
+            ps[k] = pf[k] + g**2 * (ps[k + 1] - pp[k])
+        if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= tol * abs(lls[-2]):
+            converged = True
+            break
+        dz = zs[1:] - zs[:-1]
+        increments = dz.real**2 + dz.imag**2 + ps[:-1] + (1.0 - 2.0 * sgain) * ps[1:]
+        state_var = np.maximum(increments.mean(axis=0), 0.0)
+        resid = np.abs(coeffs - zs[1:]) ** 2 + ps[1:]
+        resid *= weight[:, None]
+        obs_var = np.maximum(resid.sum(axis=(0, 1)) / (k_windows * j_bins), np.finfo(float).tiny)
+    return state_var, obs_var, np.asarray(lls), len(lls), converged
+
+
 def lag_one_covariance_recursion(pf, sgain, last_gain):
     """Cov(Z_{k+1}, Z_k | all data) by its own backward recursion.
 

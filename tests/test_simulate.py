@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -187,6 +188,12 @@ def recursion_case(rng, n, p, q):
     return a_rows, b_rows, w
 
 
+def row_source(a_rows, b_rows):
+    """`simulate._run_recursion`'s coefficient callable over whole-record
+    (n, order + 1) rows: each block's rows, lag-major."""
+    return lambda start, stop: (a_rows[start:stop].T, b_rows[start:stop].T)
+
+
 class TestRunRecursion:
     """The blocked recursion against the per-sample loop, bit for bit."""
 
@@ -196,12 +203,12 @@ class TestRunRecursion:
     def test_matches_loop(self, n, p, q):
         rng = np.random.default_rng([n, p, q])
         a_rows, b_rows, w = recursion_case(rng, n, p, q)
-        assert_same_bits(simulate._run_recursion(a_rows, b_rows, w),
+        assert_same_bits(simulate._run_recursion(row_source(a_rows, b_rows), w),
                          arma_recursion_loop(a_rows, b_rows, w))
         # constant rows, broadcast as gen_ar passes them
         a_const = np.broadcast_to(a_rows[:1], a_rows.shape)
         b_const = np.broadcast_to(b_rows[:1], b_rows.shape)
-        assert_same_bits(simulate._run_recursion(a_const, b_const, w),
+        assert_same_bits(simulate._run_recursion(row_source(a_const, b_const), w),
                          arma_recursion_loop(a_const, b_const, w))
 
     @settings(max_examples=60, deadline=None)
@@ -217,7 +224,7 @@ class TestRunRecursion:
         expected = arma_recursion_loop(a_rows, b_rows, w)
         # a small block size puts block boundaries inside short records
         with mock.patch.object(simulate, "_RECURSION_BLOCK", block):
-            assert_same_bits(simulate._run_recursion(a_rows, b_rows, w), expected)
+            assert_same_bits(simulate._run_recursion(row_source(a_rows, b_rows), w), expected)
 
     @pytest.mark.parametrize("pairs", [0, 1, 2, 3])
     def test_poly_rows_match_loop(self, pairs):
@@ -225,8 +232,9 @@ class TestRunRecursion:
         freqs = rng.uniform(0.0, 20.0, (500, pairs))
         radii = rng.uniform(0.0, 0.99, (500, pairs))
         radii[::17] = 0.0
-        assert_same_bits(simulate._poly_rows(freqs, radii, 40.0),
-                         poly_rows_loop(freqs, radii, 40.0))
+        # lag-major: one row per lag, one column per time
+        assert_same_bits(simulate._poly_rows(freqs.T, radii.T, 40.0),
+                         poly_rows_loop(freqs, radii, 40.0).T)
 
 
 class TestArKernel:
@@ -239,11 +247,11 @@ class TestArKernel:
         # n = p + 1 gives the kernel one sample; 2 blocks + p crosses a block edge
         for n in (p - 1, p, p + 1, 2 * simulate._RECURSION_BLOCK + p):
             a_rows, b_rows, w = recursion_case(np.random.default_rng([n, p, q]), n, p, q)
-            assert_same_bits(simulate._run_recursion(a_rows, b_rows, w),
+            assert_same_bits(simulate._run_recursion(row_source(a_rows, b_rows), w),
                              arma_recursion_loop(a_rows, b_rows, w))
             a_const = np.broadcast_to(a_rows[:1], a_rows.shape)
             b_const = np.broadcast_to(b_rows[:1], b_rows.shape)
-            assert_same_bits(simulate._run_recursion(a_const, b_const, w),
+            assert_same_bits(simulate._run_recursion(row_source(a_const, b_const), w),
                              arma_recursion_loop(a_const, b_const, w))
 
     @settings(max_examples=80, deadline=None)
@@ -257,9 +265,9 @@ class TestArKernel:
     def test_short_blocks_match_loop(self, n, p, q, block, seed):
         a_rows, b_rows, w = recursion_case(np.random.default_rng(seed), n, p, q)
         expected = arma_recursion_loop(a_rows, b_rows, w)
-        # blocks shorter than the order put block edges right after the warm-up
+        # blocks shorter than the order put block edges inside and right after the warm-up
         with mock.patch.object(simulate, "_RECURSION_BLOCK", block):
-            assert_same_bits(simulate._run_recursion(a_rows, b_rows, w), expected)
+            assert_same_bits(simulate._run_recursion(row_source(a_rows, b_rows), w), expected)
 
     def test_odd_order_through_gen_ar(self):
         coeffs = np.r_[ar_coefficients([3.0, 7.0], [0.8, 0.7], 40.0), 0.01]
@@ -289,6 +297,36 @@ class TestArKernel:
 
 
 class TestGenArmaTv:
+    @pytest.mark.parametrize("block", [3, 50, 4096])
+    def test_matches_whole_record_rows(self, block):
+        # the schedule evaluated over the whole record, burn-in rows repeated
+        # from t = 0, and the per-sample loop: block edges fall inside the
+        # burn-in, on its end and in the record
+        fs = 40.0
+        sched = PoleZeroSchedule(
+            times_s=np.array([0.0, 6.0, 20.0]),
+            pole_freqs_hz=np.array([[2.0, 9.0], [5.0, 12.0], [3.0, 15.0]]),
+            pole_radii=np.array([[0.9, 0.5], [0.8, 0.7], [0.95, 0.6]]),
+            zero_freqs_hz=np.array([[1.0], [4.0], [18.0]]),
+            zero_radii=np.array([[0.4], [0.9], [0.2]]),
+        )
+        with mock.patch.object(simulate, "_RECURSION_BLOCK", block):
+            series = gen_arma_tv(sched, 20.0, fs, np.random.default_rng(9), 0.5)
+        n = series.samples.size
+        burn = simulate._burn_in(sched.max_pole_radius, sched.ar_order)
+        a_rows, b_rows = sched.coefficient_rows(np.arange(n) / fs, fs)
+        a_rows = np.vstack([np.repeat(a_rows[:1], burn, axis=0), a_rows])
+        b_rows = np.vstack([np.repeat(b_rows[:1], burn, axis=0), b_rows])
+        w = 0.5 * np.random.default_rng(9).standard_normal(n + burn)
+        assert_same_bits(series.samples, arma_recursion_loop(a_rows, b_rows, w)[burn:])
+
+    def test_coefficient_rows_are_time_major(self):
+        sched = benchmark_config(duration_s=60.0).arma_schedule
+        a_rows, b_rows = sched.coefficient_rows(np.array([0.0, 10.0, 59.0]), 36.0)
+        assert a_rows.shape == (3, 7) and b_rows.shape == (3, 5)
+        assert a_rows.flags.c_contiguous and b_rows.flags.c_contiguous
+        assert np.all(a_rows[:, 0] == 1.0) and np.all(b_rows[:, 0] == 1.0)
+
     def test_constant_schedule_reduces_to_gen_ar(self):
         fs = 50.0
         sched = PoleZeroSchedule(
@@ -374,6 +412,22 @@ class TestGenRegimeSwitch:
 
 
 class TestBenchmark:
+    def test_peak_memory_is_a_few_records(self):
+        """With blocks short beside the record, the peak is set by record-long
+        arrays: the 300 s record peaked at 6.2x its bytes with the schedule
+        evaluated per block, 30x with coefficient rows over the whole record."""
+        cfg = benchmark_config(duration_s=300.0, seed=1)
+        with mock.patch.object(simulate, "_RECURSION_BLOCK", 256):
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                series, _ = gen_benchmark(cfg)
+                peak = tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+        ratio = peak / series.samples.nbytes
+        assert ratio <= 8.0, f"gen_benchmark peaked at {ratio:.1f}x its record"
+
     def test_deterministic(self):
         cfg = benchmark_config(duration_s=30.0, seed=11)
         a, _ = gen_benchmark(cfg)

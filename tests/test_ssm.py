@@ -1,10 +1,12 @@
 """Per-chain Kalman filtering, EM fitting, and spectrogram assembly."""
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from conftest import make_eig
 from oracles import (
+    allocating_em,
     full_grid_coefficients,
     full_grid_em,
     gaussian_conditioning_means,
@@ -239,6 +241,34 @@ class TestEMFit:
         with pytest.raises(ValueError, match="max_iter"):
             EMConfig(max_iter=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iter", 2.5),
+            ("max_iter", 3.0),
+            ("max_iter", True),
+            ("max_iter", np.True_),
+            ("max_iter", "3"),
+            ("max_iter", 1e400),
+            ("max_iter", None),
+            ("tol", True),
+            ("tol", "1e-3"),
+            ("tol", float("nan")),
+            pytest.param("tol", 10**400, id="tol-int-past-float"),
+            ("tol", None),
+        ],
+    )
+    def test_config_rejects_wrong_kinds(self, field, value):
+        # a float count would be truncated and a bool or a string misread
+        with pytest.raises(ValueError, match=field):
+            EMConfig(**{field: value})
+
+    @pytest.mark.parametrize("max_iter", [np.int64(7), np.int32(7), np.uint8(7), 7])
+    def test_config_accepts_integer_kinds(self, max_iter):
+        config = EMConfig(tol=0, max_iter=max_iter)
+        assert config.max_iter == 7 and type(config.max_iter) is int
+        assert config.tol == 0.0 and type(config.tol) is float
+
 
 class TestLagOneCovariance:
     @pytest.mark.parametrize("k", [2, 3, 30])
@@ -339,6 +369,76 @@ class TestHermitianReduction:
         fit = fit_quietly(eig, EMConfig(max_iter=3))
         assert seen == [bins] * 3
         assert fit.params.state_var.shape == eig.shape[1:]
+
+
+def same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return (actual.dtype == expected.dtype and actual.shape == expected.shape
+            and actual.tobytes() == expected.tobytes())
+
+
+class TestEMWorkingSet:
+    """EM smooths over the filter's buffers and frees each iteration's
+    moments: the fit is the allocating one's, bit for bit, in a few copies
+    of the coefficients."""
+
+    @pytest.mark.parametrize("k", [2, 3, 40])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng, k: real_signal_eig(rng, 24, k_windows=k),
+            lambda rng, k: real_signal_eig(rng, 25, k_windows=k),
+            lambda rng, k: make_eig(rng, k=k, j=24, m=2),
+        ],
+        ids=["real-even", "real-odd", "complex"],
+    )
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, 6), (1e-6, 3000)], ids=["capped", "converged"])
+    def test_matches_allocating_em(self, rng, make, k, tol, max_iter):
+        eig = make(rng, k)
+        fit = fit_quietly(eig, EMConfig(tol=tol, max_iter=max_iter))
+        state_var, obs_var, lls, n_iter, converged = allocating_em(
+            eig.coeffs, eig.frequencies_hz.size, tol=tol, max_iter=max_iter
+        )
+        assert converged == (tol > 0)
+        assert fit.converged == converged
+        assert fit.n_iter == n_iter
+        assert same_bits(fit.params.state_var, state_var)
+        assert same_bits(fit.params.obs_var, obs_var)
+        assert same_bits(fit.log_likelihoods, lls)
+
+    def test_e_step_smooths_over_the_filters_buffers(self, rng, monkeypatch):
+        made = []
+        forward_pass = ssm._forward_pass
+
+        def spy(*args, **kwargs):
+            made.append(forward_pass(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(ssm, "_forward_pass", spy)
+        coeffs = make_eig(rng, k=5, j=4, m=2).coeffs
+        state_var = np.full((4, 2), 0.5)
+        zs, ps, _, _ = ssm._e_step(coeffs, state_var, np.ones(2), state_var, np.ones(4))
+        means, variances, _ = made[0]
+        assert zs is means and ps is variances
+
+    def test_peak_memory_is_a_few_coefficient_copies(self, rng):
+        """A full-record fit at the 600 s benchmark's window count, on a real
+        signal's bins 0..J//2 in the window-major layout the command line
+        passes.  It measured 3.5x the coefficients; the allocating EM, which
+        held one iteration's moments while the next E-step ran, 9.1x."""
+        eig = real_signal_eig(rng, 216, k_windows=100)
+        eig = EigenCoefficients(coeffs=np.ascontiguousarray(eig.coeffs),
+                                frequencies_hz=eig.frequencies_hz,
+                                window_times_s=eig.window_times_s)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            fit_quietly(eig, EMConfig(tol=0.0, max_iter=4))
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        ratio = peak / eig.coeffs.nbytes
+        assert ratio <= 4.5, f"EM peaked at {ratio:.2f}x its coefficients"
 
 
 class TestSpectrograms:

@@ -13,7 +13,8 @@ resulting time-varying state variance.  No refitting.
 
 `NonstationarityTracker`, `ema_update` and `adaptive_state_variance`
 are the same rule one window at a time, for stepping a single chain or
-checking the vectorized pass.
+checking the vectorized pass; `assmt_filter` returns the tracker after its
+last window, so a record can be filtered block by block.
 """
 
 from __future__ import annotations
@@ -38,22 +39,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonstationarityTracker:
-    """Moving average of squared observation differences per chain."""
+    """Moving average of squared observation differences per chain.
 
-    ema: np.ndarray  # (J, M), >= 0
+    ``ema`` is None after the first observation, which has no difference
+    yet: the next update then takes its squared difference as the average.
+    """
+
+    ema: np.ndarray | None  # (J, M), >= 0
     alpha: float
     prev_obs: np.ndarray  # (J, M) complex
 
     def __post_init__(self):
-        ema = frozen_array(self.ema, dtype=float, ndim=2, name="ema")
         prev_obs = frozen_array(self.prev_obs, dtype=complex, ndim=2, name="prev_obs")
-        if ema.shape != prev_obs.shape:
-            raise ValueError("ema and prev_obs must share a shape")
-        if np.any(ema < 0) or not np.all(np.isfinite(ema)):
-            raise ValueError("ema must be finite and non-negative")
+        if self.ema is not None:
+            ema = frozen_array(self.ema, dtype=float, ndim=2, name="ema")
+            if ema.shape != prev_obs.shape:
+                raise ValueError("ema and prev_obs must share a shape")
+            if np.any(ema < 0) or not np.all(np.isfinite(ema)):
+                raise ValueError("ema must be finite and non-negative")
+            object.__setattr__(self, "ema", ema)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        object.__setattr__(self, "ema", ema)
         object.__setattr__(self, "prev_obs", prev_obs)
         object.__setattr__(self, "alpha", float(self.alpha))
 
@@ -98,9 +104,10 @@ def ema_update(tracker: NonstationarityTracker, obs_k: np.ndarray) -> Nonstation
     """Blend the newest squared difference into the tracker.
 
     Returns a new tracker with
-    ``ema' = (1 - alpha) * ema + alpha * ||obs_k - prev_obs||^2`` and
-    ``prev_obs`` replaced by ``obs_k``.  With alpha = 0 the average never
-    moves; with alpha = 1 it equals the latest squared difference.
+    ``ema' = (1 - alpha) * ema + alpha * ||obs_k - prev_obs||^2``, or the
+    squared difference alone when ``ema`` is None, and ``prev_obs``
+    replaced by ``obs_k``.  With alpha = 0 the average never moves; with
+    alpha = 1 it equals the latest squared difference.
     """
     obs_k = np.asarray(obs_k, dtype=complex)
     if obs_k.shape != tracker.prev_obs.shape:
@@ -109,7 +116,10 @@ def ema_update(tracker: NonstationarityTracker, obs_k: np.ndarray) -> Nonstation
         raise ValueError("obs_k must be finite")
     diff = obs_k - tracker.prev_obs
     diff2 = diff.real**2 + diff.imag**2
-    ema = (1.0 - tracker.alpha) * tracker.ema + tracker.alpha * diff2
+    if tracker.ema is None:
+        ema = diff2
+    else:
+        ema = (1.0 - tracker.alpha) * tracker.ema + tracker.alpha * diff2
     return NonstationarityTracker(ema=ema, alpha=tracker.alpha, prev_obs=obs_k)
 
 
@@ -128,22 +138,45 @@ def adaptive_state_variance(ema_value, baseline_state_var, obs_var):
     return out if out.ndim else float(out)
 
 
-def _tracked_state_variance(coeffs, params: AdaptiveParams, alpha: float) -> np.ndarray:
-    """The (K, B, M) state variances `assmt_filter` runs with.
+def _tracked_state_variance(coeffs, params: AdaptiveParams, alpha: float,
+                            tracker: NonstationarityTracker | None = None):
+    """The (K, B, M) state variances `assmt_filter` runs with, and the tracker
+    after the last window.
 
     `ema_update` applied window after window to every chain at once, in
-    place over the squared differences, seeded with the first of them.
+    place over the squared differences.  Without ``tracker`` the first
+    window keeps the baseline and starts the tracker; with it, the first
+    window continues it, with the same bits as when the windows before it
+    are in ``coeffs``.
     """
     sv = np.empty(coeffs.shape)
-    sv[0] = params.baseline_state_var
-    if len(coeffs) > 1:
-        diff = np.diff(coeffs, axis=0)
-        ema = diff.real**2 + diff.imag**2
+    if tracker is None:
+        sv[0] = params.baseline_state_var
+        # sliced, as np.diff reads it: the forward pass is the one reader of
+        # each window
+        tracker = NonstationarityTracker(ema=None, alpha=alpha, prev_obs=coeffs[:1][0])
+        rest, rest_sv = coeffs[1:], sv[1:]
+    else:
+        rest, rest_sv = coeffs, sv
+    if len(rest):
+        # the differences np.diff takes, the first from the tracker's
+        # observation; a square past the float range is reported once, below
+        diff = np.empty(rest.shape, dtype=complex)
+        with np.errstate(over="ignore"):
+            np.subtract(rest[0], tracker.prev_obs, out=diff[0])
+            np.subtract(rest[1:], rest[:-1], out=diff[1:])
+            ema = diff.real**2 + diff.imag**2
+        del diff
+        if not np.isfinite(ema).all():
+            raise ValueError("squared differences of the observations overflow")
+        if tracker.ema is not None:
+            ema[0] = alpha * ema[0] + (1.0 - alpha) * tracker.ema
         for k in range(1, len(ema)):
             ema[k] = alpha * ema[k] + (1.0 - alpha) * ema[k - 1]
+        tracker = NonstationarityTracker(ema=ema[-1], alpha=alpha, prev_obs=rest[-1])
         ema -= 2.0 * params.obs_var[None, :]
-        np.maximum(ema, params.baseline_state_var, out=sv[1:])
-    return sv
+        np.maximum(ema, params.baseline_state_var, out=rest_sv)
+    return sv, tracker
 
 
 def assmt_filter(
@@ -152,7 +185,8 @@ def assmt_filter(
     alpha: float = 0.95,
     init_mean: np.ndarray | None = None,
     init_var: np.ndarray | None = None,
-) -> tuple[FilterTrace, np.ndarray]:
+    tracker: NonstationarityTracker | None = None,
+) -> tuple[FilterTrace, np.ndarray, NonstationarityTracker]:
     """Fixed-parameter filter run with the state variance set by the tracker.
 
     Parameters
@@ -166,31 +200,42 @@ def assmt_filter(
     init_mean, init_var : ndarray, optional
         Starting state, (B, M) for the B bins of ``obs``; zero mean and the
         baseline variance when omitted, mirroring the fixed-parameter filter.
+    tracker : NonstationarityTracker, optional
+        The tracker after the window before ``obs``'s first, with weight
+        ``alpha``.  Omitted, ``obs`` starts the record.
 
     Returns
     -------
-    (FilterTrace, ndarray)
-        The filter trace and the (K, B, M) state variances actually used,
-        read-only.
+    (FilterTrace, ndarray, NonstationarityTracker)
+        The filter trace, the (K, B, M) state variances actually used,
+        read-only, and the tracker after the last window.  A record filtered
+        in consecutive blocks, each started from the previous block's last
+        posterior mean and variance and its tracker, gives the bits of one
+        call over the whole record.
 
     Notes
     -----
     The tracker depends on the observations alone, so it runs first, over
     every window at once; the fixed-parameter forward pass then runs with
-    the resulting (K, B, M) state variance.  The first window is filtered
-    under the baseline because no difference exists yet; the tracker is
-    seeded with the first available squared difference, so the second
-    window already sees it at full weight.
+    the resulting (K, B, M) state variance.  The first window of a record
+    is filtered under the baseline because no difference exists yet; the
+    tracker is seeded with the first available squared difference, so the
+    second window already sees it at full weight.
     """
     if params.baseline_state_var.shape != obs.coeffs.shape[1:]:
         raise ValueError("params shape must match (bins, tapers) of obs")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    if tracker is not None:
+        if tracker.prev_obs.shape != obs.coeffs.shape[1:]:
+            raise ValueError("tracker shape must match (bins, tapers) of obs")
+        if tracker.alpha != alpha:
+            raise ValueError(f"tracker weight {tracker.alpha} is not alpha {alpha}")
 
-    state_var_trace = _tracked_state_variance(obs.coeffs, params, alpha)
+    state_var_trace, tracker = _tracked_state_variance(obs.coeffs, params, alpha, tracker)
     state_var_trace.setflags(write=False)
     trace = _filter_trace(obs, state_var_trace, params.obs_var, init_mean, init_var)
-    return trace, state_var_trace
+    return trace, state_var_trace, tracker
 
 
 def assmt_spectrogram(trace: FilterTrace, one_sided: bool = False) -> Spectrogram:

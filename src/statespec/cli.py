@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -251,8 +254,10 @@ def _settings(cls, args: argparse.Namespace, out_field: str):
 def run_pipeline(config: RunConfig) -> dict[str, Path]:
     """Run one estimation end to end and write its outputs.
 
-    Everything is computed before the first byte is written, so a failed
-    run leaves no partial files behind.
+    The outputs are written block by block into a temporary directory and
+    moved into the output directory once all of them are complete; a failed
+    run removes the temporary directory, and leaves the file system as it
+    found it.
     """
     try:
         return _run_pipeline(config)
@@ -263,6 +268,56 @@ def run_pipeline(config: RunConfig) -> dict[str, Path]:
 
 
 def _run_pipeline(config: RunConfig) -> dict[str, Path]:
+    out = Path(config.output_dir)
+    # the temporary directory goes in the nearest existing directory at or
+    # above the output directory: on its file system, so no rename copies
+    parent = out
+    while not parent.is_dir():
+        parent = parent.parent
+    staging = Path(tempfile.mkdtemp(prefix=".statespec-", dir=parent))
+    try:
+        _estimate(config, staging)
+        out.mkdir(parents=True, exist_ok=True)
+        # the manifest last, once every file it describes is in place
+        names = sorted(path.name for path in staging.iterdir())
+        names.append(names.pop(names.index("manifest.json")))
+        for name in names:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return {Path(name).stem: out / name for name in names}
+
+
+# Cells (windows x stored bins x tapers) an estimate transforms, filters and
+# writes at a time, so its memory does not grow with the record
+_BLOCK_CELLS = 1 << 14
+
+
+def _coefficients(series: TimeSeries, bank, config: RunConfig, times: np.ndarray,
+                  first: int, stop: int, window_major: bool) -> EigenCoefficients:
+    """Windows ``first``..``stop - 1`` of the record, transformed from their
+    own samples: each window's bits are those of the whole record's transform.
+
+    ``window_major`` copies them into the window-major layout the filters
+    step through; mt's taper mean keeps the transform's own layout.
+    """
+    j, hop = config.window_samples, config.hop
+    block = TimeSeries(samples=owned(series.samples[first * hop:(stop - 1) * hop + j]),
+                       sample_rate_hz=series.sample_rate_hz)
+    eig = eigen_coefficients(segment(block, j, hop, demean=config.demean), bank)
+    coeffs = np.ascontiguousarray(eig.coeffs) if window_major else eig.coeffs
+    return EigenCoefficients(coeffs=owned(coeffs), frequencies_hz=eig.frequencies_hz,
+                             window_times_s=times[first:stop])
+
+
+def _estimate(config: RunConfig, staging: Path) -> None:
+    """Estimate and write every output file into ``staging``.
+
+    EM fits the baseline windows, or all of them when there is no baseline.
+    Then the record is transformed, filtered and written in blocks of
+    windows; a block reuses the fit's coefficients where they exist, and
+    starts from the previous block's last posterior and tracker.
+    """
     samples = io.read_signal(config.input_path, config.input_format)
     if samples.size < config.window_samples:
         raise DataError(
@@ -270,106 +325,96 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
             f"fewer than one {config.window_samples}-sample window"
         )
     bank = dpss(config.window_samples, config.time_half_bandwidth, config.tapers)
-
     series = TimeSeries(samples=owned(samples), sample_rate_hz=config.sample_rate_hz)
-    eig = eigen_coefficients(
-        segment(series, config.window_samples, config.hop, demean=config.demean), bank
-    )
-    del series, samples
+    del samples
+    j, hop = config.window_samples, config.hop
+    n_windows = (series.samples.size - j) // hop + 1
+    # the window centres eigen_coefficients gives the whole record
+    times = (np.arange(n_windows) * hop + j / 2.0) / series.sample_rate_hz
 
-    em_info = None
-    extras: dict[str, np.ndarray] = {}
-    # per-window traces, one column per row of frequencies.csv
-    traces: dict[str, np.ndarray] = {}
-    if config.method == "mt":
-        spect = mt_spectrogram(eig, one_sided=config.one_sided)
-    else:
-        # EM and the filters step window by window: one window-major copy of
-        # the coefficients serves them all, and the transform's array goes
-        eig = EigenCoefficients(
-            coeffs=owned(np.ascontiguousarray(eig.coeffs)),
-            frequencies_hz=eig.frequencies_hz,
-            window_times_s=eig.window_times_s,
-        )
-        fit_obs = eig
+    n_fit = 0
+    if config.method != "mt":
+        n_fit = n_windows
         if config.baseline_seconds > 0:
-            n_base = min(config.baseline_windows, eig.shape[0])
-            fit_obs = EigenCoefficients(
-                coeffs=eig.coeffs[:n_base],
-                frequencies_hz=eig.frequencies_hz,
-                window_times_s=eig.window_times_s[:n_base],
-            )
+            n_fit = min(config.baseline_windows, n_windows)
+    manifest = {"command": "estimate", "version": __version__, "config": asdict(config)}
+    if n_fit:
+        fit_obs = _coefficients(series, bank, config, times, 0, n_fit, window_major=True)
+        if n_fit == n_windows:
+            # every block reuses the fit's coefficients: the samples can go
+            series = None
         fit = em_fit(fit_obs, EMConfig(tol=config.em_tol, max_iter=config.em_max_iter))
-        del fit_obs
-        # warm start at the first observation: the state prior has no
-        # knowledge of absolute level, so seeding with window 0 avoids a
-        # long ramp-in at bins whose power sits far above the prior mean
-        init_mean = eig.coeffs[0].copy()
-        init_var = np.broadcast_to(fit.params.obs_var[None, :], fit.params.state_var.shape).copy()
-        # the fit holds bins 0..J//2; state_var.csv holds the model's (J, M) grid
-        extras["state_var"] = _unfold(fit.params.state_var, config.window_samples, axis=0)
-        extras["obs_var"] = fit.params.obs_var
-        if config.method == "ssmt":
-            trace = filter_all(eig, fit.params, init_mean=init_mean, init_var=init_var)
-        else:
-            trace, sv_trace = assmt_filter(
-                eig,
-                AdaptiveParams.from_model_params(fit.params),
-                alpha=config.alpha,
-                init_mean=init_mean,
-                init_var=init_var,
-            )
-            for m in range(sv_trace.shape[2]):
-                traces[f"state_var_trace_taper{m}"] = sv_trace[:, :, m]
-        # the filter was the last user of the coefficients
-        del eig
-        for m in range(trace.gains.shape[2]):
-            traces[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
-        spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
-        if not config.one_sided:
-            traces = {name: _unfold(values, config.window_samples)
-                      for name, values in traces.items()}
-        em_info = {
+        params = fit.params
+        manifest["em"] = {
             "converged": fit.converged,
             "n_iter": fit.n_iter,
             "log_likelihoods": [float(v) for v in fit.log_likelihoods],
         }
-    if config.scale == "dB":
-        spect = spect.to_db()
-    if config.output_format == "bin":
-        # a finite value past the float32 range would be written as inf
-        for name, values in {"spectrogram": spect.power, **extras, **traces}.items():
-            if values.ndim == 2:
-                io.check_float32(values, name)
+        # the fit holds bins 0..J//2; state_var.csv holds the model's (J, M) grid
+        io.write_matrix(staging / "state_var", _unfold(params.state_var, j, axis=0),
+                        fmt=config.output_format)
+        io.write_vector_csv(staging / "obs_var.csv", params.obs_var)
+        # warm start at the first observation: the state prior has no
+        # knowledge of absolute level, so seeding with window 0 avoids a
+        # long ramp-in at bins whose power sits far above the prior mean
+        mean = fit_obs.coeffs[0].copy()
+        var = np.broadcast_to(params.obs_var[None, :], params.state_var.shape).copy()
+        adaptive = AdaptiveParams.from_model_params(params)
+        tracker = None
 
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    paths["spectrogram"] = io.write_matrix(
-        out / "spectrogram", spect.power, fmt=config.output_format, scale=spect.scale
-    )
-    io.write_vector_csv(out / "frequencies.csv", spect.frequencies_hz)
-    io.write_vector_csv(out / "times.csv", spect.window_times_s)
-    paths["frequencies"] = out / "frequencies.csv"
-    paths["times"] = out / "times.csv"
-    for name, values in extras.items():
-        if values.ndim == 1:
-            io.write_vector_csv(out / f"{name}.csv", values)
-            paths[name] = out / f"{name}.csv"
+    step = max(1, _BLOCK_CELLS // ((j // 2 + 1) * config.tapers))
+    # blocks end where the fit does, so each one reuses the fit's rows or
+    # transforms its own
+    for first in [*range(0, n_fit, step), *range(n_fit, n_windows, step)]:
+        stop = min(first + step, n_fit if first < n_fit else n_windows)
+        if first < n_fit:
+            eig = EigenCoefficients(coeffs=owned(fit_obs.coeffs[first:stop]),
+                                    frequencies_hz=fit_obs.frequencies_hz,
+                                    window_times_s=times[first:stop])
+            if stop == n_fit:
+                # past this block, only the filter's view of it holds the fit's rows
+                del fit_obs
         else:
-            paths[name] = io.write_matrix(out / name, values, fmt=config.output_format)
-    for name, values in traces.items():
-        paths[name] = io.write_matrix(out / name, values, fmt=config.output_format)
-    manifest = {
-        "command": "estimate",
-        "version": __version__,
-        "config": asdict(config),
-    }
-    if em_info is not None:
-        manifest["em"] = em_info
-    io.write_manifest(out / "manifest.json", manifest)
-    paths["manifest"] = out / "manifest.json"
-    return paths
+            eig = _coefficients(series, bank, config, times, first, stop,
+                                window_major=config.method != "mt")
+        # per-window traces, one column per row of frequencies.csv
+        traces: dict[str, np.ndarray] = {}
+        if config.method == "mt":
+            spect = mt_spectrogram(eig, one_sided=config.one_sided)
+            del eig
+        else:
+            if config.method == "ssmt":
+                trace = filter_all(eig, params, init_mean=mean, init_var=var)
+            else:
+                trace, sv_trace, tracker = assmt_filter(
+                    eig, adaptive, alpha=config.alpha, init_mean=mean, init_var=var,
+                    tracker=tracker,
+                )
+                for m in range(config.tapers):
+                    traces[f"state_var_trace_taper{m}"] = sv_trace[:, :, m]
+                del sv_trace
+            # the filter was the last user of the block's coefficients
+            del eig
+            # the next block starts from this one's last posterior
+            mean, var = trace.means[-1].copy(), trace.variances[-1].copy()
+            for m in range(config.tapers):
+                traces[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
+            spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
+            del trace
+        if config.scale == "dB":
+            spect = spect.to_db()
+        frequencies = spect.frequencies_hz
+        io.write_matrix(staging / "spectrogram", spect.power, fmt=config.output_format,
+                        scale=spect.scale, rows=n_windows, append=first > 0)
+        for name in traces:
+            io.write_matrix(staging / name,
+                            traces[name] if config.one_sided else _unfold(traces[name], j),
+                            fmt=config.output_format, rows=n_windows, append=first > 0)
+        # nothing of this block is held while the next one is made
+        del spect, traces
+    io.write_vector_csv(staging / "frequencies.csv", frequencies)
+    io.write_vector_csv(staging / "times.csv", times)
+    io.write_manifest(staging / "manifest.json", manifest)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -411,27 +456,41 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_spectrogram(directory: Path, names: tuple[str, ...]) -> Spectrogram:
+    """The first spectrogram of ``names`` found under ``directory``, as linear power.
+
+    A directory with a manifest holds its run's spectrogram in the format
+    the manifest names, and a file of the other format there is not read:
+    it is left over from an earlier run.  Without a manifest a ``.csv`` is
+    taken before a ``.f32``.
+    """
     directory = Path(directory)
-    stem = None
-    for name in names:
-        for suffix in (".csv", ".f32"):
-            if (directory / f"{name}{suffix}").exists():
-                stem = name
-                break
-        if stem:
-            break
-    if stem is None:
-        raise DataError(f"no spectrogram found under {directory} (tried {', '.join(names)})")
-    matrix_path = directory / f"{stem}.csv"
-    if matrix_path.exists():
+    manifest_path = directory / "manifest.json"
+    manifest = _read_manifest(manifest_path) if manifest_path.exists() else None
+    if manifest is None:
+        suffixes = (".csv", ".f32")
+    else:
+        fmt = None
+        if manifest.get("command") == "estimate":
+            fmt = manifest["config"].get("output_format")
+        elif manifest.get("command") == "simulate":
+            fmt = manifest["config"].get("format")
+        # any JSON value can stand here, and a list is not hashable
+        if not isinstance(fmt, str) or fmt not in io.MATRIX_SUFFIXES:
+            raise DataError(f"{manifest_path}: no output format of a spectrogram")
+        suffixes = (io.MATRIX_SUFFIXES[fmt],)
+    candidates = [directory / f"{name}{suffix}" for name in names for suffix in suffixes]
+    matrix_path = next((path for path in candidates if path.exists()), None)
+    if matrix_path is None:
+        tried = names if manifest is None else [path.name for path in candidates]
+        raise DataError(f"no spectrogram found under {directory} (tried {', '.join(tried)})")
+    stem = matrix_path.stem
+    if matrix_path.suffix == ".csv":
         power, meta = io.read_matrix_csv(matrix_path)
         scale = meta.get("scale", "linear")
     else:
-        power = io.read_matrix_bin(directory / f"{stem}.f32")
-        manifest_path = directory / "manifest.json"
-        if not manifest_path.exists():
+        power = io.read_matrix_bin(matrix_path)
+        if manifest is None:
             raise DataError(f"{directory}: binary spectrogram without a manifest to supply its scale")
-        manifest = _read_manifest(manifest_path)
         if "scale" in manifest["config"]:
             scale = manifest["config"]["scale"]
         elif manifest.get("command") == "simulate":

@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "MATRIX_MAGIC",
+    "MATRIX_SUFFIXES",
     "write_matrix_csv",
     "read_matrix_csv",
     "check_float32",
@@ -38,18 +39,26 @@ __all__ = [
 MATRIX_MAGIC = b"SSPECF32"
 
 
-def write_matrix_csv(path, values: np.ndarray, scale: str | None = None) -> None:
+def write_matrix_csv(path, values: np.ndarray, scale: str | None = None,
+                     rows: int | None = None, append: bool = False) -> None:
+    """Write ``values`` under a header with their shape and ``scale``.
+
+    ``values`` may be the first block of a matrix of ``rows`` rows, which
+    the header then announces; ``append`` adds a later block's rows to the
+    file, with no header.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    rows, cols = values.shape
-    header = f"# rows={rows} cols={cols}"
-    if scale is not None:
-        header += f" scale={scale}"
+    cols = values.shape[1]
     # one %-format per row: the same float-to-text conversion as f"{v:.9g}",
     # streamed row by row so neither the floats nor the text of the whole
     # matrix are ever held at once
     row_format = ",".join(["%.9g"] * cols) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "a" if append else "w") as fh:
+        if not append:
+            header = f"# rows={values.shape[0] if rows is None else rows} cols={cols}"
+            if scale is not None:
+                header += f" scale={scale}"
+            fh.write(header + "\n")
         fh.writelines(row_format % tuple(row.tolist()) for row in values)
 
 
@@ -148,12 +157,16 @@ def check_float32(values, name: str = "values") -> None:
         raise ValueError(f"{name}: values up to {beyond.max():.3g} exceed the float32 range")
 
 
-def write_matrix_bin(path, values: np.ndarray) -> None:
-    check_float32(values, str(path))
+def write_matrix_bin(path, values: np.ndarray, rows: int | None = None,
+                     append: bool = False) -> None:
+    """Write ``values`` as float32; ``rows`` and ``append`` as in `write_matrix_csv`."""
+    check_float32(values, Path(path).name)
     values = np.atleast_2d(np.ascontiguousarray(values, dtype="<f4"))
-    rows, cols = values.shape
-    header = MATRIX_MAGIC + np.array([rows, cols], dtype="<u4").tobytes()
-    Path(path).write_bytes(header + values.tobytes())
+    with open(path, "ab" if append else "wb") as fh:
+        if not append:
+            shape = [values.shape[0] if rows is None else rows, values.shape[1]]
+            fh.write(MATRIX_MAGIC + np.array(shape, dtype="<u4").tobytes())
+        fh.write(values.tobytes())
 
 
 def read_matrix_bin(path) -> np.ndarray:
@@ -168,17 +181,24 @@ def read_matrix_bin(path) -> np.ndarray:
     return data.reshape(int(rows), int(cols)).astype(float)
 
 
-def write_matrix(path, values, fmt: str = "csv", scale: str | None = None) -> Path:
-    """Write under the format's natural extension; returns the path used."""
-    path = Path(path)
-    if fmt == "csv":
-        path = path.with_suffix(".csv")
-        write_matrix_csv(path, values, scale=scale)
-    elif fmt == "bin":
-        path = path.with_suffix(".f32")
-        write_matrix_bin(path, values)
-    else:
+# The extension of each matrix format's files.
+MATRIX_SUFFIXES = {"csv": ".csv", "bin": ".f32"}
+
+
+def write_matrix(path, values, fmt: str = "csv", scale: str | None = None,
+                 rows: int | None = None, append: bool = False) -> Path:
+    """Write under the format's natural extension; returns the path used.
+
+    A matrix can be written in blocks of rows: the first with ``rows``, the
+    matrix's row count, and each later one with ``append``.
+    """
+    if fmt not in MATRIX_SUFFIXES:
         raise ValueError(f"unknown matrix format {fmt!r}")
+    path = Path(path).with_suffix(MATRIX_SUFFIXES[fmt])
+    if fmt == "csv":
+        write_matrix_csv(path, values, scale=scale, rows=rows, append=append)
+    else:
+        write_matrix_bin(path, values, rows=rows, append=append)
     return path
 
 

@@ -367,7 +367,7 @@ def full_grid_estimate(config):
         if config.method == "ssmt":
             trace = filter_all(eig, params, init_mean=eig.coeffs[0], init_var=init_var)
         else:
-            trace, state_var_trace = assmt_filter(
+            trace, state_var_trace, _ = assmt_filter(
                 eig, AdaptiveParams.from_model_params(params), alpha=config.alpha,
                 init_mean=eig.coeffs[0], init_var=init_var,
             )

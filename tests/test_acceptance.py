@@ -115,7 +115,7 @@ def _benchmark_divergences(seed: int):
     )
     is_ssmt = itakura_saito(ssmt_spectrogram(trace, one_sided=True), tru).total
 
-    tr_adaptive, _ = assmt_filter(
+    tr_adaptive, _, _ = assmt_filter(
         eig,
         AdaptiveParams.from_model_params(fit_base.params),
         alpha=0.95,
@@ -327,7 +327,7 @@ def test_adaptive_reduces_to_fixed_filter_below_threshold():
 
         params = ModelParams(state_var=state_var, obs_var=obs_var)
         fixed = ssmt_spectrogram(filter_all(eig, params))
-        tr, sv_used = assmt_filter(eig, AdaptiveParams.from_model_params(params))
+        tr, sv_used, _ = assmt_filter(eig, AdaptiveParams.from_model_params(params))
         assert np.array_equal(sv_used, np.broadcast_to(state_var, sv_used.shape))
         moving = assmt_spectrogram(tr)
         worst = max(worst, float(np.max(np.abs(moving.power - fixed.power))))
@@ -377,7 +377,7 @@ def test_regime_switch_tracking():
     fit = _fit_quiet(_first_windows(eig, k_up), EMConfig(max_iter=600))
     params = AdaptiveParams.from_model_params(fit.params)
     tr_fixed = filter_all(eig, fit.params)
-    tr_adaptive, sv_trace = assmt_filter(eig, params)
+    tr_adaptive, sv_trace, _ = assmt_filter(eig, params)
 
     mt = mt_spectrogram(eig, one_sided=True)
     fixed = ssmt_spectrogram(tr_fixed, one_sided=True)
@@ -430,7 +430,7 @@ def test_adaptive_pass_beats_full_refit_tenfold():
     adaptive_seconds = np.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        trace, _ = assmt_filter(eig, params, alpha=0.95)
+        trace, _, _ = assmt_filter(eig, params, alpha=0.95)
         assmt_spectrogram(trace, one_sided=True)
         adaptive_seconds = min(adaptive_seconds, time.perf_counter() - t0)
 

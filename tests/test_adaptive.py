@@ -1,4 +1,6 @@
 """Tracker-driven state variance and the adaptive filter pass."""
+import warnings
+
 import numpy as np
 import pytest
 from conftest import make_eig
@@ -173,7 +175,7 @@ class TestFilterEquivalence:
         )
         ap = make_params(j, m)
         mp = ModelParams(state_var=ap.baseline_state_var, obs_var=ap.obs_var)
-        trace_as, sv = assmt_filter(eig, ap)
+        trace_as, sv, _ = assmt_filter(eig, ap)
         trace_ss = filter_all(eig, mp)
         np.testing.assert_allclose(trace_as.means, trace_ss.means, atol=1e-12)
         np.testing.assert_allclose(trace_as.gains, trace_ss.gains, atol=1e-12)
@@ -185,7 +187,7 @@ class TestFilterEquivalence:
         eig = ramp_eig()
         ap = make_params(3, 2)
         mp = ModelParams(state_var=ap.baseline_state_var, obs_var=ap.obs_var)
-        trace_as, sv = assmt_filter(eig, ap, alpha=0.95)
+        trace_as, sv, _ = assmt_filter(eig, ap, alpha=0.95)
         trace_ss = filter_all(eig, mp)
         assert sv.max() == ap.baseline_state_var.max()
         spect_as = assmt_spectrogram(trace_as)
@@ -198,7 +200,7 @@ class TestFilterEquivalence:
         mp = ModelParams(state_var=ap.baseline_state_var, obs_var=ap.obs_var)
         im = eig.coeffs[0]
         iv = np.full((3, 2), 0.7)
-        trace_as, _ = assmt_filter(eig, ap, init_mean=im, init_var=iv)
+        trace_as, _, _ = assmt_filter(eig, ap, init_mean=im, init_var=iv)
         trace_ss = filter_all(eig, mp, init_mean=im, init_var=iv)
         np.testing.assert_allclose(trace_as.means, trace_ss.means, atol=1e-12)
 
@@ -217,7 +219,7 @@ class TestAdaptiveResponse:
         k0 = 20
         eig = self.impulse_eig(k0=k0)
         ap = make_params(2, 1, baseline=0.01, obs=1.0)
-        trace_as, sv = assmt_filter(eig, ap, alpha=1.0)
+        trace_as, sv, _ = assmt_filter(eig, ap, alpha=1.0)
         c_inf = steady_state_gain(0.01, 1.0)
         mp = ModelParams(state_var=ap.baseline_state_var, obs_var=ap.obs_var)
         trace_ss = filter_all(eig, mp)
@@ -230,14 +232,14 @@ class TestAdaptiveResponse:
         k0 = 20
         eig = self.impulse_eig(k0=k0)
         ap = make_params(2, 1, baseline=0.01, obs=1.0)
-        _, sv = assmt_filter(eig, ap, alpha=1.0)
+        _, sv, _ = assmt_filter(eig, ap, alpha=1.0)
         assert np.all(sv[k0] > ap.threshold)
         np.testing.assert_array_equal(sv[k0 + 1 :], np.broadcast_to(0.01, sv[k0 + 1 :].shape))
 
     def test_first_window_uses_baseline(self, rng):
         eig = make_eig(rng, k=5, j=3, m=2, scale=4.0)
         ap = make_params(3, 2)
-        _, sv = assmt_filter(eig, ap)
+        _, sv, _ = assmt_filter(eig, ap)
         np.testing.assert_array_equal(sv[0], ap.baseline_state_var)
 
     def test_gains_dominate_fixed_filter(self, rng):
@@ -257,7 +259,7 @@ class TestAdaptiveResponse:
                 obs_var=rng.uniform(0.1, 2.0, m),
             )
             mp = ModelParams(state_var=ap.baseline_state_var, obs_var=ap.obs_var)
-            trace_as, sv = assmt_filter(eig, ap, alpha=float(rng.uniform(0.1, 1.0)))
+            trace_as, sv, _ = assmt_filter(eig, ap, alpha=float(rng.uniform(0.1, 1.0)))
             trace_ss = filter_all(eig, mp)
             assert np.all(sv >= ap.baseline_state_var[None] - 1e-15)
             assert np.all(trace_as.gains >= trace_ss.gains - 1e-12)
@@ -300,7 +302,7 @@ class TestTrackerOracle:
         ap = AdaptiveParams(
             baseline_state_var=rng.uniform(0.01, 0.5, (4, 2)), obs_var=rng.uniform(0.1, 1.0, 2)
         )
-        trace, sv = assmt_filter(eig, ap, alpha=alpha)
+        trace, sv, _ = assmt_filter(eig, ap, alpha=alpha)
         means, variances, gains, state_vars = per_window_assmt(eig.coeffs, ap, alpha)
         assert np.array_equal(sv, state_vars)
         assert np.array_equal(trace.means, means)
@@ -310,6 +312,68 @@ class TestTrackerOracle:
             # both sides of the threshold are exercised
             raised = sv[1:] > ap.baseline_state_var
             assert raised.any() and not raised.all()
+
+
+def window_block(eig, first, stop):
+    return EigenCoefficients(coeffs=eig.coeffs[first:stop], frequencies_hz=eig.frequencies_hz,
+                             window_times_s=eig.window_times_s[first:stop])
+
+
+class TestResumedBlocks:
+    """A record filtered block by block, each block resumed from the last
+    posterior and tracker of the one before, gives one call's bits."""
+
+    @pytest.mark.parametrize("cuts", [(1,), (2,), (1, 2, 3), (5, 6, 13), tuple(range(1, 20))])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_blocks_match_one_call(self, rng, cuts, alpha):
+        eig = make_eig(rng, k=20, j=4, m=2)
+        ap = AdaptiveParams(
+            baseline_state_var=rng.uniform(0.01, 0.5, (4, 2)), obs_var=rng.uniform(0.1, 1.0, 2)
+        )
+        init_var = rng.uniform(0.1, 1.0, (4, 2))
+        whole, sv_whole, end = assmt_filter(eig, ap, alpha=alpha, init_mean=eig.coeffs[0],
+                                            init_var=init_var)
+        mean, var, tracker = eig.coeffs[0], init_var, None
+        parts = []
+        for first, stop in zip((0, *cuts), (*cuts, 20)):
+            trace, sv, tracker = assmt_filter(window_block(eig, first, stop), ap, alpha=alpha,
+                                              init_mean=mean, init_var=var, tracker=tracker)
+            mean, var = trace.means[-1], trace.variances[-1]
+            parts.append((trace.means, trace.variances, trace.gains, sv))
+        for got, want in zip(map(np.concatenate, zip(*parts)),
+                             (whole.means, whole.variances, whole.gains, sv_whole)):
+            assert got.tobytes() == want.tobytes()
+        assert tracker.ema.tobytes() == end.ema.tobytes()
+        assert tracker.prev_obs.tobytes() == end.prev_obs.tobytes() == eig.coeffs[-1].tobytes()
+
+    def test_tracker_after_one_window_has_no_average(self, rng):
+        eig = make_eig(rng, k=1, j=3, m=2)
+        _, sv, tracker = assmt_filter(eig, make_params(3, 2))
+        assert tracker.ema is None
+        np.testing.assert_array_equal(tracker.prev_obs, eig.coeffs[0])
+        np.testing.assert_array_equal(sv[0], make_params(3, 2).baseline_state_var)
+
+    def test_ema_update_seeds_an_empty_average(self, rng):
+        prev, obs = make_eig(rng, k=2, j=3, m=2).coeffs
+        tracker = ema_update(NonstationarityTracker(ema=None, alpha=0.4, prev_obs=prev), obs)
+        d = obs - prev
+        assert tracker.ema.tobytes() == (d.real**2 + d.imag**2).tobytes()
+
+    def test_tracker_must_match(self, rng):
+        eig = make_eig(rng, k=4, j=3, m=2)
+        tracker = assmt_filter(eig, make_params(3, 2), alpha=0.5)[2]
+        with pytest.raises(ValueError, match="alpha"):
+            assmt_filter(eig, make_params(3, 2), alpha=0.6, tracker=tracker)
+        other = assmt_filter(make_eig(rng, k=4, j=4, m=2), make_params(4, 2), alpha=0.5)[2]
+        with pytest.raises(ValueError, match="tracker shape"):
+            assmt_filter(eig, make_params(3, 2), alpha=0.5, tracker=other)
+
+    def test_overflowing_differences_raise_without_warning(self, rng):
+        eig = make_eig(rng, k=5, j=3, m=2, scale=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                assmt_filter(eig, make_params(3, 2))
 
 
 class CountingArray(np.ndarray):
@@ -358,7 +422,7 @@ class TestValidation:
 
     def test_trace_and_state_var_shapes(self, rng):
         eig = make_eig(rng, k=7, j=4, m=3)
-        trace, sv = assmt_filter(eig, make_params(4, 3))
+        trace, sv, _ = assmt_filter(eig, make_params(4, 3))
         assert trace.means.shape == (7, 4, 3)
         assert sv.shape == (7, 4, 3)
         np.testing.assert_array_equal(trace.frequencies_hz, eig.frequencies_hz)

@@ -392,15 +392,15 @@ class TestMemory:
             return eig
 
         def spy_spectrogram(*args, **kwargs):
-            # the spectrogram and the writes need only the filter's trace
-            alive.append(refs[0]() is not None)
+            # a block's spectrogram and writes need only its filter trace
+            alive.append(any(ref() is not None for ref in refs))
             return real_spectrogram(*args, **kwargs)
 
         monkeypatch.setattr(cli, "eigen_coefficients", spy_coefficients)
         monkeypatch.setattr(cli, "ssmt_spectrogram", spy_spectrogram)
         assert estimate(tmp_path / method, sim_dir, method, *extra) == EXIT_OK
-        assert len(refs) == 1
-        assert alive == [False]
+        assert refs and alive
+        assert not any(alive)
 
     def test_assmt_peak_within_twice_the_coefficients(self, tmp_path, rng):
         # 300 windows of 192 samples: 2.8 MB of (K, J, M) coefficients
@@ -421,6 +421,28 @@ class TestMemory:
         # filter trace measure 1.8x: the full-grid filter, with its trace
         # beside the coefficients, is 3.8x
         assert peak <= 2.2 * coeff_bytes
+
+    @pytest.mark.parametrize("method, extra",
+                             [("mt", ()), ("assmt", ("--baseline-seconds", "60"))])
+    def test_peak_does_not_grow_with_the_record(self, tmp_path, rng, method, extra):
+        # 100 and 400 windows of 192 samples: the longer record has 1.9 MB
+        # more coefficients, which a whole-record pass would hold at once
+        peaks = []
+        for windows in (100, 400):
+            signal = io.write_signal(tmp_path / f"signal{windows}",
+                                     rng.standard_normal(windows * 192), fmt="bin")
+            argv = ["estimate", "--input", str(signal), "--sample-rate", str(FS),
+                    "--method", method, "--out-dir", str(tmp_path / f"out{windows}"),
+                    "--format", "bin", "--em-tol", "1", *extra]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the samples are held for the run, and nothing else grows with it
+        extra_samples = (400 - 100) * 192 * 8
+        assert peaks[1] <= peaks[0] + extra_samples + 64 * 1024
 
 
 class TestHalfGridFilter:
@@ -448,12 +470,15 @@ class TestHalfGridFilter:
                          "--full-grid")
 
     @staticmethod
-    def check_files(sim_dir, tmp_path, monkeypatch, method, fmt, *extra):
+    def check_files(sim_dir, tmp_path, monkeypatch, method, fmt, *extra, baseline="45"):
         written = {}
         real_matrix, real_vector = io.write_matrix, io.write_vector_csv
 
         def spy_matrix(path, values, *args, **kwargs):
-            written[Path(path).stem] = np.array(values)
+            # a matrix written in blocks is the blocks' rows in order
+            stem = Path(path).stem
+            blocks = [written[stem]] if kwargs.get("append") else []
+            written[stem] = np.concatenate([*blocks, np.array(values)])
             return real_matrix(path, values, *args, **kwargs)
 
         def spy_vector(path, values):
@@ -463,8 +488,9 @@ class TestHalfGridFilter:
         monkeypatch.setattr(io, "write_matrix", spy_matrix)
         monkeypatch.setattr(io, "write_vector_csv", spy_vector)
         out = tmp_path / "cli"
-        code = estimate(out, sim_dir, method, "--format", fmt, "--baseline-seconds", "45",
-                        "--em-tol", "1e-4", *extra)
+        if baseline is not None:
+            extra = ("--baseline-seconds", baseline, *extra)
+        code = estimate(out, sim_dir, method, "--format", fmt, "--em-tol", "1e-4", *extra)
         assert code == EXIT_OK
         config = cli.RunConfig(**io.read_manifest(out / "manifest.json")["config"])
         arrays, spect_scale = full_grid_estimate(config)
@@ -486,6 +512,127 @@ class TestHalfGridFilter:
         assert sorted(path.name for path in out.iterdir()) == sorted(files + ["manifest.json"])
         for name in files:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+class TestWindowBlocks:
+    """An estimate transforms, filters and writes its record in blocks of
+    windows; at every block size each file holds the bytes of mt or the
+    filter run once over the whole record."""
+
+    # 3 and 4 windows divide neither the 15 windows nor the baseline's 7 (29
+    # and 14 at half overlap); 64 holds every window in one block
+    @pytest.mark.parametrize("windows", [1, 3, 4, 64])
+    @pytest.mark.parametrize(
+        "method, baseline",
+        [("mt", None), ("ssmt", None), ("ssmt", "45"), ("assmt", "45")],
+        ids=["mt", "ssmt-full-record", "ssmt-baseline", "assmt"],
+    )
+    @pytest.mark.parametrize(
+        "fmt, extra",
+        [("csv", ()), ("bin", ("--full-grid", "--overlap", "0.5", "--demean"))],
+        ids=["csv", "bin-full-grid-overlap-demean"],
+    )
+    def test_files_match_one_pass(self, sim_dir, tmp_path, monkeypatch, windows, method,
+                                  baseline, fmt, extra):
+        # stored bins x tapers of one 192-sample window
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", windows * 97 * 3)
+        spectrogram = "mt_spectrogram" if method == "mt" else "ssmt_spectrogram"
+        real = getattr(cli, spectrogram)
+        blocks = []
+
+        def spy(eig_or_trace, *args, **kwargs):
+            blocks.append(eig_or_trace.window_times_s)
+            return real(eig_or_trace, *args, **kwargs)
+
+        monkeypatch.setattr(cli, spectrogram, spy)
+        TestHalfGridFilter.check_files(sim_dir, tmp_path, monkeypatch, method, fmt, *extra,
+                                       baseline=baseline)
+        config = cli.RunConfig(**io.read_manifest(tmp_path / "cli" / "manifest.json")["config"])
+        n_windows = (int(90 * FS) - config.window_samples) // config.hop + 1
+        if method == "mt":
+            n_fit = 0
+        elif baseline is None:
+            n_fit = n_windows
+        else:
+            n_fit = min(config.baseline_windows, n_windows)
+        # blocks end where the fit does, and each block's windows keep their times
+        assert [len(times) for times in blocks] == [
+            min(windows, end - first)
+            for start, end in ((0, n_fit), (n_fit, n_windows))
+            for first in range(start, end, windows)
+        ]
+        centres = (np.arange(n_windows) * config.hop + config.window_samples / 2) / FS
+        assert np.concatenate(blocks).tobytes() == centres.tobytes()
+
+    # from 8 tapers on the taper mean's bits depend on the layout, which
+    # each block must keep as one pass over the record has it
+    @pytest.mark.parametrize("method", ["mt", "assmt"])
+    def test_nine_tapers_match_one_pass(self, sim_dir, tmp_path, monkeypatch, method):
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 3 * 97 * 9)
+        TestHalfGridFilter.check_files(sim_dir, tmp_path, monkeypatch, method, "csv",
+                                       "--tapers", "9", "--full-grid")
+
+
+class TestFailedRunLeavesNothing:
+    """A block can fail after earlier blocks were written; the run then
+    exits 3 and leaves the file system as it found it."""
+
+    @staticmethod
+    def overflowing_tail(tmp_path):
+        # the last two of 15 windows hold samples whose power overflows
+        samples = np.random.default_rng(11).standard_normal(int(90 * FS))
+        samples[-2 * int(6 * FS):] = 1e200
+        return io.write_signal(tmp_path / "signal", samples, fmt="bin")
+
+    def run(self, tmp_path, monkeypatch, capsys, out, method, extra):
+        signal = self.overflowing_tail(tmp_path)
+        # two windows a block: several blocks are written before the failing one
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 2 * 97 * 3)
+        real_write, appended = io.write_matrix, []
+
+        def spy(path, values, *args, **kwargs):
+            appended.append(kwargs.get("append", False))
+            return real_write(path, values, *args, **kwargs)
+
+        monkeypatch.setattr(io, "write_matrix", spy)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)
+            code = main(["estimate", "--input", str(signal), "--sample-rate", str(FS),
+                         "--method", method, "--out-dir", str(out), *extra])
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert any(appended)
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize(
+        "method, extra",
+        [("mt", ()), ("ssmt", ("--baseline-seconds", "45")),
+         ("assmt", ("--baseline-seconds", "45"))],
+    )
+    def test_new_directory_is_not_made(self, tmp_path, monkeypatch, capsys, fmt, method,
+                                       extra):
+        parent = tmp_path / "runs"
+        parent.mkdir()
+        self.run(tmp_path, monkeypatch, capsys, parent / "deeper" / "out", method,
+                 ("--format", fmt, *extra))
+        # neither the output directory nor a temporary one is left behind
+        assert list(parent.iterdir()) == []
+
+    @pytest.mark.parametrize("method, extra",
+                             [("mt", ()), ("assmt", ("--baseline-seconds", "45"))])
+    def test_existing_directory_is_untouched(self, tmp_path, monkeypatch, capsys, method,
+                                             extra):
+        out = tmp_path / "out"
+        out.mkdir()
+        before = {"spectrogram.csv": b"# rows=1 cols=1 scale=dB\n1\n", "notes.txt": b"kept\n"}
+        for name, content in before.items():
+            (out / name).write_bytes(content)
+        self.run(tmp_path, monkeypatch, capsys, out, method, extra)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "signal.f64"]
 
 
 class TestCompare:
@@ -552,8 +699,14 @@ class TestCompare:
         assert code == EXIT_DATA
         assert "different numbers of fields" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [b"[]", b"null", b'{"config": 5}'],
-                             ids=["list", "null", "config-not-object"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"[]", b"null", b'{"config": 5}', b'{"command": ["estimate"], "config": {}}',
+         b'{"command": "estimate", "config": {"output_format": ["bin"]}}',
+         b'{"command": "tapers", "config": {"format": "bin"}}'],
+        ids=["list", "null", "config-not-object", "command-list", "format-list",
+             "no-spectrogram-command"],
+    )
     def test_malformed_manifest_is_data_error(self, sim_dir, tmp_path, capsys, content):
         est = tmp_path / "est"
         assert estimate(est, sim_dir, "mt", "--format", "bin") == EXIT_OK
@@ -583,6 +736,36 @@ class TestCompare:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "no config.scale" in err and "spectrogram.f32" in err
+
+    def test_leftover_file_of_another_format_is_not_scored(self, sim_dir, tmp_path, capsys):
+        # mt writes spectrogram.csv, then assmt writes spectrogram.f32 into the
+        # same directory: the manifest says which of the two is the estimate
+        out, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert estimate(out, sim_dir, "mt") == EXIT_OK
+        for directory in (out, fresh):
+            assert estimate(directory, sim_dir, "assmt", "--baseline-seconds", "45",
+                            "--format", "bin", "--em-tol", "1e-4") == EXIT_OK
+        assert (out / "spectrogram.csv").exists()
+        reports = []
+        for directory in (out, fresh):
+            capsys.readouterr()
+            assert main(["compare", "--estimate", str(directory),
+                         "--truth", str(sim_dir)]) == EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        # without the file the manifest names, the leftover is not taken instead
+        (out / "spectrogram.f32").unlink()
+        assert main(["compare", "--estimate", str(out), "--truth", str(sim_dir)]) == EXIT_DATA
+        assert "spectrogram.f32" in capsys.readouterr().err
+
+    def test_without_manifest_csv_is_taken_first(self, sim_dir, tmp_path):
+        est = tmp_path / "est"
+        assert estimate(est, sim_dir, "mt") == EXIT_OK
+        (est / "manifest.json").unlink()
+        header = io.MATRIX_MAGIC + np.array([1, 1], dtype="<u4").tobytes()
+        (est / "spectrogram.f32").write_bytes(header + np.zeros(1, dtype="<f4").tobytes())
+        loaded = cli._load_spectrogram(est, ("spectrogram",))
+        assert loaded.power.shape == (15, int(6 * FS) // 2 + 1)
 
     def test_binary_simulate_truth_is_linear(self, sim_dir, tmp_path):
         truth = tmp_path / "truth"
@@ -699,6 +882,55 @@ class TestMalformedInput:
                 "--window-seconds", "4", "--method", "mt", "--out-dir", str(Path(tmp) / "out"),
             ])
         assert code in (EXIT_OK, EXIT_DATA)
+
+
+@st.composite
+def malformed_signals(draw):
+    """A signal file that cannot be read as a record: ``(suffix, bytes)``."""
+    samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        draw(st.integers(16, 64)))
+    kind = draw(st.sampled_from(["truncated-f64", "non-finite-f64", "non-finite-csv",
+                                 "ragged-csv", "empty-csv", "non-numeric-csv"]))
+    if kind == "truncated-f64":
+        raw = samples.astype("<f8").tobytes()
+        return ".f64", raw[:len(raw) - draw(st.integers(1, 7))]
+    if kind == "non-finite-f64":
+        samples[draw(st.integers(0, samples.size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        return ".f64", samples.astype("<f8").tobytes()
+    if kind == "empty-csv":
+        return ".csv", draw(st.sampled_from([b"", b"\n\n", b" \n\t\n", b"time\n"]))
+    lines = [",".join(["%.17g" % v] * draw(st.integers(1, 3))) for v in samples]
+    # from the second line on: a bad first line would be taken for a header
+    at = draw(st.integers(1, len(lines) - 1))
+    if kind == "non-finite-csv":
+        lines[at] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN,1"]))
+    elif kind == "ragged-csv":
+        lines[at] = "," + lines[at]
+    else:
+        lines[at] = draw(st.sampled_from(["abc", "1.2.3", "--", "0x10", "1e"]))
+    return ".csv", ("\n".join(lines) + "\n").encode()
+
+
+class TestMalformedSignalFiles:
+    @settings(max_examples=40, deadline=None)
+    @given(signal=malformed_signals(), method=st.sampled_from(["mt", "ssmt", "assmt"]),
+           fmt=st.sampled_from(["csv", "bin"]))
+    def test_exit_code_and_nothing_written(self, signal, method, fmt):
+        suffix, content = signal
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"signal{suffix}"
+            path.write_bytes(content)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([
+                    "estimate", "--input", str(path), "--sample-rate", "2",
+                    "--window-seconds", "4", "--method", method, "--format", fmt,
+                    "--baseline-seconds", "8", "--out-dir", str(Path(tmp) / "out"),
+                ])
+            assert code in (EXIT_CONFIG, EXIT_DATA)
+            assert [p.name for p in Path(tmp).iterdir()] == [path.name]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def subcommand_dests(command):

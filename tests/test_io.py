@@ -102,6 +102,16 @@ class TestDispatch:
         np.testing.assert_array_equal(io.read_matrix(p_csv)[0], values)
         np.testing.assert_array_equal(io.read_matrix(p_bin)[0], values)
 
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("cuts", [(1,), (3, 4), (1, 2, 3, 4, 5)])
+    def test_blocks_of_rows_write_the_whole_matrix(self, tmp_path, rng, fmt, cuts):
+        values = rng.standard_normal((6, 4))
+        whole = io.write_matrix(tmp_path / "whole", values, fmt=fmt, scale="dB")
+        for first, stop in zip((0, *cuts), (*cuts, 6)):
+            blocks = io.write_matrix(tmp_path / "blocks", values[first:stop], fmt=fmt,
+                                     scale="dB", rows=6, append=first > 0)
+        assert blocks.read_bytes() == whole.read_bytes()
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown matrix format"):
             io.write_matrix(tmp_path / "a", np.ones((1, 1)), fmt="hdf5")

@@ -54,7 +54,7 @@ class TestResultsAreReadOnly:
     def test_assmt_filter(self, rng):
         obs = make_eig(rng)
         params = AdaptiveParams.from_model_params(model_params(4, 2))
-        trace, state_var_trace = assmt_filter(obs, params)
+        trace, state_var_trace, _ = assmt_filter(obs, params)
         assert_read_only(trace.means, trace.variances, trace.gains, state_var_trace)
 
     def test_em_fit(self, rng):
@@ -148,7 +148,7 @@ def test_assmt_filter_peak_memory_stays_near_its_result(rng):
     params = AdaptiveParams(baseline_state_var=np.full((216, 3), 0.1), obs_var=np.ones(3))
     tracemalloc.start()
     try:
-        trace, state_var_trace = assmt_filter(obs, params)
+        trace, state_var_trace, _ = assmt_filter(obs, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

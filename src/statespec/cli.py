@@ -377,8 +377,6 @@ def _estimate(config: RunConfig, staging: Path) -> None:
         else:
             eig = _coefficients(series, bank, config, times, first, stop,
                                 window_major=config.method != "mt")
-        # per-window traces, one column per row of frequencies.csv
-        traces: dict[str, np.ndarray] = {}
         if config.method == "mt":
             spect = mt_spectrogram(eig, one_sided=config.one_sided)
             del eig
@@ -390,15 +388,17 @@ def _estimate(config: RunConfig, staging: Path) -> None:
                     eig, adaptive, alpha=config.alpha, init_mean=mean, init_var=var,
                     tracker=tracker,
                 )
+                # one column per row of frequencies.csv; the gains follow from these
+                if not config.one_sided:
+                    sv_trace = _unfold(sv_trace, j)
                 for m in range(config.tapers):
-                    traces[f"state_var_trace_taper{m}"] = sv_trace[:, :, m]
+                    io.write_matrix(staging / f"state_var_trace_taper{m}", sv_trace[:, :, m],
+                                    fmt=config.output_format, rows=n_windows, append=first > 0)
                 del sv_trace
             # the filter was the last user of the block's coefficients
             del eig
             # the next block starts from this one's last posterior
             mean, var = trace.means[-1].copy(), trace.variances[-1].copy()
-            for m in range(config.tapers):
-                traces[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
             spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
             del trace
         if config.scale == "dB":
@@ -406,12 +406,8 @@ def _estimate(config: RunConfig, staging: Path) -> None:
         frequencies = spect.frequencies_hz
         io.write_matrix(staging / "spectrogram", spect.power, fmt=config.output_format,
                         scale=spect.scale, rows=n_windows, append=first > 0)
-        for name in traces:
-            io.write_matrix(staging / name,
-                            traces[name] if config.one_sided else _unfold(traces[name], j),
-                            fmt=config.output_format, rows=n_windows, append=first > 0)
         # nothing of this block is held while the next one is made
-        del spect, traces
+        del spect
     io.write_vector_csv(staging / "frequencies.csv", frequencies)
     io.write_vector_csv(staging / "times.csv", times)
     io.write_manifest(staging / "manifest.json", manifest)

@@ -247,14 +247,14 @@ def write_signal(path, samples: np.ndarray, fmt: str = "csv") -> Path:
 def read_signal(path, fmt: str | None = None) -> np.ndarray:
     """Read a signal file; CSV may carry one non-numeric header line.
 
-    A CSV is parsed block by block, so neither its text nor its samples as
-    Python floats are ever held whole.
+    A ``.f64`` is the file's bytes, read-only.  A CSV is parsed block by
+    block, so neither its text nor its samples as floats are ever held whole.
     """
     path = Path(path)
     if fmt is None:
         fmt = "bin" if path.suffix == ".f64" else "csv"
     if fmt == "bin":
-        return np.frombuffer(path.read_bytes(), dtype="<f8").astype(float)
+        return np.frombuffer(path.read_bytes(), dtype="<f8")
     blocks = []
     header_checked = False
     for lines in _line_blocks(path):

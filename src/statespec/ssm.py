@@ -165,7 +165,9 @@ class Spectrogram:
     def to_linear(self) -> "Spectrogram":
         if self.scale == "linear":
             return self
-        power = 10.0 ** (self.power / 10.0)
+        # power past the float range becomes inf, for the check to reject
+        with np.errstate(over="ignore"):
+            power = 10.0 ** (self.power / 10.0)
         return Spectrogram(owned(power), self.frequencies_hz, self.window_times_s, scale="linear")
 
 

@@ -333,11 +333,11 @@ def full_grid_estimate(config):
     is this module's own: `one_shot_eigen_coefficients` unfolded by
     `full_grid_coefficients`.  EM fits bins 0..J//2, the real signal's
     distinct chains, and its state variances are mirrored onto all J bins
-    by index before the filter runs.  Returns ``(arrays, scale)``:
-    per-window traces and the state variances as (rows, cols) arrays, the
-    frequencies, times and observation variances as vectors, and the
-    spectrogram's scale.  Each trace has one column per frequency: bins
-    0..J//2 when one-sided.
+    by index before the filter runs.  Returns ``(arrays, scale)``: the
+    spectrogram, the state variances and assmt's per-window state-variance
+    traces as (rows, cols) arrays, the frequencies, times and observation
+    variances as vectors, and the spectrogram's scale.  Each trace has one
+    column per frequency: bins 0..J//2 when one-sided.
     """
     j = config.window_samples
     samples = io.read_signal(config.input_path, config.input_format)
@@ -373,8 +373,6 @@ def full_grid_estimate(config):
             )
             for m in range(config.tapers):
                 arrays[f"state_var_trace_taper{m}"] = state_var_trace[:, :, m]
-        for m in range(config.tapers):
-            arrays[f"gain_trace_taper{m}"] = trace.gains[:, :, m]
         spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
     for name in arrays:
         if "_trace_" in name:

@@ -8,7 +8,9 @@ import tempfile
 import tracemalloc
 import warnings
 import weakref
+from contextlib import redirect_stderr
 from dataclasses import MISSING, asdict, fields
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -226,7 +228,8 @@ class TestEstimate:
                         *grid) == EXIT_OK
         freqs = io.read_vector_csv(out / "frequencies.csv")
         traces = sorted(out.glob("*_trace_taper*.csv"))
-        assert len(traces) == 6
+        assert [path.name for path in traces] == [f"state_var_trace_taper{m}.csv"
+                                                  for m in range(3)]
         for path in traces:
             assert io.read_matrix_csv(path)[1]["cols"] == str(freqs.size), path.name
 
@@ -1024,6 +1027,107 @@ class TestReplayExitCodes:
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
             if code == EXIT_CONFIG:
                 assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# A JSON value of the wrong type for every manifest key compare reads.
+WRONG_TYPES = (None, True, 0, 2.5, [], {}, ["csv"])
+
+
+def write_estimate(directory, truth, fmt, scale, defect, data):
+    """An estimate directory of the truth's grid in ``fmt`` and ``scale``,
+    with one ``defect`` drawn from ``data``."""
+    power, _ = io.read_matrix_csv(truth / "truth_spectrogram.csv")
+    if scale == "dB":
+        power = 10.0 * np.log10(power)
+    cell = {
+        "non-finite": st.sampled_from([np.nan, np.inf, -np.inf]),
+        # 10 ** (v / 10) overflows from v = 3083 on; a float32 holds up to 3.4e38
+        "dB-past-float-range": st.floats(3100.0, 3e38),
+    }.get(defect)
+    if cell is not None:
+        power[data.draw(st.integers(0, power.shape[0] - 1)),
+              data.draw(st.integers(0, power.shape[1] - 1))] = data.draw(cell)
+    matrix = io.write_matrix(directory / "spectrogram", power, fmt=fmt, scale=scale)
+    for name in ("frequencies", "times"):
+        (directory / f"{name}.csv").write_bytes((truth / f"truth_{name}.csv").read_bytes())
+    manifest = {"command": "estimate", "config": {"output_format": fmt, "scale": scale}}
+    if defect == "manifest":
+        # a CSV's scale is in its header; only a binary one takes the manifest's
+        keys = ["command", "config", "output_format"] + (["scale"] if fmt == "bin" else [])
+        key = data.draw(st.sampled_from(keys))
+        where = manifest if key in ("command", "config") else manifest["config"]
+        if data.draw(st.booleans()):
+            del where[key]
+        else:
+            where[key] = data.draw(st.sampled_from(WRONG_TYPES))
+    io.write_manifest(directory / "manifest.json", manifest)
+
+    raw = matrix.read_bytes()
+    if defect == "ragged":
+        lines = raw.decode().splitlines(keepends=True)
+        at = data.draw(st.integers(1, len(lines) - 1))
+        row = lines[at].rstrip("\n")
+        lines[at] = data.draw(st.sampled_from([row + ",1", row.rsplit(",", 1)[0]])) + "\n"
+        raw = "".join(lines).encode()
+    elif defect == "bad-magic":
+        raw = data.draw(st.binary(min_size=8, max_size=8).filter(
+            lambda magic: magic != io.MATRIX_MAGIC)) + raw[8:]
+    elif defect == "wrong-size":
+        rows, cols = power.shape
+        shape = data.draw(st.tuples(st.integers(0, 2 * rows), st.integers(0, 2 * cols)).filter(
+            lambda shape: shape != (rows, cols)))
+        if fmt == "csv":
+            header, _, body = raw.partition(b"\n")
+            raw = header.replace(f"rows={rows} cols={cols}".encode(),
+                                 "rows={} cols={}".format(*shape).encode()) + b"\n" + body
+        elif data.draw(st.booleans()):
+            raw = raw[:8] + np.array(shape, dtype="<u4").tobytes() + raw[16:]
+        else:
+            # a payload cut short or run long by some bytes
+            cut = data.draw(st.integers(-4 * rows * cols, 64).filter(bool))
+            raw = raw[:cut] if cut < 0 else raw + bytes(cut)
+    matrix.write_bytes(raw)
+
+
+class TestMalformedEstimates:
+    """compare refuses an estimate directory with one defect: a ragged CSV, a
+    bad .f32 magic, a header that disagrees with the payload, a non-finite
+    cell, a dB cell past the float range, or a manifest key missing or of
+    the wrong type.  It exits 2 or 3 with one error line, writes no report
+    and raises no RuntimeWarning."""
+
+    DEFECTS = ["ragged", "bad-magic", "wrong-size", "non-finite", "dB-past-float-range",
+               "manifest"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("scale", ["linear", "dB"])
+    def test_intact_directory_scores(self, tiny_manifests, tmp_path, fmt, scale):
+        truth = tiny_manifests["simulate"][0].parent
+        write_estimate(tmp_path, truth, fmt, scale, None, None)
+        assert main(["compare", "--estimate", str(tmp_path), "--truth", str(truth)]) == EXIT_OK
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), defect=st.sampled_from(DEFECTS))
+    def test_exit_code(self, tiny_manifests, data, defect):
+        truth = tiny_manifests["simulate"][0].parent
+        fmt = {"ragged": "csv", "bad-magic": "bin"}.get(defect) or data.draw(
+            st.sampled_from(["csv", "bin"]), label="fmt")
+        scale = "dB" if defect == "dB-past-float-range" else data.draw(
+            st.sampled_from(["linear", "dB"]), label="scale")
+        with tempfile.TemporaryDirectory() as tmp:
+            estimate_dir, report = Path(tmp) / "est", Path(tmp) / "report.txt"
+            estimate_dir.mkdir()
+            write_estimate(estimate_dir, truth, fmt, scale, defect, data)
+            err = StringIO()
+            with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(["compare", "--estimate", str(estimate_dir), "--truth", str(truth),
+                             "--report", str(report)])
+            assert code in (EXIT_CONFIG, EXIT_DATA)
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert not report.exists()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

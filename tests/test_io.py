@@ -351,6 +351,20 @@ class TestSignalMemory:
         assert peak < 1_000_000
         np.testing.assert_array_equal(io.read_signal(tmp_path / "s.csv"), samples)
 
+    def test_binary_signal_is_held_once(self, tmp_path, rng):
+        # an hour at 36 Hz: the array is the file's bytes, with no second copy
+        samples = rng.standard_normal(3600 * 36)
+        path = io.write_signal(tmp_path / "s", samples, fmt="bin")
+        tracemalloc.start()
+        try:
+            read = io.read_signal(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * read.nbytes + 64 * 1024
+        assert not read.flags.writeable
+        np.testing.assert_array_equal(read, samples)
+
     def test_read_signal_streams_blocks(self, tmp_path, rng):
         path = io.write_signal(tmp_path / "s", rng.standard_normal(100_000), fmt="csv")
         tracemalloc.start()

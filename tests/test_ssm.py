@@ -509,6 +509,19 @@ class TestSpectrograms:
         )
         assert spect.to_db().power[0, 0] == pytest.approx(10.0 * np.log10(DB_FLOOR))
 
+    def test_db_past_float_range_is_rejected_without_warning(self):
+        # 10 ** 400 overflows: the finiteness check rejects it, and numpy stays quiet
+        spect = Spectrogram(
+            power=np.array([[4000.0]]),
+            frequencies_hz=np.array([1.0]),
+            window_times_s=np.array([0.0]),
+            scale="dB",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="power must be finite"):
+                spect.to_linear()
+
     def test_validation(self):
         with pytest.raises(ValueError, match="scale"):
             Spectrogram(

@@ -10,6 +10,7 @@ for bit with ``--from-manifest``, optionally into a different directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import shutil
@@ -293,56 +294,102 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
 _BLOCK_CELLS = 1 << 14
 
 
-def _coefficients(series: TimeSeries, bank, config: RunConfig, times: np.ndarray,
-                  first: int, stop: int, window_major: bool) -> EigenCoefficients:
-    """Windows ``first``..``stop - 1`` of the record, transformed from their
-    own samples: each window's bits are those of the whole record's transform.
+def _window_times(config: RunConfig, first: int, stop: int) -> np.ndarray:
+    """Centres of windows ``first``..``stop - 1``, as `eigen_coefficients`
+    gives them for the whole record."""
+    return ((np.arange(first, stop) * config.hop + config.window_samples / 2.0)
+            / config.sample_rate_hz)
 
-    ``window_major`` copies them into the window-major layout the filters
-    step through; mt's taper mean keeps the transform's own layout.
+
+class _Record:
+    """The samples of a signal, read block by block as its windows need
+    them, and dropped once the windows that use them are transformed.
+
+    Every block read is checked to be finite, so a non-finite sample is
+    rejected wherever it lies, after the last window too.
     """
-    j, hop = config.window_samples, config.hop
-    block = TimeSeries(samples=owned(series.samples[first * hop:(stop - 1) * hop + j]),
-                       sample_rate_hz=series.sample_rate_hz)
-    eig = eigen_coefficients(segment(block, j, hop, demean=config.demean), bank)
-    coeffs = np.ascontiguousarray(eig.coeffs) if window_major else eig.coeffs
-    return EigenCoefficients(coeffs=owned(coeffs), frequencies_hz=eig.frequencies_hz,
-                             window_times_s=times[first:stop])
+
+    def __init__(self, blocks, config: RunConfig):
+        self._blocks = blocks
+        self._config = config
+        # the samples from the start of window `_first` on
+        self._samples = np.empty(0)
+        self._first = 0
+
+    @property
+    def held(self) -> int:
+        return self._samples.size
+
+    def count(self, stop: int | None = None) -> int:
+        """How many of windows 0..``stop - 1`` the record holds, or of all
+        its windows when ``stop`` is None; reads only as far as that takes."""
+        j, hop = self._config.window_samples, self._config.hop
+        need = math.inf if stop is None else (stop - self._first - 1) * hop + j
+        parts = [self._samples]
+        held = self._samples.size
+        while held < need:
+            block = next(self._blocks, None)
+            if block is None:
+                break
+            if not np.all(np.isfinite(block)):
+                raise ValueError("samples must be finite")
+            parts.append(block)
+            held += block.size
+        if len(parts) > 1:
+            self._samples = np.concatenate(parts)
+        windows = self._first + max(0, (held - j) // hop + 1)
+        return windows if stop is None else min(stop, windows)
+
+    def coefficients(self, bank, stop: int, window_major: bool) -> EigenCoefficients:
+        """The windows not yet transformed, up to ``stop - 1``, from their
+        own samples: each window's bits are those of the whole record's
+        transform.  Samples no later window uses are then dropped.
+
+        ``window_major`` copies them into the window-major layout the filters
+        step through; mt's taper mean keeps the transform's own layout.
+        """
+        config, first = self._config, self._first
+        j, hop = config.window_samples, config.hop
+        block = TimeSeries(samples=owned(self._samples[:(stop - first - 1) * hop + j]),
+                           sample_rate_hz=config.sample_rate_hz)
+        # a copy, so the transformed samples are not kept alive by a view
+        self._samples, self._first = self._samples[(stop - first) * hop:].copy(), stop
+        eig = eigen_coefficients(segment(block, j, hop, demean=config.demean), bank)
+        coeffs = np.ascontiguousarray(eig.coeffs) if window_major else eig.coeffs
+        return EigenCoefficients(coeffs=owned(coeffs), frequencies_hz=eig.frequencies_hz,
+                                 window_times_s=_window_times(config, first, stop))
 
 
 def _estimate(config: RunConfig, staging: Path) -> None:
     """Estimate and write every output file into ``staging``.
 
-    EM fits the baseline windows, or all of them when there is no baseline.
-    Then the record is transformed, filtered and written in blocks of
-    windows; a block reuses the fit's coefficients where they exist, and
-    starts from the previous block's last posterior and tracker.
+    The signal is read as its windows need it.  EM fits the baseline
+    windows, or all of them when there is no baseline.  Then the record is
+    transformed, filtered and written in blocks of windows; a block reuses
+    the fit's coefficients where they exist, and starts from the previous
+    block's last posterior and tracker.  The window count is known only at
+    the last block, which restates it in the headers of the files written
+    in blocks.
     """
-    samples = io.read_signal(config.input_path, config.input_format)
-    if samples.size < config.window_samples:
+    blocks = io.read_signal(config.input_path, config.input_format, blocks=True)
+    with contextlib.closing(blocks):
+        _estimate_blocks(config, _Record(blocks, config), staging)
+
+
+def _estimate_blocks(config: RunConfig, record: _Record, staging: Path) -> None:
+    j = config.window_samples
+    if not record.count(1):
         raise DataError(
-            f"insufficient data: {config.input_path} holds {samples.size} samples, "
-            f"fewer than one {config.window_samples}-sample window"
+            f"insufficient data: {config.input_path} holds {record.held} samples, "
+            f"fewer than one {j}-sample window"
         )
-    bank = dpss(config.window_samples, config.time_half_bandwidth, config.tapers)
-    series = TimeSeries(samples=owned(samples), sample_rate_hz=config.sample_rate_hz)
-    del samples
-    j, hop = config.window_samples, config.hop
-    n_windows = (series.samples.size - j) // hop + 1
-    # the window centres eigen_coefficients gives the whole record
-    times = (np.arange(n_windows) * hop + j / 2.0) / series.sample_rate_hz
+    bank = dpss(j, config.time_half_bandwidth, config.tapers)
 
     n_fit = 0
-    if config.method != "mt":
-        n_fit = n_windows
-        if config.baseline_seconds > 0:
-            n_fit = min(config.baseline_windows, n_windows)
     manifest = {"command": "estimate", "version": __version__, "config": asdict(config)}
-    if n_fit:
-        fit_obs = _coefficients(series, bank, config, times, 0, n_fit, window_major=True)
-        if n_fit == n_windows:
-            # every block reuses the fit's coefficients: the samples can go
-            series = None
+    if config.method != "mt":
+        n_fit = record.count(config.baseline_windows if config.baseline_seconds > 0 else None)
+        fit_obs = record.coefficients(bank, n_fit, window_major=True)
         fit = em_fit(fit_obs, EMConfig(tol=config.em_tol, max_iter=config.em_max_iter))
         params = fit.params
         manifest["em"] = {
@@ -363,20 +410,23 @@ def _estimate(config: RunConfig, staging: Path) -> None:
         tracker = None
 
     step = max(1, _BLOCK_CELLS // ((j // 2 + 1) * config.tapers))
-    # blocks end where the fit does, so each one reuses the fit's rows or
-    # transforms its own
-    for first in [*range(0, n_fit, step), *range(n_fit, n_windows, step)]:
-        stop = min(first + step, n_fit if first < n_fit else n_windows)
+    first = last = 0
+    while not last:
+        # blocks end where the fit does, so each one reuses the fit's rows
+        # or transforms its own; one window more tells whether it is the last
+        stop = record.count(min(first + step, n_fit) if first < n_fit else first + step)
+        last = record.count(stop + 1) == stop
+        # the window count, for the headers, once it is known
+        rows = stop if last else None
         if first < n_fit:
             eig = EigenCoefficients(coeffs=owned(fit_obs.coeffs[first:stop]),
                                     frequencies_hz=fit_obs.frequencies_hz,
-                                    window_times_s=times[first:stop])
+                                    window_times_s=fit_obs.window_times_s[first:stop])
             if stop == n_fit:
                 # past this block, only the filter's view of it holds the fit's rows
                 del fit_obs
         else:
-            eig = _coefficients(series, bank, config, times, first, stop,
-                                window_major=config.method != "mt")
+            eig = record.coefficients(bank, stop, window_major=config.method != "mt")
         if config.method == "mt":
             spect = mt_spectrogram(eig, one_sided=config.one_sided)
             del eig
@@ -393,7 +443,7 @@ def _estimate(config: RunConfig, staging: Path) -> None:
                     sv_trace = _unfold(sv_trace, j)
                 for m in range(config.tapers):
                     io.write_matrix(staging / f"state_var_trace_taper{m}", sv_trace[:, :, m],
-                                    fmt=config.output_format, rows=n_windows, append=first > 0)
+                                    fmt=config.output_format, rows=rows, append=first > 0)
                 del sv_trace
             # the filter was the last user of the block's coefficients
             del eig
@@ -405,11 +455,12 @@ def _estimate(config: RunConfig, staging: Path) -> None:
             spect = spect.to_db()
         frequencies = spect.frequencies_hz
         io.write_matrix(staging / "spectrogram", spect.power, fmt=config.output_format,
-                        scale=spect.scale, rows=n_windows, append=first > 0)
+                        scale=spect.scale, rows=rows, append=first > 0)
         # nothing of this block is held while the next one is made
         del spect
+        first = stop
     io.write_vector_csv(staging / "frequencies.csv", frequencies)
-    io.write_vector_csv(staging / "times.csv", times)
+    io.write_vector_csv(staging / "times.csv", _window_times(config, 0, stop))
     io.write_manifest(staging / "manifest.json", manifest)
 
 

@@ -13,7 +13,10 @@ a JSON manifest that is sufficient to replay it.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +48,10 @@ def write_matrix_csv(path, values: np.ndarray, scale: str | None = None,
 
     ``values`` may be the first block of a matrix of ``rows`` rows, which
     the header then announces; ``append`` adds a later block's rows to the
-    file, with no header.
+    file, with no header.  ``rows`` on an appending call restates the
+    header's row count, for a matrix whose length became known only after
+    its first block was written: the rows so far are copied behind the new
+    header.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     cols = values.shape[1]
@@ -60,10 +66,40 @@ def write_matrix_csv(path, values: np.ndarray, scale: str | None = None,
                 header += f" scale={scale}"
             fh.write(header + "\n")
         fh.writelines(row_format % tuple(row.tolist()) for row in values)
+    if append and rows is not None:
+        _restate_csv_rows(Path(path), rows)
+
+
+def _restate_csv_rows(path: Path, rows: int) -> None:
+    """Set the row count in the header of the CSV matrix at ``path``."""
+    with open(path, "rb") as old:
+        header = old.readline()
+        restated = b" ".join(b"rows=%d" % rows if token.startswith(b"rows=") else token
+                             for token in header.split(b" "))
+        if restated == header:
+            return
+        part = path.with_name(path.name + ".part")
+        with open(part, "wb") as new:
+            new.write(restated)
+            shutil.copyfileobj(old, new)
+    os.replace(part, path)
 
 
 # Characters of text the CSV readers take from the file per block.
 _READ_BLOCK_CHARS = 1 << 16
+# Characters per read of a text file, which keeps the text it last decoded,
+# and its bytes, until the next read.
+_READ_PIECE_CHARS = 1 << 13
+
+
+def _text_chunks(fh):
+    """The text of ``fh`` in chunks of ``_READ_BLOCK_CHARS`` characters,
+    rounded up to whole reads of at most ``_READ_PIECE_CHARS``."""
+    piece = min(_READ_BLOCK_CHARS, _READ_PIECE_CHARS)
+    per_chunk = -(-_READ_BLOCK_CHARS // piece)
+    pieces = iter(functools.partial(fh.read, piece), "")
+    # iterators, not a generator, whose frame would hold the last chunk
+    return map("".join, iter(lambda: list(itertools.islice(pieces, per_chunk)), []))
 
 
 def _strip_chunks(chunks):
@@ -79,8 +115,10 @@ def _strip_chunks(chunks):
             if held is not None:
                 held += chunk
             continue
-        yield body.lstrip() if held is None else held + body
+        text = [body.lstrip() if held is None else held + body]
         held = chunk[len(body):]
+        del chunk, body
+        yield text.pop()
 
 
 def _line_blocks(path, strip: bool = False):
@@ -90,21 +128,32 @@ def _line_blocks(path, strip: bool = False):
     ``text.strip().splitlines()`` gives them.  The file is read
     ``_READ_BLOCK_CHARS`` characters at a time, so its whole text is never
     held at once.  No block is empty.
+
+    A suspended generator keeps its locals alive, so this one and the
+    readers built on it drop the text a block came from and yield the
+    block off a one-item list: between two blocks, only the consumer holds
+    the last one.
     """
     with open(path) as fh:
-        chunks = iter(functools.partial(fh.read, _READ_BLOCK_CHARS), "")
+        chunks = _text_chunks(fh)
         if strip:
             chunks = _strip_chunks(chunks)
         tail = ""
         for chunk in chunks:
             # the sentinel ends the last line, so what follows the chunk's last
             # line break (often nothing) is split off and carried to the next
-            *lines, tail = (tail + chunk + "x").splitlines()
-            tail = tail[:-1]
+            lines = (tail + chunk + "x").splitlines()
+            tail = lines.pop()[:-1]
+            del chunk
             if lines:
-                yield lines
+                lines = [lines]
+                yield lines.pop()
         if tail:
             yield [tail]
+
+
+def _floats(fields: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, fields), dtype=float, count=len(fields))
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
@@ -128,11 +177,12 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
         rows += len(lines)
         commas.update({line.count(",") for line in lines})
         if error is None:
-            fields = ",".join(lines).split(",")
             try:
-                blocks.append(np.fromiter(map(float, fields), dtype=float, count=len(fields)))
+                blocks.append(_floats(",".join(lines).split(",")))
             except ValueError as exc:
                 error = exc
+        # not held while the next block is read
+        del lines
     if not rows:
         raise ValueError(f"{path}: no data rows")
     if len(commas) > 1:
@@ -167,6 +217,10 @@ def write_matrix_bin(path, values: np.ndarray, rows: int | None = None,
             shape = [values.shape[0] if rows is None else rows, values.shape[1]]
             fh.write(MATRIX_MAGIC + np.array(shape, dtype="<u4").tobytes())
         fh.write(values.tobytes())
+    if append and rows is not None:
+        with open(path, "r+b") as fh:
+            fh.seek(len(MATRIX_MAGIC))
+            fh.write(np.array([rows], dtype="<u4").tobytes())
 
 
 def read_matrix_bin(path) -> np.ndarray:
@@ -190,7 +244,9 @@ def write_matrix(path, values, fmt: str = "csv", scale: str | None = None,
     """Write under the format's natural extension; returns the path used.
 
     A matrix can be written in blocks of rows: the first with ``rows``, the
-    matrix's row count, and each later one with ``append``.
+    matrix's row count, and each later one with ``append``.  When the count
+    is not known at the first block, the block that makes it known passes
+    it with ``append``, which restates the header.
     """
     if fmt not in MATRIX_SUFFIXES:
         raise ValueError(f"unknown matrix format {fmt!r}")
@@ -244,18 +300,12 @@ def write_signal(path, samples: np.ndarray, fmt: str = "csv") -> Path:
     return path
 
 
-def read_signal(path, fmt: str | None = None) -> np.ndarray:
-    """Read a signal file; CSV may carry one non-numeric header line.
+def _sample_fields(path):
+    """The sample field of every line of a CSV signal, in blocks.
 
-    A ``.f64`` is the file's bytes, read-only.  A CSV is parsed block by
-    block, so neither its text nor its samples as floats are ever held whole.
+    Blank lines and a non-numeric first line are left out, and a line with
+    commas gives its first field.  No block is empty.
     """
-    path = Path(path)
-    if fmt is None:
-        fmt = "bin" if path.suffix == ".f64" else "csv"
-    if fmt == "bin":
-        return np.frombuffer(path.read_bytes(), dtype="<f8")
-    blocks = []
     header_checked = False
     for lines in _line_blocks(path):
         lines = list(filter(None, map(str.strip, lines)))
@@ -269,8 +319,45 @@ def read_signal(path, fmt: str | None = None) -> np.ndarray:
                 float(lines[0])
             except ValueError:
                 del lines[0]
-        blocks.append(np.fromiter(map(float, lines), dtype=float, count=len(lines)))
-    return np.concatenate(blocks) if blocks else np.array([])
+        if lines:
+            lines = [lines]
+            yield lines.pop()
+
+
+def _sample_blocks(path, fmt: str):
+    """The samples of a signal file in blocks of ``_READ_BLOCK_CHARS``
+    characters of CSV text, or bytes of float64."""
+    if fmt != "bin":
+        yield from map(_floats, _sample_fields(path))
+        return
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size % 8:
+            raise ValueError(f"{path}: {size} bytes is not a whole number of float64 samples")
+        step = max(1, _READ_BLOCK_CHARS // 8) * 8
+        for _ in range(0, size, step):
+            yield np.frombuffer(fh.read(step), dtype="<f8")
+
+
+def read_signal(path, fmt: str | None = None, blocks: bool = False):
+    """Read a signal file; CSV may carry one non-numeric header line.
+
+    A ``.f64`` is the file's bytes, read-only.  A CSV is parsed block by
+    block into one array, so neither its text nor its samples as Python
+    floats are ever held whole, nor its samples twice.  With ``blocks``,
+    an iterator over the samples in blocks instead, which reads the file
+    as it is consumed and closes it when exhausted or closed.
+    """
+    path = Path(path)
+    if fmt is None:
+        fmt = "bin" if path.suffix == ".f64" else "csv"
+    if blocks:
+        return _sample_blocks(path, fmt)
+    if fmt == "bin":
+        return np.frombuffer(path.read_bytes(), dtype="<f8")
+    # one array grown in place: never the blocks and their concatenation
+    return np.fromiter(map(float, itertools.chain.from_iterable(_sample_fields(path))),
+                       dtype=float)
 
 
 def write_manifest(path, payload: dict) -> None:

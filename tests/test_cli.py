@@ -429,23 +429,49 @@ class TestMemory:
                              [("mt", ()), ("assmt", ("--baseline-seconds", "60"))])
     def test_peak_does_not_grow_with_the_record(self, tmp_path, rng, method, extra):
         # 100 and 400 windows of 192 samples: the longer record has 1.9 MB
-        # more coefficients, which a whole-record pass would hold at once
-        peaks = []
-        for windows in (100, 400):
-            signal = io.write_signal(tmp_path / f"signal{windows}",
-                                     rng.standard_normal(windows * 192), fmt="bin")
-            argv = ["estimate", "--input", str(signal), "--sample-rate", str(FS),
-                    "--method", method, "--out-dir", str(tmp_path / f"out{windows}"),
-                    "--format", "bin", "--em-tol", "1", *extra]
-            tracemalloc.start()
-            try:
-                assert main(argv) == EXIT_OK
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # the samples are held for the run, and nothing else grows with it
-        extra_samples = (400 - 100) * 192 * 8
-        assert peaks[1] <= peaks[0] + extra_samples + 64 * 1024
+        # more coefficients, which a whole-record pass would hold at once,
+        # and 0.46 MB more samples, which a whole-record read would
+        for fmt in ("bin", "csv"):
+            peaks = []
+            for windows in (100, 400):
+                signal = io.write_signal(tmp_path / f"signal{windows}",
+                                         rng.standard_normal(windows * 192), fmt=fmt)
+                argv = ["estimate", "--input", str(signal), "--sample-rate", str(FS),
+                        "--method", method, "--out-dir", str(tmp_path / f"{fmt}{windows}"),
+                        "--format", "bin", "--em-tol", "1", *extra]
+                tracemalloc.start()
+                try:
+                    assert main(argv) == EXIT_OK
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # the signal is read as its windows need it: nothing grows with the record
+            assert peaks[1] <= peaks[0] + 64 * 1024, fmt
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_full_record_fit_holds_no_samples(self, tmp_path, monkeypatch, fmt):
+        # a full-record fit reads every sample before EM, and then holds the
+        # coefficients alone: 1.9 MB of them, beside which the 0.61 MB of
+        # samples would be kept alive by any view of them
+        samples = np.random.default_rng(2).standard_normal(400 * 192)
+        signal = io.write_signal(tmp_path / "signal", samples, fmt=fmt)
+        real, held = cli.em_fit, []
+
+        def spy(obs, *args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0] - obs.coeffs.nbytes)
+            return real(obs, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "em_fit", spy)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                assert main(["estimate", "--input", str(signal), "--sample-rate", str(FS),
+                             "--method", "ssmt", "--out-dir", str(tmp_path / "out"),
+                             "--format", "bin", "--em-max-iter", "2"]) == EXIT_OK
+        finally:
+            tracemalloc.stop()
+        assert held and held[0] <= samples.nbytes / 4
 
 
 class TestHalfGridFilter:
@@ -574,6 +600,126 @@ class TestWindowBlocks:
         monkeypatch.setattr(cli, "_BLOCK_CELLS", 3 * 97 * 9)
         TestHalfGridFilter.check_files(sim_dir, tmp_path, monkeypatch, method, "csv",
                                        "--tapers", "9", "--full-grid")
+
+
+@st.composite
+def signal_files(draw):
+    """A signal file's name and bytes: ``.f64``, or CSV with a header line,
+    blank or whitespace lines and lines of several fields, drawn."""
+    samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        draw(st.integers(40, 120)))
+    if draw(st.booleans()):
+        return "signal.f64", samples.astype("<f8").tobytes()
+    lines = ["%.17g" % v for v in samples]
+    for at in draw(st.lists(st.integers(0, len(lines) - 1), max_size=6)):
+        lines[at] += draw(st.sampled_from([",1", ", x", ",,"]))
+    for at in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=6)), reverse=True):
+        lines.insert(at, draw(st.sampled_from(["", "  ", "\t"])))
+    header = draw(st.sampled_from([[], ["value"], ["time,value"]]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "signal.csv", end.join(header + lines + [""]).encode()
+
+
+class TestStreamBoundaries:
+    """The signal is read in blocks that end anywhere: inside a line, a
+    window, or the overlap of two window blocks.  Every output byte, window
+    times included, must be that of a run that reads the file and makes
+    its windows in one block."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(signal=signal_files(), data=st.data(),
+           method=st.sampled_from(["mt", "ssmt", "ssmt-baseline", "assmt"]))
+    def test_files_match_one_pass(self, signal, data, method):
+        name, content = signal
+        # 16-sample windows of 9 stored bins and 3 tapers, and a 3-window baseline
+        argv = ["estimate", "--sample-rate", "2", "--window-seconds", "8", "--em-max-iter", "5",
+                "--method", method.split("-")[0]]
+        if method != "ssmt":
+            argv += ["--baseline-seconds", "24"]
+        if data.draw(st.booleans(), label="overlap-demean"):
+            argv += ["--overlap", "0.5", "--demean"]
+        if data.draw(st.booleans(), label="full-grid"):
+            argv.append("--full-grid")
+        argv += ["--format", data.draw(st.sampled_from(["csv", "bin"]), label="format")]
+        sizes = {"one pass": (1 << 30, 1 << 30),
+                 "blocks": (data.draw(st.integers(1, 4), label="windows a block") * 9 * 3,
+                            data.draw(st.integers(1, 48), label="characters a read"))}
+        outputs = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_bytes(content)
+            for run, (cells, chars) in sizes.items():
+                out = Path(tmp) / run
+                with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    patch.setattr(cli, "_BLOCK_CELLS", cells)
+                    patch.setattr(io, "_READ_BLOCK_CHARS", chars)
+                    with redirect_stderr(StringIO()):
+                        code = main([*argv, "--input", str(path), "--out-dir", str(out)])
+                assert code == EXIT_OK
+                files = {p.name: p.read_bytes() for p in out.iterdir()}
+                manifest = json.loads(files.pop("manifest.json"))
+                del manifest["config"]["output_dir"]
+                outputs[run] = files, manifest
+        assert outputs["blocks"] == outputs["one pass"]
+
+
+class TestMidStreamFailures:
+    """A defect found after some window blocks were written: a non-finite
+    sample or an unparseable line in the last block of text, or a non-finite
+    sample after the last whole window.  The run exits 3 with one error
+    line, leaves the file system as it found it, and closes the signal."""
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [("nan-in-last-block", "samples must be finite"),
+         ("bad-line-in-last-block", "could not convert"),
+         ("nan-after-last-window", "samples must be finite")],
+    )
+    @pytest.mark.parametrize("method, extra",
+                             [("mt", ()), ("assmt", ("--baseline-seconds", "45"))])
+    def test_exits_3_and_leaves_nothing(self, tmp_path, monkeypatch, capsys, defect, message,
+                                        method, extra):
+        # 15 windows of 192 samples, and 100 samples after the last
+        lines = ["%.17g" % v for v in np.random.default_rng(5).standard_normal(15 * 192 + 100)]
+        at = 15 * 192 + 50 if defect == "nan-after-last-window" else 15 * 192 - 1
+        lines[at] = "abc" if defect.startswith("bad-line") else "nan"
+        text = "\n".join(lines) + "\n"
+        chars = 4096
+        assert text.index(f"\n{lines[at]}\n") >= (len(text) - 1) // chars * chars
+        signal = tmp_path / "signal.csv"
+        signal.write_text(text)
+        # two windows a block: several blocks are written before the defect is read
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 2 * 97 * 3)
+        monkeypatch.setattr(io, "_READ_BLOCK_CHARS", chars)
+        real_read, real_write = io.read_signal, io.write_matrix
+        readers, appended = [], []
+
+        def spy_read(*args, **kwargs):
+            readers.append(real_read(*args, **kwargs))
+            return readers[-1]
+
+        def spy_write(path, values, *args, **kwargs):
+            appended.append(kwargs.get("append", False))
+            return real_write(path, values, *args, **kwargs)
+
+        monkeypatch.setattr(io, "read_signal", spy_read)
+        monkeypatch.setattr(io, "write_matrix", spy_write)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error", ResourceWarning)
+            warnings.simplefilter("ignore", UserWarning)
+            code = main(["estimate", "--input", str(signal), "--sample-rate", str(FS),
+                         "--method", method, "--out-dir", str(tmp_path / "out"), *extra])
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+        assert any(appended)
+        # neither the output directory nor a temporary one is left behind
+        assert [path.name for path in tmp_path.iterdir()] == ["signal.csv"]
+        # the reader's file was closed: its generator has finished
+        assert len(readers) == 1 and readers[0].gi_frame is None
 
 
 class TestFailedRunLeavesNothing:

@@ -112,6 +112,20 @@ class TestDispatch:
                                      scale="dB", rows=6, append=first > 0)
         assert blocks.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("cuts", [(1,), (3, 4), (1, 2, 3, 4, 5)])
+    def test_row_count_restated_by_the_last_block(self, tmp_path, rng, fmt, cuts):
+        # a matrix whose length is known only once its last block is made
+        values = rng.standard_normal((6, 4))
+        whole = io.write_matrix(tmp_path / "whole", values, fmt=fmt, scale="dB")
+        for first, stop in zip((0, *cuts), (*cuts, 6)):
+            blocks = io.write_matrix(tmp_path / "blocks", values[first:stop], fmt=fmt,
+                                     scale="dB", rows=6 if stop == 6 else None,
+                                     append=first > 0)
+        assert blocks.read_bytes() == whole.read_bytes()
+        # no staged copy is left behind
+        assert {path.name for path in tmp_path.iterdir()} == {whole.name, blocks.name}
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown matrix format"):
             io.write_matrix(tmp_path / "a", np.ones((1, 1)), fmt="hdf5")
@@ -138,6 +152,26 @@ class TestSignal:
         path = tmp_path / "s.csv"
         path.write_text("")
         assert io.read_signal(path).size == 0
+        assert list(io.read_signal(path, blocks=True)) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(samples=hnp.arrays(np.float64, st.integers(0, 60),
+                              elements=st.floats(allow_nan=False)),
+           fmt=st.sampled_from(["csv", "bin"]), chars=st.integers(1, 40))
+    def test_blocks_hold_the_whole_array(self, samples, fmt, chars):
+        with block_chars(chars), tempfile.TemporaryDirectory() as tmp:
+            path = io.write_signal(Path(tmp) / "s", samples, fmt=fmt)
+            blocks = list(io.read_signal(path, blocks=True))
+            whole = io.read_signal(path)
+        assert all(block.size for block in blocks)
+        joined = np.concatenate(blocks) if blocks else np.array([])
+        assert joined.tobytes() == whole.tobytes() == samples.tobytes()
+
+    def test_truncated_binary_blocks_rejected(self, tmp_path):
+        path = tmp_path / "s.f64"
+        path.write_bytes(bytes(20))
+        with pytest.raises(ValueError, match="20 bytes"):
+            next(io.read_signal(path, blocks=True))
 
 
 class TestVectorAndManifest:
@@ -364,6 +398,42 @@ class TestSignalMemory:
         assert peak <= 1.1 * read.nbytes + 64 * 1024
         assert not read.flags.writeable
         np.testing.assert_array_equal(read, samples)
+
+    def test_csv_signal_is_held_once(self, tmp_path, rng):
+        # an hour at 36 Hz, parsed into one array that grows in place: never
+        # the parsed blocks and their concatenation at once
+        samples = rng.standard_normal(3600 * 36)
+        path = io.write_signal(tmp_path / "s", samples, fmt="csv")
+        tracemalloc.start()
+        try:
+            read = io.read_signal(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * read.nbytes + 512 * 1024
+        np.testing.assert_array_equal(read, samples)
+
+    @pytest.mark.parametrize("reader", ["signal-blocks", "matrix-lines"])
+    def test_reader_holds_no_block_between_calls(self, tmp_path, rng, reader):
+        # 100 000 lines: many blocks of text, each of which, as lines, takes
+        # about four times its characters
+        path = io.write_signal(tmp_path / "s", rng.standard_normal(100_000), fmt="csv")
+        tracemalloc.start()
+        try:
+            if reader == "signal-blocks":
+                blocks = io.read_signal(path, blocks=True)
+            else:
+                blocks = io._line_blocks(path, strip=True)
+            with contextlib.closing(blocks):
+                next(blocks)
+                held = tracemalloc.get_traced_memory()[0]
+                next(blocks)
+                held = max(held, tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        # what the text file keeps of its last read, as text and bytes: a
+        # block of 64 Ki characters would add about four times that as lines
+        assert held <= 2 * io._READ_PIECE_CHARS + 16 * 1024
 
     def test_read_signal_streams_blocks(self, tmp_path, rng):
         path = io.write_signal(tmp_path / "s", rng.standard_normal(100_000), fmt="csv")

@@ -40,3 +40,23 @@ def frozen_array(values, dtype=None, ndim=None, name="array") -> np.ndarray:
         raise ValueError(f"{name} must have {ndim} dimension(s), got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def append_in_place(values: np.ndarray, size: int, block: np.ndarray, capacity: int = 0) -> int:
+    """Write ``block`` after the first ``size`` entries of the 1-d ``values``
+    and return the new size.
+
+    A full ``values`` is enlarged in place to hold the block, or to
+    ``capacity`` if that is more, so blocks appended one by one are never
+    held beside their concatenation, nor is room held for values that
+    never come.  The realloc behind `ndarray.resize` mostly extends or
+    remaps a large array where it lies: growing it a block at a time
+    measured no slower than growing it by half.  ``values`` must own its
+    data and have no views; the caller trims it to the final size with
+    ``values.resize(size, refcheck=False)``.
+    """
+    end = size + block.size
+    if end > values.size:
+        values.resize(max(end, capacity), refcheck=False)
+    values[size:end] = block
+    return end

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from ._util import owned
+from ._util import append_in_place, owned
 from ._version import __version__
 from .adaptive import AdaptiveParams, assmt_filter
 from .metrics import itakura_saito
@@ -312,9 +312,12 @@ class _Record:
     def __init__(self, blocks, config: RunConfig):
         self._blocks = blocks
         self._config = config
-        # the samples from the start of window `_first` on
+        # the samples from the start of window `_first` on, an array no view
+        # is taken of until it is replaced, so it can grow in place
         self._samples = np.empty(0)
         self._first = 0
+        # samples the file has yet to give, if its size tells
+        self._unread = io.signal_length(config.input_path, config.input_format)
 
     @property
     def held(self) -> int:
@@ -325,18 +328,22 @@ class _Record:
         its windows when ``stop`` is None; reads only as far as that takes."""
         j, hop = self._config.window_samples, self._config.hop
         need = math.inf if stop is None else (stop - self._first - 1) * hop + j
-        parts = [self._samples]
-        held = self._samples.size
+        samples = self._samples
+        held = samples.size
         while held < need:
             block = next(self._blocks, None)
             if block is None:
                 break
             if not np.all(np.isfinite(block)):
                 raise ValueError("samples must be finite")
-            parts.append(block)
-            held += block.size
-        if len(parts) > 1:
-            self._samples = np.concatenate(parts)
+            # read to the end, a file of known length fills one array of its size
+            whole = held + self._unread if stop is None and self._unread is not None else 0
+            held = append_in_place(samples, held, block, capacity=whole)
+            if self._unread is not None:
+                self._unread -= block.size
+            # copied: not held while the next block is read
+            del block
+        samples.resize(held, refcheck=False)
         windows = self._first + max(0, (held - j) // hop + 1)
         return windows if stop is None else min(stop, windows)
 

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import append_in_place
+
 __all__ = [
     "MATRIX_MAGIC",
     "MATRIX_SUFFIXES",
@@ -35,6 +37,7 @@ __all__ = [
     "read_vector_csv",
     "write_signal",
     "read_signal",
+    "signal_length",
     "write_manifest",
     "read_manifest",
 ]
@@ -159,8 +162,9 @@ def _floats(fields: list[str]) -> np.ndarray:
 def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     meta: dict = {}
     commas: set[int] = set()
-    blocks: list[np.ndarray] = []
-    rows = 0
+    # one array grown in place: never the parsed blocks and their concatenation
+    values = np.empty(0)
+    size = rows = 0
     error = None
     # the shape checks need every line, so a value that does not parse is
     # kept and raised after them
@@ -178,7 +182,7 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
         commas.update({line.count(",") for line in lines})
         if error is None:
             try:
-                blocks.append(_floats(",".join(lines).split(",")))
+                size = append_in_place(values, size, _floats(",".join(lines).split(",")))
             except ValueError as exc:
                 error = exc
         # not held while the next block is read
@@ -193,7 +197,8 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
         raise ValueError(f"{path}: header says {expected}, data is {(rows, cols)}")
     if error is not None:
         raise error
-    return np.concatenate(blocks).reshape(rows, cols), meta
+    values.resize(size, refcheck=False)
+    return values.reshape(rows, cols), meta
 
 
 def check_float32(values, name: str = "values") -> None:
@@ -339,6 +344,17 @@ def _sample_blocks(path, fmt: str):
             yield np.frombuffer(fh.read(step), dtype="<f8")
 
 
+def _signal_format(path: Path, fmt: str | None) -> str:
+    return fmt if fmt is not None else "bin" if path.suffix == ".f64" else "csv"
+
+
+def signal_length(path, fmt: str | None = None) -> int | None:
+    """The number of samples in a signal file if its size tells, as a
+    ``.f64``'s does; None for CSV."""
+    path = Path(path)
+    return path.stat().st_size // 8 if _signal_format(path, fmt) == "bin" else None
+
+
 def read_signal(path, fmt: str | None = None, blocks: bool = False):
     """Read a signal file; CSV may carry one non-numeric header line.
 
@@ -349,8 +365,7 @@ def read_signal(path, fmt: str | None = None, blocks: bool = False):
     as it is consumed and closes it when exhausted or closed.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "bin" if path.suffix == ".f64" else "csv"
+    fmt = _signal_format(path, fmt)
     if blocks:
         return _sample_blocks(path, fmt)
     if fmt == "bin":

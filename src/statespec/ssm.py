@@ -205,14 +205,15 @@ def kalman_step(prev: FilterState, observation: complex, state_var: float, obs_v
     return FilterState(mean=mean, variance=variance, gain=gain)
 
 
-def _forward_pass(coeffs, state_var, obs_var, init_mean=None, init_var=None):
+def _forward_pass(coeffs, state_var, obs_var, init_mean=None, init_var=None, out=None):
     """Causal filter over every window for all chains at once.
 
     ``state_var`` is (B, M), or (K, B, M) when it changes per window.  The
     state prior defaults to zero mean and the first window's state
     variance.  Returns ``(means, variances, gains)``; means and variances
     have K + 1 rows, row 0 holding the prior and row k the posterior after
-    window k.
+    window k.  ``out`` is such a triple to write them into instead of new
+    arrays.
     """
     shape = coeffs.shape[1:]
     state_var = np.broadcast_to(state_var, coeffs.shape)
@@ -225,9 +226,10 @@ def _forward_pass(coeffs, state_var, obs_var, init_mean=None, init_var=None):
 
     # a full (B, M) copy keeps the per-window sum on numpy's contiguous path
     obs_var = np.broadcast_to(obs_var, shape).copy()
-    means = np.empty((len(coeffs) + 1, *shape), dtype=complex)
-    variances = np.empty((len(coeffs) + 1, *shape))
-    gains = np.empty(coeffs.shape)
+    if out is None:
+        out = (np.empty((len(coeffs) + 1, *shape), dtype=complex),
+               np.empty((len(coeffs) + 1, *shape)), np.empty(coeffs.shape))
+    means, variances, gains = out
     means[0] = mean
     variances[0] = var
     for k in range(len(coeffs)):
@@ -235,7 +237,7 @@ def _forward_pass(coeffs, state_var, obs_var, init_mean=None, init_var=None):
         gain = np.divide(prior, obs_var + prior, out=gains[k])
         np.add(means[k], gain * (coeffs[k] - means[k]), out=means[k + 1])
         np.multiply(1.0 - gain, prior, out=variances[k + 1])
-    return means, variances, gains
+    return out
 
 
 def _filter_trace(obs, state_var, obs_var, init_mean, init_var) -> FilterTrace:
@@ -364,42 +366,62 @@ def _moment_init(coeffs: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np
     return state_var, obs_var
 
 
-def _e_step(coeffs, state_var, obs_var, init_var, weight):
+# Cells per window block of the M-step's one temporary array.
+_EM_BLOCK_CELLS = 1 << 12
+
+
+def _em_buffers(shape):
+    """The record-sized arrays of one EM fit on coefficients of ``shape``
+    (K, B, M): the forward pass's means, variances and gains, and a scratch
+    array of K rows."""
+    k_windows, *chain = shape
+    return (np.empty((k_windows + 1, *chain), dtype=complex),
+            np.empty((k_windows + 1, *chain)), np.empty(shape), np.empty(shape))
+
+
+def _e_step(coeffs, state_var, obs_var, init_var, weight, work=None):
     """Filter, smooth, and collect the moments the M-step needs.
 
     Returns the smoothed means and variances, the smoother gains, whose
     product sgain[k] * ps[k + 1] is the lag-one covariance Cov(Z_{k+1}, Z_k |
     all data) (de Jong and Mackinnon, Biometrika 75:601, 1988), and the
     innovations-form log-likelihood with bin j's terms counted weight[j] times.
-    The smoothed moments overwrite the forward pass's means and variances,
-    row by row from the last, so the filter's buffers are the only K + 1 row
-    arrays made.
+
+    Everything is formed in ``work``, the `_em_buffers` of the fit (new ones
+    if None): the forward pass fills its means, variances and gains; the
+    gains then hold the per-cell likelihood terms, and at return the
+    smoother gains; the scratch array holds the innovations' squared
+    imaginary parts, then the innovation variances, and at return the
+    predicted variances pp.  The smoothed moments overwrite the forward
+    pass's means and variances, row by row from the last.
     """
     k_windows = coeffs.shape[0]
-    # [:2] frees the unused filter gains before the temporaries below
-    zs, ps = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)[:2]
-    pp = ps[:-1] + state_var
-    # -ll per cell is log(pi v) + |e|^2 / v for innovation e of variance v,
-    # formed in place; complex subtraction is componentwise, so e's real and
-    # imaginary parts are taken apart, the same bits with no complex array.
-    # Window totals are then added in window order
-    nll = np.subtract(coeffs.real, zs.real[:-1])
+    if work is None:
+        work = _em_buffers(coeffs.shape)
+    zs, ps, terms, scratch = work
+    _forward_pass(coeffs, state_var, obs_var, init_var=init_var, out=work[:3])
+    # -ll per cell is log(pi v) + |e|^2 / v for innovation e of variance
+    # v = pp + obs_var, pp = ps[:-1] + state_var; complex subtraction is
+    # componentwise, so e's real and imaginary parts are taken apart, the same
+    # bits with no complex array.  Window totals are then added in window order
+    nll = np.subtract(coeffs.real, zs.real[:-1], out=terms)
     np.square(nll, out=nll)
-    part = np.subtract(coeffs.imag, zs.imag[:-1])
+    part = np.subtract(coeffs.imag, zs.imag[:-1], out=scratch)
     nll += np.square(part, out=part)
-    del part
-    innov_var = pp + obs_var[None, :]
+    innov_var = np.add(ps[:-1], state_var, out=scratch)
+    innov_var += obs_var[None, :]
     nll /= innov_var
     innov_var *= np.pi
     nll += np.log(innov_var, out=innov_var)
-    del innov_var
     nll *= weight[:, None]
     ll = -float(np.cumsum(nll.sum(axis=(1, 2)))[-1])
-    del nll
 
     # RTS smoother: row K is already smoothed, and each row k below it reads
-    # the smoothed row k + 1 and its own filtered values before it is overwritten
-    sgain = ps[:-1] / pp
+    # the smoothed row k + 1 and its own filtered values before it is
+    # overwritten.  pp is formed again, by the same operation, where the
+    # innovation variances were
+    pp = np.add(ps[:-1], state_var, out=scratch)
+    sgain = np.divide(ps[:-1], pp, out=terms)
     for k in range(k_windows - 1, -1, -1):
         g = sgain[k]
         zs[k] += g * (zs[k + 1] - zs[k])
@@ -407,28 +429,34 @@ def _e_step(coeffs, state_var, obs_var, init_var, weight):
     return zs, ps, sgain, ll
 
 
-def _m_step(coeffs, zs, ps, sgain, weight, j_bins):
+def _m_step(coeffs, zs, ps, sgain, weight, j_bins, scratch):
     """New ``(state_var, obs_var)`` from the E-step's smoothed moments.
 
     Bin j's residuals count weight[j] times in the observation variance,
-    which is pooled over the J bins of the grid.  Every temporary dies at return.
+    which is pooled over the J bins of the grid.  The E-step's arrays are
+    spent: the increments are formed in ``scratch``, the residuals
+    ``coeffs - zs[1:]`` over the smoothed means once the increments are
+    summed, and their magnitudes over the smoother gains.  The one other
+    temporary is made a block of windows at a time.
     """
     k_windows = coeffs.shape[0]
     # E|Z_{k+1} - Z_k|^2, the real and imaginary differences taken apart as
     # in the E-step, summed in the order |dz|^2 + ps[k] + (1 - 2 sgain) ps[k+1]
-    increments = np.subtract(zs.real[1:], zs.real[:-1])
+    increments = np.subtract(zs.real[1:], zs.real[:-1], out=scratch)
     np.square(increments, out=increments)
-    part = np.subtract(zs.imag[1:], zs.imag[:-1])
-    increments += np.square(part, out=part)
+    step = max(1, _EM_BLOCK_CELLS // increments[0].size)
+    for first in range(0, k_windows, step):
+        stop = min(first + step, k_windows)
+        part = np.subtract(zs.imag[first + 1:stop + 1], zs.imag[first:stop])
+        increments[first:stop] += np.square(part, out=part)
     increments += ps[:-1]
-    np.multiply(2.0, sgain, out=part)
+    part = np.multiply(2.0, sgain, out=sgain)
     np.subtract(1.0, part, out=part)
     part *= ps[1:]
     increments += part
-    del part
     state_var = np.maximum(increments.mean(axis=0), 0.0)
-    del increments
-    resid = np.abs(coeffs - zs[1:])
+    resid = np.subtract(coeffs, zs[1:], out=zs[1:])
+    resid = np.abs(resid, out=sgain)
     np.square(resid, out=resid)
     resid += ps[1:]
     resid *= weight[:, None]
@@ -464,6 +492,17 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     With Cov(Z_{k+1}, Z_k | all data) = sgain[k] ps[k+1], one smoother pass
     gives E|Z_{k+1} - Z_k|^2 = |zs[k+1] - zs[k]|^2 + ps[k] + (1 - 2 sgain[k]) ps[k+1].
 
+    A fit owns four record-sized arrays, made once after the starting
+    point (`_em_buffers`): the K + 1 means and variances of the forward
+    pass, which the smoother overwrites with its own, the K rows of filter
+    gains, which then hold the likelihood terms and the smoother gains,
+    and K rows of scratch.  The M-step spends them in place.  No iteration
+    makes another record-sized array, and the returned parameters are new
+    (B, M) and (M,) arrays, no views of them.  Every operation and its order
+    are those of an EM that allocates each iteration's arrays, and every sum
+    over windows is one reduction in window order, so the two agree bit for
+    bit.
+
     EM fits the B bins ``obs`` stores and returns parameters on them.  When
     they are bins 0..J//2 of a real signal, bins 1..J - B also stand for
     their mirrors J - j, so their terms count twice in the likelihood and
@@ -489,19 +528,19 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     # first-window prior, fixed across iterations: each M-step rebinds
     # state_var to a new array, so this one is never written
     init_var = state_var
+    # made after the starting point's temporaries are freed, and reused by
+    # every iteration
+    work = _em_buffers(coeffs.shape)
 
     lls: list[float] = []
     converged = False
     for _ in range(cfg.max_iter):
-        zs, ps, sgain, ll = _e_step(coeffs, state_var, obs_var, init_var, weight)
+        zs, ps, sgain, ll = _e_step(coeffs, state_var, obs_var, init_var, weight, work)
         lls.append(ll)
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= cfg.tol * abs(lls[-2]):
             converged = True
             break
-        state_var, obs_var = _m_step(coeffs, zs, ps, sgain, weight, j_bins)
-        # the next E-step makes its own moments: dropping these first keeps
-        # one iteration's arrays alive at a time
-        del zs, ps, sgain
+        state_var, obs_var = _m_step(coeffs, zs, ps, sgain, weight, j_bins, work[3])
     if not converged:
         warnings.warn(
             f"em_fit did not converge within {cfg.max_iter} iterations",

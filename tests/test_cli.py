@@ -8,7 +8,7 @@ import tempfile
 import tracemalloc
 import warnings
 import weakref
-from contextlib import redirect_stderr
+from contextlib import closing, redirect_stderr
 from dataclasses import MISSING, asdict, fields
 from io import StringIO
 from pathlib import Path
@@ -447,6 +447,29 @@ class TestMemory:
                     tracemalloc.stop()
             # the signal is read as its windows need it: nothing grows with the record
             assert peaks[1] <= peaks[0] + 64 * 1024, fmt
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_full_record_read_holds_the_samples_once(self, tmp_path, fmt):
+        # 2 MB of samples, read into one array that grows in place, to the
+        # file's length at once for a .f64: never the blocks read beside
+        # their concatenation, which would be twice the samples
+        samples = np.random.default_rng(3).standard_normal(1 << 18)
+        signal = io.write_signal(tmp_path / "signal", samples, fmt=fmt)
+        config = cli.RunConfig(method="ssmt", input_path=str(signal),
+                               output_dir=str(tmp_path / "out"), sample_rate_hz=FS)
+        blocks = io.read_signal(signal, blocks=True)
+        with closing(blocks):
+            record = cli._Record(blocks, config)
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                record.count()
+                peak = tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+        assert record.held == samples.size
+        # beside the samples, one block read: its bytes, or its text as lines
+        assert peak <= samples.nbytes + 768 * 1024
 
     @pytest.mark.parametrize("fmt", ["bin", "csv"])
     def test_full_record_fit_holds_no_samples(self, tmp_path, monkeypatch, fmt):

@@ -372,6 +372,24 @@ class TestMatrixCsvParser:
                         "scale": "linear"}
 
 
+class TestMatrixMemory:
+    def test_csv_matrix_is_held_once(self, tmp_path, rng):
+        # 1.7 MB of values, parsed block by block into one array that grows
+        # in place: never the parsed blocks and their concatenation
+        values = rng.standard_normal((2000, 109))
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, values)
+        tracemalloc.start()
+        try:
+            read, _ = io.read_matrix_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * read.nbytes + 512 * 1024
+        np.testing.assert_array_equal(read, np.array([[float(f"{v:.9g}") for v in row]
+                                                      for row in values]))
+
+
 class TestSignalMemory:
     def test_write_signal_streams_blocks(self, tmp_path, rng):
         samples = rng.standard_normal(100_000)

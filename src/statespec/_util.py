@@ -8,6 +8,9 @@ to a dataclass.  Either way `frozen_array` marks the stored array
 read-only, so every array a returned result holds is read-only, and
 every check in the dataclass ``__post_init__`` runs the same on both
 paths.
+
+An array read in blocks, of a length not known in advance, grows in place
+by `append_in_place`.
 """
 
 from __future__ import annotations
@@ -42,21 +45,14 @@ def frozen_array(values, dtype=None, ndim=None, name="array") -> np.ndarray:
     return arr
 
 
-def append_in_place(values: np.ndarray, size: int, block: np.ndarray, capacity: int = 0) -> int:
-    """Write ``block`` after the first ``size`` entries of the 1-d ``values``
-    and return the new size.
+def append_in_place(values: np.ndarray, block: np.ndarray) -> None:
+    """Grow the 1-d ``values`` in place by ``block``, written at its end.
 
-    A full ``values`` is enlarged in place to hold the block, or to
-    ``capacity`` if that is more, so blocks appended one by one are never
-    held beside their concatenation, nor is room held for values that
-    never come.  The realloc behind `ndarray.resize` mostly extends or
-    remaps a large array where it lies: growing it a block at a time
-    measured no slower than growing it by half.  ``values`` must own its
-    data and have no views; the caller trims it to the final size with
-    ``values.resize(size, refcheck=False)``.
+    Blocks appended one by one are never held beside their concatenation.
+    The realloc behind `ndarray.resize` mostly extends or remaps a large
+    array where it lies: growing it a block at a time measured no slower
+    than growing it by half.  ``values`` must own its data and have no views.
     """
-    end = size + block.size
-    if end > values.size:
-        values.resize(max(end, capacity), refcheck=False)
-    values[size:end] = block
-    return end
+    size = values.size
+    values.resize(size + block.size, refcheck=False)
+    values[size:] = block

@@ -26,7 +26,7 @@ from ._util import append_in_place, owned
 from ._version import __version__
 from .adaptive import AdaptiveParams, assmt_filter
 from .metrics import itakura_saito
-from .segmentation import EigenCoefficients, TimeSeries, eigen_coefficients, segment
+from .segmentation import EigenCoefficients, TimeSeries, _window_times, eigen_coefficients, segment
 from .simulate import benchmark_config, gen_benchmark
 from .ssm import (
     EMConfig,
@@ -161,7 +161,15 @@ class RunConfig:
 
     @property
     def time_half_bandwidth(self) -> float:
-        return self.nw if self.nw is not None else (self.tapers + 1) / 2.0
+        return self.nw if self.nw is not None else _default_nw(self.tapers)
+
+
+def _default_nw(tapers: int) -> float:
+    """The time-bandwidth product NW = (tapers + 1) / 2 that ``--nw`` defaults to."""
+    try:
+        return (tapers + 1) / 2.0
+    except OverflowError:
+        raise ConfigError("tapers is past the float range") from None
 
 
 @dataclass(frozen=True)
@@ -183,6 +191,8 @@ class SimulateConfig:
         _check_types(self)
         if not 0 < self.duration_s < math.inf:
             raise ConfigError("duration must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not 0 < self.sample_rate_hz < math.inf:
             raise ConfigError("sample rate must be positive and finite")
         if not math.isfinite(self.window_seconds):
@@ -294,13 +304,6 @@ def _run_pipeline(config: RunConfig) -> dict[str, Path]:
 _BLOCK_CELLS = 1 << 14
 
 
-def _window_times(config: RunConfig, first: int, stop: int) -> np.ndarray:
-    """Centres of windows ``first``..``stop - 1``, as `eigen_coefficients`
-    gives them for the whole record."""
-    return ((np.arange(first, stop) * config.hop + config.window_samples / 2.0)
-            / config.sample_rate_hz)
-
-
 class _Record:
     """The samples of a signal, read block by block as its windows need
     them, and dropped once the windows that use them are transformed.
@@ -316,8 +319,6 @@ class _Record:
         # is taken of until it is replaced, so it can grow in place
         self._samples = np.empty(0)
         self._first = 0
-        # samples the file has yet to give, if its size tells
-        self._unread = io.signal_length(config.input_path, config.input_format)
 
     @property
     def held(self) -> int:
@@ -328,23 +329,16 @@ class _Record:
         its windows when ``stop`` is None; reads only as far as that takes."""
         j, hop = self._config.window_samples, self._config.hop
         need = math.inf if stop is None else (stop - self._first - 1) * hop + j
-        samples = self._samples
-        held = samples.size
-        while held < need:
+        while self.held < need:
             block = next(self._blocks, None)
             if block is None:
                 break
             if not np.all(np.isfinite(block)):
                 raise ValueError("samples must be finite")
-            # read to the end, a file of known length fills one array of its size
-            whole = held + self._unread if stop is None and self._unread is not None else 0
-            held = append_in_place(samples, held, block, capacity=whole)
-            if self._unread is not None:
-                self._unread -= block.size
+            append_in_place(self._samples, block)
             # copied: not held while the next block is read
             del block
-        samples.resize(held, refcheck=False)
-        windows = self._first + max(0, (held - j) // hop + 1)
+        windows = self._first + max(0, (self.held - j) // hop + 1)
         return windows if stop is None else min(stop, windows)
 
     def coefficients(self, bank, stop: int, window_major: bool) -> EigenCoefficients:
@@ -364,7 +358,8 @@ class _Record:
         eig = eigen_coefficients(segment(block, j, hop, demean=config.demean), bank)
         coeffs = np.ascontiguousarray(eig.coeffs) if window_major else eig.coeffs
         return EigenCoefficients(coeffs=owned(coeffs), frequencies_hz=eig.frequencies_hz,
-                                 window_times_s=_window_times(config, first, stop))
+                                 window_times_s=_window_times(first, stop, j, hop,
+                                                              config.sample_rate_hz))
 
 
 def _estimate(config: RunConfig, staging: Path) -> None:
@@ -467,7 +462,8 @@ def _estimate_blocks(config: RunConfig, record: _Record, staging: Path) -> None:
         del spect
         first = stop
     io.write_vector_csv(staging / "frequencies.csv", frequencies)
-    io.write_vector_csv(staging / "times.csv", _window_times(config, 0, stop))
+    io.write_vector_csv(staging / "times.csv",
+                        _window_times(0, stop, j, config.hop, config.sample_rate_hz))
     io.write_manifest(staging / "manifest.json", manifest)
 
 
@@ -596,14 +592,14 @@ def _cmd_tapers(args: argparse.Namespace) -> int:
         window, _ = _window_grid(args.window_seconds, args.sample_rate, 0.0)
     else:
         raise ConfigError("give --window-length, or --window-seconds with --sample-rate")
-    nw = args.nw if args.nw is not None else (args.tapers + 1) / 2.0
+    nw = args.nw if args.nw is not None else _default_nw(args.tapers)
     try:
         bank = dpss(window, nw, args.tapers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    io.write_matrix(out / "tapers", bank.tapers, fmt=args.format)
+    path = io.write_matrix(out / "tapers", bank.tapers, fmt=args.format)
     io.write_vector_csv(out / "concentrations.csv", bank.concentrations)
     io.write_manifest(
         out / "manifest.json",
@@ -618,7 +614,7 @@ def _cmd_tapers(args: argparse.Namespace) -> int:
             },
         },
     )
-    print(f"wrote {out / 'tapers'}.{ 'csv' if args.format == 'csv' else 'f32' }")
+    print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -4,10 +4,12 @@ Matrices travel as CSV with a single comment header carrying the shape
 and scale, or as a compact binary format with a 16-byte header (8-byte
 magic, uint32 rows, uint32 cols, little endian) followed by row-major
 float32 data.  Signals are one sample per line (CSV) or headerless
-little-endian float64.  CSV values are written with ``%.9g`` for matrices
-and ``%.17g`` for signals, which round-trips float64 exactly; replay and
-byte-for-byte output checks depend on these bytes.  Every run also writes
-a JSON manifest that is sufficient to replay it.
+little-endian float64 (a ``.f64``, unless the caller names the format);
+a signal read in blocks gives its samples, never its length.  CSV values
+are written with ``%.9g`` for matrices and ``%.17g`` for signals, which
+round-trips float64 exactly; replay and byte-for-byte output checks
+depend on these bytes.  Every run also writes a JSON manifest that is
+sufficient to replay it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "read_vector_csv",
     "write_signal",
     "read_signal",
-    "signal_length",
     "write_manifest",
     "read_manifest",
 ]
@@ -164,7 +165,7 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     commas: set[int] = set()
     # one array grown in place: never the parsed blocks and their concatenation
     values = np.empty(0)
-    size = rows = 0
+    rows = 0
     error = None
     # the shape checks need every line, so a value that does not parse is
     # kept and raised after them
@@ -182,7 +183,7 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
         commas.update({line.count(",") for line in lines})
         if error is None:
             try:
-                size = append_in_place(values, size, _floats(",".join(lines).split(",")))
+                append_in_place(values, _floats(",".join(lines).split(",")))
             except ValueError as exc:
                 error = exc
         # not held while the next block is read
@@ -197,7 +198,6 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
         raise ValueError(f"{path}: header says {expected}, data is {(rows, cols)}")
     if error is not None:
         raise error
-    values.resize(size, refcheck=False)
     return values.reshape(rows, cols), meta
 
 
@@ -344,17 +344,6 @@ def _sample_blocks(path, fmt: str):
             yield np.frombuffer(fh.read(step), dtype="<f8")
 
 
-def _signal_format(path: Path, fmt: str | None) -> str:
-    return fmt if fmt is not None else "bin" if path.suffix == ".f64" else "csv"
-
-
-def signal_length(path, fmt: str | None = None) -> int | None:
-    """The number of samples in a signal file if its size tells, as a
-    ``.f64``'s does; None for CSV."""
-    path = Path(path)
-    return path.stat().st_size // 8 if _signal_format(path, fmt) == "bin" else None
-
-
 def read_signal(path, fmt: str | None = None, blocks: bool = False):
     """Read a signal file; CSV may carry one non-numeric header line.
 
@@ -365,7 +354,8 @@ def read_signal(path, fmt: str | None = None, blocks: bool = False):
     as it is consumed and closes it when exhausted or closed.
     """
     path = Path(path)
-    fmt = _signal_format(path, fmt)
+    if fmt is None:
+        fmt = "bin" if path.suffix == ".f64" else "csv"
     if blocks:
         return _sample_blocks(path, fmt)
     if fmt == "bin":

@@ -193,6 +193,13 @@ def segment(
     )
 
 
+def _window_times(first: int, stop: int, j: int, hop: int, fs: float) -> np.ndarray:
+    """Centre times, in seconds, of windows ``first``..``stop - 1`` of ``j``
+    samples ``hop`` apart at ``fs``: every window grid's one formula, so an
+    estimate's times and the truth's agree bit for bit."""
+    return (np.arange(first, stop) * hop + j / 2.0) / fs
+
+
 # Tapered samples per block of windows in eigen_coefficients.
 _BLOCK_VALUES = 1 << 15
 
@@ -235,7 +242,7 @@ def eigen_coefficients(segmented: SegmentedSeries, tapers: TaperBank) -> EigenCo
         tapered = segmented.windows[rows, :, None] * tapers.tapers.T[None, :, :]
         coeffs[rows] = np.fft.rfft(tapered, axis=1, norm="ortho")
     frequencies = np.arange(j) / j * fs
-    times = (np.arange(k) * segmented.hop + j / 2.0) / fs
+    times = _window_times(0, k, j, segmented.hop, fs)
     return EigenCoefficients(
         coeffs=owned(coeffs), frequencies_hz=frequencies, window_times_s=times
     )

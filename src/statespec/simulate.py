@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import frozen_array, owned
-from .segmentation import TimeSeries
+from .segmentation import TimeSeries, _window_times
 from .ssm import Spectrogram
 
 __all__ = [
@@ -345,6 +345,14 @@ def gen_regime_switch(
     )
 
 
+def _power_ratio(db: float) -> float:
+    """``10 ** (db / 10)``, or inf where that overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything needed to regenerate the benchmark dataset bit for bit."""
@@ -365,6 +373,16 @@ class SimulationConfig:
             raise ValueError("duration_s and sample_rate_hz must be positive")
         if self.carrier_freq_hz < 0:
             raise ValueError("carrier_freq_hz must be non-negative")
+        # the carrier's phase 2 pi f t, up to the end of the record
+        if not math.isfinite(2.0 * math.pi * self.carrier_freq_hz * self.duration_s):
+            raise ValueError(
+                f"carrier_freq_hz of {self.carrier_freq_hz:g} overflows the carrier's phase "
+                f"over {self.duration_s:g} s"
+            )
+        # the noise variance is the signal power over this ratio; inf is noise-free
+        if self.snr_db != math.inf and not 0.0 < _power_ratio(self.snr_db) < math.inf:
+            raise ValueError(f"snr_db of {self.snr_db:g} dB puts its power ratio 10^(snr_db / 10) "
+                             f"outside the float range (inf means noise-free)")
         if _pole_radius(coeffs) >= 1.0:
             raise ValueError("ar_coeffs must describe a stable recursion")
         object.__setattr__(self, "ar_coeffs", coeffs)
@@ -441,7 +459,7 @@ def benchmark_config(
     # peak_density = noise_var * 10^(margin/10) gives
     #   std^2 * peak = g * (var_am + std^2 * var_sweep)
     # which solves in closed form below.
-    g = 10.0 ** ((_SWEEP_PEAK_OVER_NOISE_DB - snr_db) / 10.0)
+    g = _power_ratio(_SWEEP_PEAK_OVER_NOISE_DB - snr_db)
     denom = peak - var_sweep * g
     if denom <= 0:
         raise ValueError("snr_db too low: the sweep cannot clear the noise floor")
@@ -497,7 +515,7 @@ class GroundTruth:
         env2 = np.mean(np.cos(2.0 * np.pi * cfg.carrier_freq_hz * t_samples) ** 2, axis=1)
 
         # Swept band: transfer function at each window's center time.
-        centers = (starts + j / 2.0) / fs
+        centers = _window_times(0, k, j, hop, fs)
         a_rows, b_rows = cfg.arma_schedule.coefficient_rows(centers, fs)
         basis_a = np.exp(-1j * np.outer(omega, np.arange(a_rows.shape[1])))
         basis_b = np.exp(-1j * np.outer(omega, np.arange(b_rows.shape[1])))
@@ -509,11 +527,10 @@ class GroundTruth:
         # additive measurement noise is what estimators are supposed to
         # reject, so it never enters the reference.
         power = (env2[:, None] * s_ar[None, :] + s_arma) / j
-        times = (starts + j / 2.0) / fs
         if one_sided:
             n = j // 2 + 1
             power, freqs = power[:, :n], freqs[:n]
-        return Spectrogram(power, freqs, times, scale="linear")
+        return Spectrogram(power, freqs, centers, scale="linear")
 
 
 def gen_benchmark(config: SimulationConfig) -> tuple[TimeSeries, GroundTruth]:
@@ -533,7 +550,7 @@ def gen_benchmark(config: SimulationConfig) -> tuple[TimeSeries, GroundTruth]:
     t = np.arange(n) / fs
     signal = band_am.samples * np.cos(2.0 * np.pi * cfg.carrier_freq_hz * t) + band_fm.samples
     signal_power = float(np.mean(signal**2))
-    noise_var = 0.0 if np.isinf(cfg.snr_db) else signal_power / 10.0 ** (cfg.snr_db / 10.0)
+    noise_var = 0.0 if np.isinf(cfg.snr_db) else signal_power / _power_ratio(cfg.snr_db)
     samples = signal + np.sqrt(noise_var) * rng.standard_normal(n)
     series = TimeSeries(samples=owned(samples), sample_rate_hz=fs)
     truth = GroundTruth(config=cfg, noise_var=noise_var, n_samples=n)

@@ -139,6 +139,26 @@ class TestSimulate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting, named",
+        [("--carrier-freq-hz=1e306", "carrier_freq_hz"), ("--snr-db=1e308", "snr_db"),
+         ("--snr-db=-1e308", "snr_db"), ("--seed=-1", "seed")],
+    )
+    def test_out_of_range_setting_is_one_config_error(self, tmp_path, monkeypatch, capsys,
+                                                      setting, named):
+        # 2 pi f t over 60 s, or the SNR as a power ratio, past the float range;
+        # a seed the generator refuses
+        monkeypatch.setattr(cli, "gen_benchmark", not_reached)
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--out-dir", str(out), "--duration", "60", setting])
+        assert code == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("window_seconds", ["0", "-1", "5000"])
     def test_window_grid_checked_before_generation(self, tmp_path, monkeypatch, capsys,
                                                    window_seconds):
@@ -807,6 +827,21 @@ class TestFailedRunLeavesNothing:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "signal.f64"]
 
 
+class TestWindowTimes:
+    @pytest.mark.parametrize("overlap", ["0", "0.5"])
+    @pytest.mark.parametrize("window_seconds", ["6", "5.03125"])
+    def test_estimate_times_are_the_truths(self, tmp_path, overlap, window_seconds):
+        # 5.03125 s at 32 Hz is an odd 161-sample window, whose centre falls
+        # between two samples; compare scores only an estimate on the truth's times
+        grid = ["--sample-rate", str(FS), "--window-seconds", window_seconds,
+                "--overlap", overlap]
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        assert main(["simulate", "--out-dir", str(sim), "--duration", "60", *grid]) == EXIT_OK
+        assert main(["estimate", "--input", str(sim / "signal.csv"), "--method", "mt",
+                     "--out-dir", str(est), *grid]) == EXIT_OK
+        assert (est / "times.csv").read_bytes() == (sim / "truth_times.csv").read_bytes()
+
+
 class TestCompare:
     def test_estimate_against_truth(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "mt"
@@ -1300,6 +1335,94 @@ class TestMalformedEstimates:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# Extreme or out-of-range values of a flag, by kind.  None is a valid large
+# duration, rate or window length, which would allocate a record or a bank
+# that size: "1e308" and a 400-digit number overflow once they are scaled.
+NON_FINITE = ("nan", "inf", "-inf")
+NON_POSITIVE = ("0", "-0.0", "-1", "-1e308", "-" + "9" * 400)
+HUGE = ("1e308", "9" * 400)
+TINY = ("5e-324", "1e-300")
+EVERY_FLOAT = NON_FINITE + NON_POSITIVE + HUGE + TINY
+# an int flag's text must parse as an int, or argparse rejects it first
+BAD_INTS = ("0", "-1", "-" + "9" * 400)
+
+# The draws of each command's flags around a tiny valid run: 60 s at 2 Hz,
+# 6 s windows of 12 samples.  Huge positive durations, rates, window
+# lengths and EM iteration counts are valid and are left out.
+FLAG_VALUES = {
+    "simulate": {
+        "--duration": NON_FINITE + NON_POSITIVE + TINY,
+        "--sample-rate": NON_FINITE + NON_POSITIVE + TINY,
+        "--window-seconds": EVERY_FLOAT,
+        "--overlap": EVERY_FLOAT + ("1", "1.5"),
+        "--snr-db": EVERY_FLOAT,
+        "--carrier-freq-hz": EVERY_FLOAT,
+        "--seed": BAD_INTS + ("9" * 400,),
+    },
+    "estimate": {
+        "--sample-rate": EVERY_FLOAT,
+        "--window-seconds": EVERY_FLOAT,
+        "--overlap": EVERY_FLOAT + ("1", "1.5"),
+        "--tapers": BAD_INTS + ("12", "13", "9" * 400),
+        "--nw": EVERY_FLOAT + ("6", "6.5"),
+        "--alpha": EVERY_FLOAT + ("1.0000001", "2"),
+        "--baseline-seconds": EVERY_FLOAT,
+        "--em-tol": EVERY_FLOAT,
+        "--em-max-iter": BAD_INTS,
+    },
+    "tapers": {
+        "--window-length": BAD_INTS + ("1",),
+        "--window-seconds": NON_FINITE + NON_POSITIVE + HUGE + TINY,
+        "--sample-rate": NON_FINITE + NON_POSITIVE + HUGE + TINY,
+        "--tapers": BAD_INTS + ("12", "13", "9" * 400),
+        "--nw": EVERY_FLOAT + ("6", "6.5"),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_signal(tmp_path_factory):
+    """60 s of white noise at 2 Hz: ten 6 s windows."""
+    root = tmp_path_factory.mktemp("tiny_signal")
+    return io.write_signal(root / "signal", np.random.default_rng(5).standard_normal(120))
+
+
+class TestOutOfRangeFlags:
+    """One flag of a tiny valid run set to an extreme or out-of-range value
+    exits 0, 2 or 3 with no traceback and no RuntimeWarning; exits 2 and 3
+    write one error line and leave neither the output directory nor a
+    staging directory."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(sorted(FLAG_VALUES)))
+    def test_exit_code(self, tiny_signal, data, command):
+        flag = data.draw(st.sampled_from(sorted(FLAG_VALUES[command])), label="flag")
+        value = data.draw(st.sampled_from(FLAG_VALUES[command][flag]), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            argv = {
+                "simulate": ["simulate", "--duration", "60", "--sample-rate", "2",
+                             "--window-seconds", "6"],
+                "estimate": ["estimate", "--input", str(tiny_signal), "--sample-rate", "2",
+                             "--window-seconds", "6", "--baseline-seconds", "30",
+                             "--em-max-iter", "3", "--method",
+                             data.draw(st.sampled_from(["mt", "ssmt", "assmt"]), label="method")],
+                "tapers": ["tapers", "--window-seconds", "6", "--sample-rate", "2"],
+            }[command]
+            # --flag=value: argparse would take "-1e308" after a space for a flag
+            argv += [f"{flag}={value}", "--out-dir", str(out)]
+            err = StringIO()
+            with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+            if code != EXIT_OK:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), lines
+                assert not list(Path(tmp).iterdir())
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestTapers:
     def test_writes_bank(self, tmp_path):
         out = tmp_path / "bank"
@@ -1335,6 +1458,17 @@ class TestTapers:
             "--out-dir", str(tmp_path / "x"),
         ])
         assert code == EXIT_CONFIG
+
+    # a taper count past the float range has no default NW (tapers + 1) / 2
+    @pytest.mark.parametrize("tapers", ["9" * 400, "-" + "9" * 400], ids=["huge", "-huge"])
+    def test_taper_count_past_the_float_range_is_config_error(self, tmp_path, capsys, tapers):
+        out = tmp_path / "x"
+        code = main(["tapers", "--window-length", "8", f"--tapers={tapers}",
+                     "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "tapers" in lines[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("seconds, rate", [("1e200", "1e200"), ("inf", "16"), ("nan", "16")])
     def test_window_sample_count_out_of_range_is_config_error(self, tmp_path, seconds, rate):

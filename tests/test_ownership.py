@@ -22,7 +22,7 @@ from statespec import (
     segment,
     ssmt_spectrogram,
 )
-from statespec._util import frozen_array, owned
+from statespec._util import append_in_place, frozen_array, owned
 
 
 def assert_read_only(*arrays):
@@ -136,6 +136,33 @@ class TestAdoption:
     def test_validation_still_runs(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+
+class TestAppendInPlace:
+    def test_blocks_in_order_in_the_same_array(self):
+        values = np.empty(0)
+        blocks = [np.arange(3.0), np.arange(3.0, 8.0), np.array([8.0])]
+        for block in blocks:
+            append_in_place(values, block)
+        # the caller's array grew: its size is the count of values appended
+        assert values.size == 9
+        np.testing.assert_array_equal(values, np.arange(9.0))
+        assert values.flags.owndata
+
+    def test_empty_block_changes_nothing(self):
+        values = np.empty(0)
+        append_in_place(values, np.empty(0))
+        assert values.size == 0
+        append_in_place(values, np.array([1.5, 2.5]))
+        append_in_place(values, np.empty(0))
+        np.testing.assert_array_equal(values, [1.5, 2.5])
+
+    def test_block_is_copied(self):
+        values, block = np.empty(0), np.array([1.0, 2.0])
+        append_in_place(values, block)
+        block[:] = 0.0
+        np.testing.assert_array_equal(values, [1.0, 2.0])
+        assert not np.shares_memory(values, block)
 
 
 def test_assmt_filter_peak_memory_stays_near_its_result(rng):

@@ -533,3 +533,26 @@ class TestBenchmark:
                 duration_s=1.0, sample_rate_hz=10.0, ar_coeffs=np.array([0.5]),
                 arma_schedule=sched, carrier_freq_hz=-1.0,
             )
+
+    @pytest.mark.parametrize(
+        "setting, named",
+        [({"carrier_freq_hz": 1e306}, "carrier_freq_hz"), ({"carrier_freq_hz": np.nan}, "carrier"),
+         ({"snr_db": 1e308}, "snr_db"), ({"snr_db": 3083.0}, "snr_db"),
+         ({"snr_db": -4000.0}, "snr_db"), ({"snr_db": -np.inf}, "snr_db"),
+         ({"snr_db": np.nan}, "snr_db")],
+    )
+    def test_settings_whose_arithmetic_overflows_are_rejected(self, setting, named):
+        # 2 pi f t past the float range over 60 s, or an SNR with no power
+        # ratio 10^(snr / 10) in it: rejected before anything is generated
+        cfg = benchmark_config(duration_s=60.0)
+        with pytest.raises(ValueError, match=named):
+            SimulationConfig(duration_s=60.0, sample_rate_hz=cfg.sample_rate_hz,
+                             ar_coeffs=cfg.ar_coeffs, arma_schedule=cfg.arma_schedule,
+                             **setting)
+
+    def test_snr_in_the_float_range_and_noise_free_are_accepted(self):
+        for snr_db in (3082.0, -3082.0, np.inf):
+            cfg = benchmark_config(duration_s=60.0)
+            SimulationConfig(duration_s=60.0, sample_rate_hz=cfg.sample_rate_hz,
+                             ar_coeffs=cfg.ar_coeffs, arma_schedule=cfg.arma_schedule,
+                             snr_db=snr_db)

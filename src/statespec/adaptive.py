@@ -171,8 +171,13 @@ def _tracked_state_variance(coeffs, params: AdaptiveParams, alpha: float,
             raise ValueError("squared differences of the observations overflow")
         if tracker.ema is not None:
             ema[0] = alpha * ema[0] + (1.0 - alpha) * tracker.ema
-        for k in range(1, len(ema)):
-            ema[k] = alpha * ema[k] + (1.0 - alpha) * ema[k - 1]
+        # alpha ema[k] + (1 - alpha) ema[k - 1], over row views made once, in
+        # place and through one carried row
+        rows, carried, keep = list(ema), np.empty(ema.shape[1:]), 1.0 - alpha
+        for prev, row in zip(rows, rows[1:]):
+            np.multiply(alpha, row, row)
+            np.multiply(keep, prev, carried)
+            np.add(row, carried, row)
         tracker = NonstationarityTracker(ema=ema[-1], alpha=alpha, prev_obs=rest[-1])
         ema -= 2.0 * params.obs_var[None, :]
         np.maximum(ema, params.baseline_state_var, out=rest_sv)

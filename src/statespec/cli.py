@@ -75,17 +75,18 @@ def _check_types(config) -> None:
             raise ConfigError(f"{field.name} must be {field.type}, got {value!r}")
 
 
-def _window_grid(seconds: float, rate: float, overlap: float) -> tuple[int, int]:
+def _window_grid(name: str, seconds: float, rate: float, overlap: float = 0.0) -> tuple[int, int]:
     """Samples in ``seconds`` at ``rate``, and the hop that ``overlap`` leaves.
 
     Estimates and the simulated truth share this rounding, which keeps
-    their window grids aligned for ``compare``.
+    their window grids aligned for ``compare``.  ``name`` is what the
+    span is, for the error when its sample count is out of range.
     """
     try:
         window = int(round(seconds * rate))
         return window, max(1, int(round(window * (1.0 - overlap))))
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"window, baseline or record sample count out of range: {exc}") from exc
+        raise ConfigError(f"{name} sample count out of range: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -142,9 +143,9 @@ class RunConfig:
             raise ConfigError("output format must be 'csv' or 'bin'")
         # the sample counts window_samples, hop and baseline_windows depend on the
         # settings alone, so one that overflows or is too short fails before any I/O
-        window, hop = _window_grid(self.window_seconds, self.sample_rate_hz,
+        window, hop = _window_grid("window", self.window_seconds, self.sample_rate_hz,
                                    self.overlap_fraction)
-        baseline, _ = _window_grid(self.baseline_seconds, self.sample_rate_hz, 0.0)
+        baseline, _ = _window_grid("baseline", self.baseline_seconds, self.sample_rate_hz)
         baseline_windows = (baseline - window) // hop + 1
         # the taper count and NW the window can hold, checked without the bank
         try:
@@ -197,18 +198,15 @@ class SimulateConfig:
             raise ConfigError("sample rate must be positive and finite")
         if not math.isfinite(self.window_seconds):
             raise ConfigError("window seconds must be finite")
-        if not math.isfinite(self.carrier_freq_hz):
-            raise ConfigError("carrier frequency must be finite")
-        if math.isnan(self.snr_db):
-            raise ConfigError("snr_db must not be NaN (inf means noise-free)")
         if not 0.0 <= self.overlap < 1.0:
             raise ConfigError("overlap must lie in [0, 1)")
         if self.format not in ("csv", "bin"):
             raise ConfigError("format must be 'csv' or 'bin'")
-        window, hop = _window_grid(self.window_seconds, self.sample_rate_hz, self.overlap)
+        window, hop = _window_grid("window", self.window_seconds, self.sample_rate_hz,
+                                   self.overlap)
         # the sample count gen_benchmark will produce, so a grid that cannot
         # cut the record fails before the record is generated
-        n_samples, _ = _window_grid(self.duration_s, self.sample_rate_hz, 0.0)
+        n_samples, _ = _window_grid("record", self.duration_s, self.sample_rate_hz)
         _check_window_grid(window, hop, n_samples)
         object.__setattr__(self, "window_samples", window)
         object.__setattr__(self, "hop", hop)
@@ -589,7 +587,7 @@ def _cmd_tapers(args: argparse.Namespace) -> int:
     if args.window_length is not None:
         window = args.window_length
     elif args.window_seconds is not None and args.sample_rate is not None:
-        window, _ = _window_grid(args.window_seconds, args.sample_rate, 0.0)
+        window, _ = _window_grid("window", args.window_seconds, args.sample_rate)
     else:
         raise ConfigError("give --window-length, or --window-seconds with --sample-rate")
     nw = args.nw if args.nw is not None else _default_nw(args.tapers)

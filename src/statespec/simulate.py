@@ -371,6 +371,8 @@ class SimulationConfig:
         coeffs = frozen_array(self.ar_coeffs, dtype=float, ndim=1, name="ar_coeffs")
         if self.duration_s <= 0 or self.sample_rate_hz <= 0:
             raise ValueError("duration_s and sample_rate_hz must be positive")
+        if not math.isfinite(self.carrier_freq_hz):
+            raise ValueError(f"carrier_freq_hz must be finite, got {self.carrier_freq_hz}")
         if self.carrier_freq_hz < 0:
             raise ValueError("carrier_freq_hz must be non-negative")
         # the carrier's phase 2 pi f t, up to the end of the record
@@ -379,6 +381,8 @@ class SimulationConfig:
                 f"carrier_freq_hz of {self.carrier_freq_hz:g} overflows the carrier's phase "
                 f"over {self.duration_s:g} s"
             )
+        if math.isnan(self.snr_db):
+            raise ValueError("snr_db must be finite, or inf for noise-free")
         # the noise variance is the signal power over this ratio; inf is noise-free
         if self.snr_db != math.inf and not 0.0 < _power_ratio(self.snr_db) < math.inf:
             raise ValueError(f"snr_db of {self.snr_db:g} dB puts its power ratio 10^(snr_db / 10) "

@@ -208,17 +208,23 @@ def kalman_step(prev: FilterState, observation: complex, state_var: float, obs_v
 def _forward_pass(coeffs, state_var, obs_var, init_mean=None, init_var=None, out=None):
     """Causal filter over every window for all chains at once.
 
-    ``state_var`` is (B, M), or (K, B, M) when it changes per window.  The
-    state prior defaults to zero mean and the first window's state
-    variance.  Returns ``(means, variances, gains)``; means and variances
-    have K + 1 rows, row 0 holding the prior and row k the posterior after
-    window k.  ``out`` is such a triple to write them into instead of new
-    arrays.
+    ``coeffs`` is (K, B, M), or the list of its K rows.  ``state_var`` is
+    (B, M), or (K, B, M) when it changes per window.  The state prior
+    defaults to zero mean and the first window's state variance.  Returns
+    ``(means, variances, gains)``; means and variances have K + 1 rows, row
+    0 holding the prior and row k the posterior after window k.  ``out`` is
+    such a triple to write them into instead of new arrays, or the lists of
+    their rows: a caller that filters into the same arrays many times makes
+    the row views once, and the loop then indexes no array.
     """
-    shape = coeffs.shape[1:]
-    state_var = np.broadcast_to(state_var, coeffs.shape)
+    coeff_rows = list(coeffs)
+    k_windows, shape = len(coeff_rows), coeff_rows[0].shape
+    if np.ndim(state_var) == 3:
+        state_rows = list(np.broadcast_to(state_var, (k_windows, *shape)))
+    else:
+        state_rows = [np.broadcast_to(state_var, shape)] * k_windows
     mean = np.zeros(shape, complex) if init_mean is None else np.asarray(init_mean, complex)
-    var = state_var[0] if init_var is None else np.asarray(init_var, float)
+    var = state_rows[0] if init_var is None else np.asarray(init_var, float)
     if mean.shape != shape or var.shape != shape:
         raise ValueError("init_mean and init_var must have shape (bins, tapers)")
     if np.any(var < 0):
@@ -227,16 +233,29 @@ def _forward_pass(coeffs, state_var, obs_var, init_mean=None, init_var=None, out
     # a full (B, M) copy keeps the per-window sum on numpy's contiguous path
     obs_var = np.broadcast_to(obs_var, shape).copy()
     if out is None:
-        out = (np.empty((len(coeffs) + 1, *shape), dtype=complex),
-               np.empty((len(coeffs) + 1, *shape)), np.empty(coeffs.shape))
-    means, variances, gains = out
-    means[0] = mean
-    variances[0] = var
-    for k in range(len(coeffs)):
-        prior = variances[k] + state_var[k]
-        gain = np.divide(prior, obs_var + prior, out=gains[k])
-        np.add(means[k], gain * (coeffs[k] - means[k]), out=means[k + 1])
-        np.multiply(1.0 - gain, prior, out=variances[k + 1])
+        out = (np.empty((k_windows + 1, *shape), dtype=complex),
+               np.empty((k_windows + 1, *shape)), np.empty((k_windows, *shape)))
+    means, variances, gains = map(list, out)
+    means[0][...] = mean
+    variances[0][...] = var
+    # every step writes into these rows, its output passed positionally, the
+    # cheaper call.  The gain is copied into the real part of a complex row
+    # whose imaginary part stays zero, so g (y - m) is the complex product
+    # that numpy's cast of g to complex gives
+    prior, spread, keep, ones = np.empty(shape), np.empty(shape), np.empty(shape), np.ones(shape)
+    step, cgain = np.empty(shape, complex), np.zeros(shape, complex)
+    gain_re = cgain.real
+    for y, s, m, m_next, v, v_next, g in zip(coeff_rows, state_rows, means, means[1:],
+                                             variances, variances[1:], gains):
+        np.add(v, s, prior)
+        np.add(obs_var, prior, spread)
+        np.divide(prior, spread, g)
+        gain_re[...] = g
+        np.subtract(y, m, step)
+        np.multiply(cgain, step, step)
+        np.add(m, step, m_next)
+        np.subtract(ones, g, keep)
+        np.multiply(keep, prior, v_next)
     return out
 
 
@@ -366,17 +385,30 @@ def _moment_init(coeffs: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np
     return state_var, obs_var
 
 
-# Cells per window block of the M-step's one temporary array.
+# Cells per window block of the E- and M-step's block temporaries.
 _EM_BLOCK_CELLS = 1 << 12
 
 
-def _em_buffers(shape):
-    """The record-sized arrays of one EM fit on coefficients of ``shape``
-    (K, B, M): the forward pass's means, variances and gains, and a scratch
-    array of K rows."""
-    k_windows, *chain = shape
-    return (np.empty((k_windows + 1, *chain), dtype=complex),
-            np.empty((k_windows + 1, *chain)), np.empty(shape), np.empty(shape))
+def _em_buffers(coeffs):
+    """The record-sized arrays of one EM fit on ``coeffs`` (K, B, M), and the
+    row views its per-window loops use.
+
+    Returns ``(arrays, rows)``: the arrays are the forward pass's K + 1 means
+    and variances and its K rows of gains; the rows are the lists of the rows
+    of ``coeffs`` and of each array, made once per fit.
+    """
+    k_windows, *chain = coeffs.shape
+    arrays = (np.empty((k_windows + 1, *chain), dtype=complex),
+              np.empty((k_windows + 1, *chain)), np.empty(coeffs.shape))
+    return arrays, (list(coeffs), *map(list, arrays))
+
+
+def _window_blocks(shape):
+    """Slices of consecutive windows of (K, B, M) ``shape``, each of at most
+    `_EM_BLOCK_CELLS` cells, or one window."""
+    k_windows, b_bins, m_tapers = shape
+    step = max(1, _EM_BLOCK_CELLS // (b_bins * m_tapers))
+    return [slice(first, min(first + step, k_windows)) for first in range(0, k_windows, step)]
 
 
 def _e_step(coeffs, state_var, obs_var, init_var, weight, work=None):
@@ -390,70 +422,86 @@ def _e_step(coeffs, state_var, obs_var, init_var, weight, work=None):
     Everything is formed in ``work``, the `_em_buffers` of the fit (new ones
     if None): the forward pass fills its means, variances and gains; the
     gains then hold the per-cell likelihood terms, and at return the
-    smoother gains; the scratch array holds the innovations' squared
-    imaginary parts, then the innovation variances, and at return the
-    predicted variances pp.  The smoothed moments overwrite the forward
-    pass's means and variances, row by row from the last.
+    smoother gains.  The smoothed moments overwrite the forward pass's means
+    and variances, row by row from the last.  The innovations' squared
+    imaginary parts and variances are formed a block of windows at a time,
+    and the smoother's predicted variances pp one window at a time.
     """
-    k_windows = coeffs.shape[0]
-    if work is None:
-        work = _em_buffers(coeffs.shape)
-    zs, ps, terms, scratch = work
-    _forward_pass(coeffs, state_var, obs_var, init_var=init_var, out=work[:3])
+    (zs, ps, sgain), (coeff_rows, z_rows, p_rows, g_rows) = (
+        work if work is not None else _em_buffers(coeffs))
+    _forward_pass(coeff_rows, state_var, obs_var, init_var=init_var,
+                  out=(z_rows, p_rows, g_rows))
     # -ll per cell is log(pi v) + |e|^2 / v for innovation e of variance
     # v = pp + obs_var, pp = ps[:-1] + state_var; complex subtraction is
     # componentwise, so e's real and imaginary parts are taken apart, the same
     # bits with no complex array.  Window totals are then added in window order
-    nll = np.subtract(coeffs.real, zs.real[:-1], out=terms)
+    nll = np.subtract(coeffs.real, zs.real[:-1], out=sgain)
     np.square(nll, out=nll)
-    part = np.subtract(coeffs.imag, zs.imag[:-1], out=scratch)
-    nll += np.square(part, out=part)
-    innov_var = np.add(ps[:-1], state_var, out=scratch)
-    innov_var += obs_var[None, :]
-    nll /= innov_var
-    innov_var *= np.pi
-    nll += np.log(innov_var, out=innov_var)
+    for block in _window_blocks(nll.shape):
+        part = np.subtract(coeffs.imag[block], zs.imag[block])
+        terms = nll[block]
+        terms += np.square(part, out=part)
+        innov_var = np.add(ps[block], state_var, out=part)
+        innov_var += obs_var[None, :]
+        terms /= innov_var
+        innov_var *= np.pi
+        terms += np.log(innov_var, out=innov_var)
     nll *= weight[:, None]
     ll = -float(np.cumsum(nll.sum(axis=(1, 2)))[-1])
 
     # RTS smoother: row K is already smoothed, and each row k below it reads
     # the smoothed row k + 1 and its own filtered values before it is
-    # overwritten.  pp is formed again, by the same operation, where the
-    # innovation variances were
-    pp = np.add(ps[:-1], state_var, out=scratch)
-    sgain = np.divide(ps[:-1], pp, out=terms)
-    for k in range(k_windows - 1, -1, -1):
-        g = sgain[k]
-        zs[k] += g * (zs[k + 1] - zs[k])
-        ps[k] += g**2 * (ps[k + 1] - pp[k])
+    # overwritten.  The gains ps[k] / pp[k], pp = ps[:-1] + state_var, depend on
+    # the filtered variances alone and are formed over the whole record first;
+    # pp is then formed again per window, by the same operation, in a row made
+    # once, and the gain enters the mean's step as a complex row, as in the
+    # forward pass
+    np.add(ps[:-1], state_var, out=sgain)
+    np.divide(ps[:-1], sgain, out=sgain)
+    shape = coeff_rows[0].shape
+    pp, gain2, step = np.empty(shape), np.empty(shape), np.empty(shape, complex)
+    cgain = np.zeros(shape, complex)
+    gain_re = cgain.real
+    for z, z_next, p, p_next, g in zip(z_rows[-2::-1], z_rows[::-1], p_rows[-2::-1],
+                                       p_rows[::-1], g_rows[::-1]):
+        np.add(p, state_var, pp)
+        gain_re[...] = g
+        np.subtract(z_next, z, step)
+        np.multiply(cgain, step, step)
+        np.add(z, step, z)
+        np.subtract(p_next, pp, pp)
+        np.square(g, gain2)
+        np.multiply(gain2, pp, gain2)
+        np.add(p, gain2, p)
     return zs, ps, sgain, ll
 
 
-def _m_step(coeffs, zs, ps, sgain, weight, j_bins, scratch):
+def _m_step(coeffs, zs, ps, sgain, weight, j_bins):
     """New ``(state_var, obs_var)`` from the E-step's smoothed moments.
 
     Bin j's residuals count weight[j] times in the observation variance,
     which is pooled over the J bins of the grid.  The E-step's arrays are
-    spent: the increments are formed in ``scratch``, the residuals
+    spent: the increments are formed over the smoother gains, the residuals
     ``coeffs - zs[1:]`` over the smoothed means once the increments are
-    summed, and their magnitudes over the smoother gains.  The one other
-    temporary is made a block of windows at a time.
+    summed, and their magnitudes over the smoother gains again.  The only
+    other temporaries are made a block of windows at a time.
     """
     k_windows = coeffs.shape[0]
-    # E|Z_{k+1} - Z_k|^2, the real and imaginary differences taken apart as
-    # in the E-step, summed in the order |dz|^2 + ps[k] + (1 - 2 sgain) ps[k+1]
-    increments = np.subtract(zs.real[1:], zs.real[:-1], out=scratch)
-    np.square(increments, out=increments)
-    step = max(1, _EM_BLOCK_CELLS // increments[0].size)
-    for first in range(0, k_windows, step):
-        stop = min(first + step, k_windows)
-        part = np.subtract(zs.imag[first + 1:stop + 1], zs.imag[first:stop])
-        increments[first:stop] += np.square(part, out=part)
-    increments += ps[:-1]
-    part = np.multiply(2.0, sgain, out=sgain)
-    np.subtract(1.0, part, out=part)
-    part *= ps[1:]
-    increments += part
+    # E|Z_{k+1} - Z_k|^2 = |dz|^2 + ps[k] + (1 - 2 sgain) ps[k+1]: the lag-one
+    # term is formed over the smoother gains, and |dz|^2 + ps[k], the real and
+    # imaginary differences taken apart as in the E-step, is added into it a
+    # block at a time.  Addition commutes, so each sum has the bits of that order
+    increments = np.multiply(2.0, sgain, out=sgain)
+    np.subtract(1.0, increments, out=increments)
+    increments *= ps[1:]
+    for block in _window_blocks(increments.shape):
+        after = slice(block.start + 1, block.stop + 1)
+        dz2 = np.subtract(zs.real[after], zs.real[block])
+        np.square(dz2, out=dz2)
+        part = np.subtract(zs.imag[after], zs.imag[block])
+        dz2 += np.square(part, out=part)
+        dz2 += ps[block]
+        increments[block] += dz2
     state_var = np.maximum(increments.mean(axis=0), 0.0)
     resid = np.subtract(coeffs, zs[1:], out=zs[1:])
     resid = np.abs(resid, out=sgain)
@@ -492,16 +540,18 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     With Cov(Z_{k+1}, Z_k | all data) = sgain[k] ps[k+1], one smoother pass
     gives E|Z_{k+1} - Z_k|^2 = |zs[k+1] - zs[k]|^2 + ps[k] + (1 - 2 sgain[k]) ps[k+1].
 
-    A fit owns four record-sized arrays, made once after the starting
-    point (`_em_buffers`): the K + 1 means and variances of the forward
-    pass, which the smoother overwrites with its own, the K rows of filter
-    gains, which then hold the likelihood terms and the smoother gains,
-    and K rows of scratch.  The M-step spends them in place.  No iteration
-    makes another record-sized array, and the returned parameters are new
-    (B, M) and (M,) arrays, no views of them.  Every operation and its order
-    are those of an EM that allocates each iteration's arrays, and every sum
-    over windows is one reduction in window order, so the two agree bit for
-    bit.
+    A fit owns three record-sized arrays, made once after the starting
+    point with the lists of their row views and of the coefficients' rows
+    (`_em_buffers`): the K + 1 means and variances of the forward pass,
+    which the smoother overwrites with its own, and the K rows of filter
+    gains, which then hold the likelihood terms, the smoother gains and the
+    M-step's increments.  The M-step spends them in place.  Any other
+    temporary is one (B, M) row or a block of windows of `_EM_BLOCK_CELLS`
+    cells, so no iteration makes another record-sized array, and the
+    returned parameters are new (B, M) and (M,) arrays, no views of them.
+    Every operation and its order are those of an EM that allocates each
+    iteration's arrays, and every sum over windows is one reduction in
+    window order, so the two agree bit for bit.
 
     EM fits the B bins ``obs`` stores and returns parameters on them.  When
     they are bins 0..J//2 of a real signal, bins 1..J - B also stand for
@@ -530,7 +580,7 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     init_var = state_var
     # made after the starting point's temporaries are freed, and reused by
     # every iteration
-    work = _em_buffers(coeffs.shape)
+    work = _em_buffers(coeffs)
 
     lls: list[float] = []
     converged = False
@@ -540,7 +590,7 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= cfg.tol * abs(lls[-2]):
             converged = True
             break
-        state_var, obs_var = _m_step(coeffs, zs, ps, sgain, weight, j_bins, work[3])
+        state_var, obs_var = _m_step(coeffs, zs, ps, sgain, weight, j_bins)
     if not converged:
         warnings.warn(
             f"em_fit did not converge within {cfg.max_iter} iterations",

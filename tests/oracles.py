@@ -269,6 +269,33 @@ def allocating_em(coeffs, j_bins, tol=1e-6, max_iter=50):
     return state_var, obs_var, np.asarray(lls), len(lls), converged
 
 
+def allocating_forward_pass(coeffs, state_var, obs_var, init_mean=None, init_var=None):
+    """`statespec.ssm._forward_pass` as it was before it wrote into rows made
+    once: a frozen copy.
+
+    Each window indexes its rows and makes its own temporaries, and the gain
+    is cast to complex by numpy for g (y - m).  ``state_var`` is (B, M) or
+    (K, B, M).  The fast path must match this one bit for bit.  Returns
+    ``(means, variances, gains)``, means and variances with the prior in row 0.
+    """
+    shape = coeffs.shape[1:]
+    state_var = np.broadcast_to(state_var, coeffs.shape)
+    mean = np.zeros(shape, complex) if init_mean is None else np.asarray(init_mean, complex)
+    var = state_var[0] if init_var is None else np.asarray(init_var, float)
+    obs_var = np.broadcast_to(obs_var, shape).copy()
+    means = np.empty((len(coeffs) + 1, *shape), dtype=complex)
+    variances = np.empty((len(coeffs) + 1, *shape))
+    gains = np.empty(coeffs.shape)
+    means[0] = mean
+    variances[0] = var
+    for k in range(len(coeffs)):
+        prior = variances[k] + state_var[k]
+        gain = np.divide(prior, obs_var + prior, out=gains[k])
+        np.add(means[k], gain * (coeffs[k] - means[k]), out=means[k + 1])
+        np.multiply(1.0 - gain, prior, out=variances[k + 1])
+    return means, variances, gains
+
+
 def lag_one_covariance_recursion(pf, sgain, last_gain):
     """Cov(Z_{k+1}, Z_k | all data) by its own backward recursion.
 

@@ -159,6 +159,30 @@ class TestSimulate:
         assert not out.exists()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--carrier-freq-hz", "nan"), ("--carrier-freq-hz", "inf"), ("--snr-db", "nan")],
+    )
+    def test_non_finite_carrier_or_snr_is_named_by_the_simulator(self, tmp_path, monkeypatch,
+                                                                 capsys, flag, value):
+        # SimulationConfig alone checks them: not as a phase or power ratio
+        # that overflows
+        monkeypatch.setattr(cli, "gen_benchmark", not_reached)
+        out = tmp_path / "x"
+        code = main(["simulate", "--out-dir", str(out), "--duration", "30", flag, value])
+        assert code == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "must be finite" in lines[0]
+        assert "overflow" not in lines[0] and "outside the float range" not in lines[0]
+        assert not out.exists()
+
+    def test_record_sample_count_out_of_range_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "gen_benchmark", not_reached)
+        code = main(["simulate", "--out-dir", str(tmp_path / "x"), "--duration", "1e308",
+                     "--sample-rate", "1e10"])
+        assert code == EXIT_CONFIG
+        assert "record sample count out of range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("window_seconds", ["0", "-1", "5000"])
     def test_window_grid_checked_before_generation(self, tmp_path, monkeypatch, capsys,
                                                    window_seconds):
@@ -314,6 +338,22 @@ class TestEstimate:
         ])
         assert code == EXIT_CONFIG
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, named", [("--window-seconds", "window"), ("--baseline-seconds", "baseline")]
+    )
+    def test_sample_count_out_of_range_is_named(self, sim_dir, tmp_path, monkeypatch, capsys,
+                                                flag, named):
+        monkeypatch.setattr(io, "read_signal", not_reached)
+        out = tmp_path / "x"
+        code = main([
+            "estimate", "--input", str(sim_dir / "signal.csv"), "--sample-rate", "1e300",
+            "--method", "ssmt", "--out-dir", str(out), "--window-seconds", "1e-299",
+            flag, "1e10",
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {named} sample count out of range")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1469,6 +1509,14 @@ class TestTapers:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "tapers" in lines[0]
         assert not out.exists()
+
+    def test_window_sample_count_out_of_range_names_the_window(self, tmp_path, capsys):
+        code = main(["tapers", "--window-seconds", "6", "--sample-rate", "1e308",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: window sample count out of range")
+        assert "baseline" not in err and "record" not in err
 
     @pytest.mark.parametrize("seconds, rate", [("1e200", "1e200"), ("inf", "16"), ("nan", "16")])
     def test_window_sample_count_out_of_range_is_config_error(self, tmp_path, seconds, rate):

@@ -550,6 +550,18 @@ class TestBenchmark:
                              ar_coeffs=cfg.ar_coeffs, arma_schedule=cfg.arma_schedule,
                              **setting)
 
+    @pytest.mark.parametrize(
+        "setting", [{"carrier_freq_hz": np.nan}, {"carrier_freq_hz": np.inf},
+                    {"carrier_freq_hz": -np.inf}, {"snr_db": np.nan}],
+    )
+    def test_non_finite_carrier_and_nan_snr_say_so(self, setting):
+        # not "overflows the carrier's phase" or a power ratio out of range
+        cfg = benchmark_config(duration_s=60.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            SimulationConfig(duration_s=60.0, sample_rate_hz=cfg.sample_rate_hz,
+                             ar_coeffs=cfg.ar_coeffs, arma_schedule=cfg.arma_schedule,
+                             **setting)
+
     def test_snr_in_the_float_range_and_noise_free_are_accepted(self):
         for snr_db in (3082.0, -3082.0, np.inf):
             cfg = benchmark_config(duration_s=60.0)

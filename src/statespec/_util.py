@@ -7,7 +7,7 @@ else, is adopted without a copy: wrapped in `owned` before it is passed
 to a dataclass.  Either way `frozen_array` marks the stored array
 read-only, so every array a returned result holds is read-only, and
 every check in the dataclass ``__post_init__`` runs the same on both
-paths.
+paths.  `frozen_field` is the one way a result stores an array field.
 
 An array read in blocks, of a length not known in advance, grows in place
 by `append_in_place`.
@@ -42,6 +42,14 @@ def frozen_array(values, dtype=None, ndim=None, name="array") -> np.ndarray:
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must have {ndim} dimension(s), got shape {arr.shape}")
     arr.setflags(write=False)
+    return arr
+
+
+def frozen_field(result, name: str, dtype=None, ndim=None) -> np.ndarray:
+    """Field ``name`` of the frozen dataclass ``result`` as a `frozen_array`,
+    stored back in its place and returned."""
+    arr = frozen_array(getattr(result, name), dtype=dtype, ndim=ndim, name=name)
+    object.__setattr__(result, name, arr)
     return arr
 
 

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen_array
+from ._util import frozen_field
 from .segmentation import EigenCoefficients
-from .ssm import FilterTrace, ModelParams, Spectrogram, _filter_trace, ssmt_spectrogram
+from .ssm import (FilterTrace, ModelParams, Spectrogram, _filter_trace, _freeze_variances,
+                  ssmt_spectrogram)
 
 __all__ = [
     "NonstationarityTracker",
@@ -50,17 +51,15 @@ class NonstationarityTracker:
     prev_obs: np.ndarray  # (J, M) complex
 
     def __post_init__(self):
-        prev_obs = frozen_array(self.prev_obs, dtype=complex, ndim=2, name="prev_obs")
+        prev_obs = frozen_field(self, "prev_obs", complex, 2)
         if self.ema is not None:
-            ema = frozen_array(self.ema, dtype=float, ndim=2, name="ema")
+            ema = frozen_field(self, "ema", float, 2)
             if ema.shape != prev_obs.shape:
                 raise ValueError("ema and prev_obs must share a shape")
             if np.any(ema < 0) or not np.all(np.isfinite(ema)):
                 raise ValueError("ema must be finite and non-negative")
-            object.__setattr__(self, "ema", ema)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        object.__setattr__(self, "prev_obs", prev_obs)
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
@@ -78,18 +77,7 @@ class AdaptiveParams:
     obs_var: np.ndarray  # (M,)
 
     def __post_init__(self):
-        state_var = frozen_array(
-            self.baseline_state_var, dtype=float, ndim=2, name="baseline_state_var"
-        )
-        obs_var = frozen_array(self.obs_var, dtype=float, ndim=1, name="obs_var")
-        if not np.all(np.isfinite(state_var)) or np.any(state_var < 0):
-            raise ValueError("baseline_state_var must be finite and non-negative")
-        if not np.all(np.isfinite(obs_var)) or np.any(obs_var <= 0):
-            raise ValueError("obs_var must be finite and strictly positive")
-        if state_var.shape[1] != obs_var.size:
-            raise ValueError("baseline_state_var columns must match obs_var length")
-        object.__setattr__(self, "baseline_state_var", state_var)
-        object.__setattr__(self, "obs_var", obs_var)
+        _freeze_variances(self, "baseline_state_var")
 
     @classmethod
     def from_model_params(cls, params: ModelParams) -> "AdaptiveParams":
@@ -229,8 +217,6 @@ def assmt_filter(
     """
     if params.baseline_state_var.shape != obs.coeffs.shape[1:]:
         raise ValueError("params shape must match (bins, tapers) of obs")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
     if tracker is not None:
         if tracker.prev_obs.shape != obs.coeffs.shape[1:]:
             raise ValueError("tracker shape must match (bins, tapers) of obs")

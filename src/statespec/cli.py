@@ -26,7 +26,8 @@ from ._util import append_in_place, owned
 from ._version import __version__
 from .adaptive import AdaptiveParams, assmt_filter
 from .metrics import itakura_saito
-from .segmentation import EigenCoefficients, TimeSeries, _window_times, eigen_coefficients, segment
+from .segmentation import (EigenCoefficients, TimeSeries, _checked_window_count, _window_count,
+                           _window_times, eigen_coefficients, segment)
 from .simulate import benchmark_config, gen_benchmark
 from .ssm import (
     EMConfig,
@@ -133,12 +134,10 @@ class RunConfig:
             raise ConfigError("assmt requires --baseline-seconds > 0")
         if self.scale not in ("linear", "dB"):
             raise ConfigError("scale must be 'linear' or 'dB'")
-        # math.isnan raises OverflowError on an integer too large for a
-        # float, which a replayed manifest can hold
-        if math.isnan(self.em_tol) or self.em_tol < 0:
-            raise ConfigError("em tolerance must be non-negative")
-        if self.em_max_iter < 1:
-            raise ConfigError("em max iterations must be at least 1")
+        try:
+            em = EMConfig(tol=self.em_tol, max_iter=self.em_max_iter)
+        except ValueError as exc:
+            raise ConfigError(f"em settings: {exc}") from exc
         if self.output_format not in ("csv", "bin"):
             raise ConfigError("output format must be 'csv' or 'bin'")
         # the sample counts window_samples, hop and baseline_windows depend on the
@@ -146,12 +145,12 @@ class RunConfig:
         window, hop = _window_grid("window", self.window_seconds, self.sample_rate_hz,
                                    self.overlap_fraction)
         baseline, _ = _window_grid("baseline", self.baseline_seconds, self.sample_rate_hz)
-        baseline_windows = (baseline - window) // hop + 1
         # the taper count and NW the window can hold, checked without the bank
         try:
             _bank_args(window, self.time_half_bandwidth, self.tapers)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        baseline_windows = _window_count(baseline, window, hop)
         if self.method != "mt" and self.baseline_seconds > 0 and baseline_windows < 2:
             raise ConfigError(
                 f"baseline of {self.baseline_seconds:g} s holds fewer than two windows"
@@ -159,6 +158,7 @@ class RunConfig:
         object.__setattr__(self, "window_samples", window)
         object.__setattr__(self, "hop", hop)
         object.__setattr__(self, "baseline_windows", baseline_windows)
+        object.__setattr__(self, "em", em)
 
     @property
     def time_half_bandwidth(self) -> float:
@@ -213,15 +213,11 @@ class SimulateConfig:
 
 
 def _check_window_grid(window: int, hop: int, n_samples: int) -> None:
-    """Reject a window length or hop, in samples, that cannot cut the record."""
-    if window < 1:
-        raise ConfigError(f"window must hold at least one sample, got {window}")
-    if window > n_samples:
-        raise ConfigError(
-            f"window of {window} samples is longer than the {n_samples}-sample record"
-        )
-    if not 1 <= hop <= window:
-        raise ConfigError(f"hop must lie in [1, {window}] samples, got {hop}")
+    """`_checked_window_count`'s rule, as a ConfigError."""
+    try:
+        _checked_window_count(n_samples, window, hop)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _read_manifest(path) -> dict:
@@ -336,16 +332,16 @@ class _Record:
             append_in_place(self._samples, block)
             # copied: not held while the next block is read
             del block
-        windows = self._first + max(0, (self.held - j) // hop + 1)
+        windows = self._first + _window_count(self.held, j, hop)
         return windows if stop is None else min(stop, windows)
 
-    def coefficients(self, bank, stop: int, window_major: bool) -> EigenCoefficients:
+    def coefficients(self, bank, stop: int) -> EigenCoefficients:
         """The windows not yet transformed, up to ``stop - 1``, from their
         own samples: each window's bits are those of the whole record's
         transform.  Samples no later window uses are then dropped.
 
-        ``window_major`` copies them into the window-major layout the filters
-        step through; mt's taper mean keeps the transform's own layout.
+        ssmt and assmt get them copied into the window-major layout the
+        filters step through; mt's taper mean keeps the transform's own layout.
         """
         config, first = self._config, self._first
         j, hop = config.window_samples, config.hop
@@ -354,7 +350,7 @@ class _Record:
         # a copy, so the transformed samples are not kept alive by a view
         self._samples, self._first = self._samples[(stop - first) * hop:].copy(), stop
         eig = eigen_coefficients(segment(block, j, hop, demean=config.demean), bank)
-        coeffs = np.ascontiguousarray(eig.coeffs) if window_major else eig.coeffs
+        coeffs = eig.coeffs if config.method == "mt" else np.ascontiguousarray(eig.coeffs)
         return EigenCoefficients(coeffs=owned(coeffs), frequencies_hz=eig.frequencies_hz,
                                  window_times_s=_window_times(first, stop, j, hop,
                                                               config.sample_rate_hz))
@@ -389,8 +385,8 @@ def _estimate_blocks(config: RunConfig, record: _Record, staging: Path) -> None:
     manifest = {"command": "estimate", "version": __version__, "config": asdict(config)}
     if config.method != "mt":
         n_fit = record.count(config.baseline_windows if config.baseline_seconds > 0 else None)
-        fit_obs = record.coefficients(bank, n_fit, window_major=True)
-        fit = em_fit(fit_obs, EMConfig(tol=config.em_tol, max_iter=config.em_max_iter))
+        fit_obs = record.coefficients(bank, n_fit)
+        fit = em_fit(fit_obs, config.em)
         params = fit.params
         manifest["em"] = {
             "converged": fit.converged,
@@ -426,7 +422,7 @@ def _estimate_blocks(config: RunConfig, record: _Record, staging: Path) -> None:
                 # past this block, only the filter's view of it holds the fit's rows
                 del fit_obs
         else:
-            eig = record.coefficients(bank, stop, window_major=config.method != "mt")
+            eig = record.coefficients(bank, stop)
         if config.method == "mt":
             spect = mt_spectrogram(eig, one_sided=config.one_sided)
             del eig
@@ -551,7 +547,8 @@ def _load_spectrogram(directory: Path, names: tuple[str, ...]) -> Spectrogram:
     prefix = "truth_" if stem.startswith("truth_") else ""
     freqs = io.read_vector_csv(directory / f"{prefix}frequencies.csv")
     times = io.read_vector_csv(directory / f"{prefix}times.csv")
-    spect = Spectrogram(power, freqs, times, scale=scale)
+    # the arrays just read are adopted, not copied
+    spect = Spectrogram(owned(power), owned(freqs), owned(times), scale=scale)
     return spect.to_linear()
 
 

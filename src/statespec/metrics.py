@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen_array
+from ._util import frozen_field, owned
 from .ssm import Spectrogram
 
 __all__ = ["DivergenceReport", "itakura_saito"]
@@ -28,13 +28,11 @@ class DivergenceReport:
     bins_used: np.ndarray  # boolean mask over the frequency axis
 
     def __post_init__(self):
-        per_window = frozen_array(self.per_window, dtype=float, ndim=1, name="per_window")
-        bins_used = frozen_array(self.bins_used, dtype=bool, ndim=1, name="bins_used")
+        per_window = frozen_field(self, "per_window", float, 1)
+        frozen_field(self, "bins_used", bool, 1)
         if np.any(per_window < 0):
             raise ValueError("per-window divergence must be non-negative")
         object.__setattr__(self, "total", float(self.total))
-        object.__setattr__(self, "per_window", per_window)
-        object.__setattr__(self, "bins_used", bins_used)
 
 
 def itakura_saito(
@@ -77,7 +75,8 @@ def itakura_saito(
     if bins_used is None:
         bins_used = truth.frequencies_hz > 0
     else:
-        bins_used = np.asarray(bins_used, dtype=bool)
+        # a copy, which the report then adopts
+        bins_used = np.array(bins_used, dtype=bool)
         if bins_used.shape != truth.frequencies_hz.shape:
             raise ValueError("bins_used must mask the frequency axis")
     if not np.any(bins_used):
@@ -93,6 +92,6 @@ def itakura_saito(
     per_window = np.maximum(per_window, 0.0)
     return DivergenceReport(
         total=float(per_window.mean()),
-        per_window=per_window,
-        bins_used=bins_used,
+        per_window=owned(per_window),
+        bins_used=owned(bins_used),
     )

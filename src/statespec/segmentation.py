@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen_array, owned
+from ._util import frozen_field, owned
 from .tapers import TaperBank
 
 __all__ = [
@@ -42,14 +42,13 @@ class TimeSeries:
     sample_rate_hz: float
 
     def __post_init__(self):
-        samples = frozen_array(self.samples, dtype=float, ndim=1, name="samples")
+        samples = frozen_field(self, "samples", float, 1)
         if samples.size == 0:
             raise ValueError("samples must be nonempty")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
-        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 
     @property
@@ -71,7 +70,7 @@ class SegmentedSeries:
     sample_rate_hz: float
 
     def __post_init__(self):
-        windows = frozen_array(self.windows, dtype=float, ndim=2, name="windows")
+        windows = frozen_field(self, "windows", float, 2)
         j = int(self.window_length_j)
         hop = int(self.hop)
         if windows.shape[0] < 1:
@@ -84,7 +83,6 @@ class SegmentedSeries:
             raise ValueError("hop must not exceed the window length")
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
-        object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "window_length_j", j)
         object.__setattr__(self, "hop", hop)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
@@ -94,11 +92,15 @@ class SegmentedSeries:
         return self.windows.shape[0]
 
 
-def _check_bins(stored: int, frequencies_hz: np.ndarray) -> None:
-    """Accept all J bins of the grid, or the J//2 + 1 a real signal stores."""
-    j = frequencies_hz.size
+def _freeze_grid(result, k: int, stored: int) -> None:
+    """Freeze the grid of a result of ``k`` windows and ``stored`` bins: one
+    time per window, and all J bins or the J//2 + 1 a real signal stores."""
+    j = frozen_field(result, "frequencies_hz", float, 1).size
+    times = frozen_field(result, "window_times_s", float, 1)
     if stored not in (j, j // 2 + 1):
         raise ValueError(f"{stored} bins stored for {j} frequencies_hz, not {j} or {j // 2 + 1}")
+    if times.shape != (k,):
+        raise ValueError("window_times_s must have one entry per window")
 
 
 @dataclass(frozen=True)
@@ -116,20 +118,13 @@ class EigenCoefficients:
     window_times_s: np.ndarray
 
     def __post_init__(self):
-        coeffs = frozen_array(self.coeffs, dtype=complex, ndim=3, name="coeffs")
-        freqs = frozen_array(self.frequencies_hz, dtype=float, ndim=1, name="frequencies_hz")
-        times = frozen_array(self.window_times_s, dtype=float, ndim=1, name="window_times_s")
+        coeffs = frozen_field(self, "coeffs", complex, 3)
         k, b, m = coeffs.shape
         if k < 1 or b < 1 or m < 1:
             raise ValueError("coeffs must be nonempty along every axis")
-        _check_bins(b, freqs)
-        if times.shape != (k,):
-            raise ValueError("window_times_s must have one entry per window")
+        _freeze_grid(self, k, b)
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coeffs must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "frequencies_hz", freqs)
-        object.__setattr__(self, "window_times_s", times)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -170,17 +165,9 @@ def segment(
         or hop is out of range.
     """
     j = int(window_length_j)
-    if j < 1:
-        raise ValueError("window_length_j must be at least 1")
     hop = j if hop is None else int(hop)
     samples = series.samples
-    if samples.size < j:
-        raise ValueError(
-            f"insufficient data: {samples.size} samples cannot fill a window of {j}"
-        )
-    if hop < 1 or hop > j:
-        raise ValueError("hop must satisfy 1 <= hop <= window_length_j")
-    k = (samples.size - j) // hop + 1
+    k = _checked_window_count(samples.size, j, hop)
     # the series' samples are read-only, so a view of them is adopted as is
     windows = np.lib.stride_tricks.sliding_window_view(samples, j)[::hop][:k]
     if demean:
@@ -191,6 +178,28 @@ def segment(
         hop=hop,
         sample_rate_hz=series.sample_rate_hz,
     )
+
+
+def _window_count(n_samples: int, j: int, hop: int) -> int:
+    """Windows of ``j`` samples ``hop`` apart in ``n_samples``, or 0."""
+    return max(0, (n_samples - j) // hop + 1)
+
+
+def _checked_window_count(n_samples: int, j: int, hop: int) -> int:
+    """`_window_count` of a grid that can cut the record, the rule `segment`,
+    the simulated truth and the CLI share: J >= 1, 1 <= hop <= J, n >= J."""
+    if j < 1:
+        raise ValueError(f"window_length_j must be at least 1, got {j}")
+    if not 1 <= hop <= j:
+        raise ValueError(f"hop must satisfy 1 <= hop <= window_length_j = {j}, got {hop}")
+    if n_samples < j:
+        raise ValueError(f"insufficient data: {n_samples} samples cannot fill a window of {j}")
+    return _window_count(n_samples, j, hop)
+
+
+def _frequencies(j: int, fs: float) -> np.ndarray:
+    """The DFT grid of ``j`` bins at ``fs``, in Hz."""
+    return np.arange(j) / j * fs
 
 
 def _window_times(first: int, stop: int, j: int, hop: int, fs: float) -> np.ndarray:
@@ -241,8 +250,7 @@ def eigen_coefficients(segmented: SegmentedSeries, tapers: TaperBank) -> EigenCo
         rows = slice(first, first + step)
         tapered = segmented.windows[rows, :, None] * tapers.tapers.T[None, :, :]
         coeffs[rows] = np.fft.rfft(tapered, axis=1, norm="ortho")
-    frequencies = np.arange(j) / j * fs
     times = _window_times(0, k, j, segmented.hop, fs)
     return EigenCoefficients(
-        coeffs=owned(coeffs), frequencies_hz=frequencies, window_times_s=times
+        coeffs=owned(coeffs), frequencies_hz=_frequencies(j, fs), window_times_s=times
     )

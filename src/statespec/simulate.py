@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import frozen_array, owned
-from .segmentation import TimeSeries, _window_times
+from ._util import frozen_field, owned
+from .segmentation import TimeSeries, _checked_window_count, _frequencies, _window_times
 from .ssm import Spectrogram
 
 __all__ = [
@@ -204,11 +204,12 @@ class PoleZeroSchedule:
     zero_radii: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def __post_init__(self):
-        times = frozen_array(self.times_s, dtype=float, ndim=1, name="times_s")
-        pf = frozen_array(np.atleast_2d(self.pole_freqs_hz), dtype=float, name="pole_freqs_hz")
-        pr = frozen_array(np.atleast_2d(self.pole_radii), dtype=float, name="pole_radii")
-        zf = frozen_array(np.atleast_2d(self.zero_freqs_hz), dtype=float, name="zero_freqs_hz")
-        zr = frozen_array(np.atleast_2d(self.zero_radii), dtype=float, name="zero_radii")
+        times = frozen_field(self, "times_s", float, 1)
+        tables = ("pole_freqs_hz", "pole_radii", "zero_freqs_hz", "zero_radii")
+        for name in tables:
+            # one breakpoint's pairs may be given as a single row
+            object.__setattr__(self, name, np.atleast_2d(getattr(self, name)))
+        pf, pr, zf, zr = (frozen_field(self, name, float) for name in tables)
         b = times.size
         if b < 1:
             raise ValueError("schedule needs at least one breakpoint")
@@ -222,9 +223,6 @@ class PoleZeroSchedule:
             raise ValueError("pole radii must lie in [0, 1)")
         if zr.size and (np.any(zr < 0) or np.any(zr >= 1.0)):
             raise ValueError("zero radii must lie in [0, 1)")
-        for name, arr in (("times_s", times), ("pole_freqs_hz", pf), ("pole_radii", pr),
-                          ("zero_freqs_hz", zf), ("zero_radii", zr)):
-            object.__setattr__(self, name, arr)
 
     @property
     def ar_order(self) -> int:
@@ -368,7 +366,7 @@ class SimulationConfig:
     arma_innovation_std: float = 1.0
 
     def __post_init__(self):
-        coeffs = frozen_array(self.ar_coeffs, dtype=float, ndim=1, name="ar_coeffs")
+        coeffs = frozen_field(self, "ar_coeffs", float, 1)
         if self.duration_s <= 0 or self.sample_rate_hz <= 0:
             raise ValueError("duration_s and sample_rate_hz must be positive")
         if not math.isfinite(self.carrier_freq_hz):
@@ -389,7 +387,6 @@ class SimulationConfig:
                              f"outside the float range (inf means noise-free)")
         if _pole_radius(coeffs) >= 1.0:
             raise ValueError("ar_coeffs must describe a stable recursion")
-        object.__setattr__(self, "ar_coeffs", coeffs)
 
 
 def _half_grid_power(
@@ -500,12 +497,8 @@ class GroundTruth:
         fs = cfg.sample_rate_hz
         j = int(window_length_j)
         hop = j if hop is None else int(hop)
-        if j < 1 or hop < 1 or hop > j:
-            raise ValueError("window_length_j and hop must satisfy 1 <= hop <= J")
-        if self.n_samples < j:
-            raise ValueError("insufficient data: window longer than the record")
-        k = (self.n_samples - j) // hop + 1
-        freqs = np.arange(j) / j * fs
+        k = _checked_window_count(self.n_samples, j, hop)
+        freqs = _frequencies(j, fs)
         omega = 2.0 * np.pi * np.arange(j) / j
 
         # Amplitude-modulated band: stationary AR spectrum scaled by the

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen_array, owned
-from .segmentation import EigenCoefficients, _check_bins
+from ._util import frozen_field, owned
+from .segmentation import EigenCoefficients, _freeze_grid
 
 __all__ = [
     "DB_FLOOR",
@@ -60,16 +60,19 @@ class ModelParams:
     obs_var: np.ndarray
 
     def __post_init__(self):
-        state_var = frozen_array(self.state_var, dtype=float, ndim=2, name="state_var")
-        obs_var = frozen_array(self.obs_var, dtype=float, ndim=1, name="obs_var")
-        if not np.all(np.isfinite(state_var)) or np.any(state_var < 0):
-            raise ValueError("state_var must be finite and non-negative")
-        if not np.all(np.isfinite(obs_var)) or np.any(obs_var <= 0):
-            raise ValueError("obs_var must be finite and strictly positive")
-        if state_var.shape[1] != obs_var.size:
-            raise ValueError("state_var columns must match obs_var length")
-        object.__setattr__(self, "state_var", state_var)
-        object.__setattr__(self, "obs_var", obs_var)
+        _freeze_variances(self, "state_var")
+
+
+def _freeze_variances(params, state_field: str) -> None:
+    """Freeze and check ``params``' (B, M) ``state_field`` and (M,) ``obs_var``."""
+    state_var = frozen_field(params, state_field, float, 2)
+    obs_var = frozen_field(params, "obs_var", float, 1)
+    if not np.all(np.isfinite(state_var)) or np.any(state_var < 0):
+        raise ValueError(f"{state_field} must be finite and non-negative")
+    if not np.all(np.isfinite(obs_var)) or np.any(obs_var <= 0):
+        raise ValueError("obs_var must be finite and strictly positive")
+    if state_var.shape[1] != obs_var.size:
+        raise ValueError(f"{state_field} columns must match obs_var length")
 
 
 @dataclass(frozen=True)
@@ -104,26 +107,16 @@ class FilterTrace:
     window_times_s: np.ndarray  # (K,)
 
     def __post_init__(self):
-        means = frozen_array(self.means, dtype=complex, ndim=3, name="means")
-        variances = frozen_array(self.variances, dtype=float, ndim=3, name="variances")
-        gains = frozen_array(self.gains, dtype=float, ndim=3, name="gains")
-        freqs = frozen_array(self.frequencies_hz, dtype=float, ndim=1, name="frequencies_hz")
-        times = frozen_array(self.window_times_s, dtype=float, ndim=1, name="window_times_s")
+        means = frozen_field(self, "means", complex, 3)
+        variances = frozen_field(self, "variances", float, 3)
+        gains = frozen_field(self, "gains", float, 3)
         if variances.shape != means.shape or gains.shape != means.shape:
             raise ValueError("means, variances, and gains must share a shape")
-        k, b, _ = means.shape
-        _check_bins(b, freqs)
-        if times.shape != (k,):
-            raise ValueError("window_times_s must have one entry per window")
+        _freeze_grid(self, *means.shape[:2])
         if np.any(variances < 0):
             raise ValueError("variances must be non-negative")
         if np.any(gains < 0) or np.any(gains > 1):
             raise ValueError("gains must lie in [0, 1]")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "frequencies_hz", freqs)
-        object.__setattr__(self, "window_times_s", times)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -140,9 +133,9 @@ class Spectrogram:
     scale: str = "linear"
 
     def __post_init__(self):
-        power = frozen_array(self.power, dtype=float, ndim=2, name="power")
-        freqs = frozen_array(self.frequencies_hz, dtype=float, ndim=1, name="frequencies_hz")
-        times = frozen_array(self.window_times_s, dtype=float, ndim=1, name="window_times_s")
+        power = frozen_field(self, "power", float, 2)
+        freqs = frozen_field(self, "frequencies_hz", float, 1)
+        times = frozen_field(self, "window_times_s", float, 1)
         if self.scale not in ("linear", "dB"):
             raise ValueError("scale must be 'linear' or 'dB'")
         if power.shape != (times.size, freqs.size):
@@ -151,9 +144,6 @@ class Spectrogram:
             raise ValueError("power must be finite")
         if self.scale == "linear" and np.any(power < 0):
             raise ValueError("linear power must be non-negative")
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "frequencies_hz", freqs)
-        object.__setattr__(self, "window_times_s", times)
 
     def to_db(self) -> "Spectrogram":
         """Return the spectrogram in dB, flooring linear power at DB_FLOOR."""
@@ -361,8 +351,7 @@ class EMFit:
     n_iter: int
 
     def __post_init__(self):
-        lls = frozen_array(self.log_likelihoods, dtype=float, ndim=1, name="log_likelihoods")
-        object.__setattr__(self, "log_likelihoods", lls)
+        frozen_field(self, "log_likelihoods", float, 1)
         object.__setattr__(self, "converged", bool(self.converged))
         object.__setattr__(self, "n_iter", int(self.n_iter))
 

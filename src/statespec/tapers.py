@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ._util import frozen_array
+from ._util import frozen_field
 
 __all__ = ["TaperBank", "dpss"]
 
@@ -45,8 +45,8 @@ class TaperBank:
     time_half_bandwidth: float
 
     def __post_init__(self):
-        tapers = frozen_array(self.tapers, dtype=float, ndim=2, name="tapers")
-        conc = frozen_array(self.concentrations, dtype=float, ndim=1, name="concentrations")
+        tapers = frozen_field(self, "tapers", float, 2)
+        conc = frozen_field(self, "concentrations", float, 1)
         m, j = tapers.shape
         if m < 1:
             raise ValueError("taper bank must contain at least one taper")
@@ -65,8 +65,6 @@ class TaperBank:
         gram = tapers @ tapers.T
         if not np.allclose(gram, np.eye(m), atol=_ORTHO_TOL):
             raise ValueError("taper rows must be orthonormal")
-        object.__setattr__(self, "tapers", tapers)
-        object.__setattr__(self, "concentrations", conc)
         object.__setattr__(self, "time_half_bandwidth", float(self.time_half_bandwidth))
 
     @property

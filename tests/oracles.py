@@ -14,7 +14,6 @@ from statespec.segmentation import EigenCoefficients, TimeSeries, eigen_coeffici
 from statespec.ssm import (
     EMConfig,
     ModelParams,
-    _forward_pass,
     em_fit,
     filter_all,
     mt_spectrogram,
@@ -44,6 +43,27 @@ def gaussian_conditioning_means(observations, state_var, obs_var, init_mean=0.0,
         weights = np.linalg.solve(cov_yy, cov_zy)
         means[k - 1] = init_mean + weights @ (y[:k] - init_mean)
     return means
+
+
+def dense_log_likelihood(coeffs, state_var, obs_var, init_var, weight):
+    """Exact log-likelihood of (K, B, M) ``coeffs`` from each chain's dense covariance.
+
+    Chain (b, m) is circular complex Gaussian with zero mean and
+    Cov(Y_k, Y_l) = init_var + state_var * min(k, l) + obs_var * delta_kl
+    (1-based), so its log density is -(K log pi + log det C + y^H C^-1 y);
+    it counts ``weight[b]`` times.
+    """
+    k_windows = coeffs.shape[0]
+    idx = np.arange(1, k_windows + 1)
+    cov = (init_var[..., None, None] + state_var[..., None, None] * np.minimum.outer(idx, idx)
+           + obs_var[:, None, None] * np.eye(k_windows))  # (B, M, K, K)
+    chol = np.linalg.cholesky(cov)
+    # the real and imaginary parts as two real columns: |L^-1 y|^2 summed over both
+    parts = np.stack([coeffs.real, coeffs.imag], axis=-1).transpose(1, 2, 0, 3)
+    white = np.linalg.solve(chol, parts)
+    log_det = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    ll = -(k_windows * np.log(np.pi) + log_det + (white**2).sum(axis=(-2, -1)))
+    return float((weight[:, None] * ll).sum())
 
 
 def random_walk_realization(rng, k_windows, state_var, obs_var, init_var=None):
@@ -183,7 +203,7 @@ def full_grid_em(coeffs, tol=1e-6, max_iter=50):
     lls = []
     converged = False
     for _ in range(max_iter):
-        zf, pf, _ = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)
+        zf, pf, _ = allocating_forward_pass(coeffs, state_var, obs_var, init_var=init_var)
         pp = pf[:-1] + state_var
         innov = coeffs - zf[:-1]
         innov_var = pp + obs_var[None, :]
@@ -238,7 +258,7 @@ def allocating_em(coeffs, j_bins, tol=1e-6, max_iter=50):
     lls = []
     converged = False
     for _ in range(max_iter):
-        zf, pf = _forward_pass(coeffs, state_var, obs_var, init_var=init_var)[:2]
+        zf, pf = allocating_forward_pass(coeffs, state_var, obs_var, init_var=init_var)[:2]
         pp = pf[:-1] + state_var
         innov = coeffs - zf[:-1]
         innov_var = pp + obs_var[None, :]

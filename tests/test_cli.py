@@ -245,7 +245,8 @@ class TestEstimate:
 
     def test_ssmt_outputs_parameters(self, sim_dir, tmp_path):
         out = tmp_path / "ssmt"
-        assert estimate(out, sim_dir, "ssmt") == EXIT_OK
+        with pytest.warns(UserWarning, match="em_fit did not converge"):
+            assert estimate(out, sim_dir, "ssmt") == EXIT_OK
         state_var, _ = io.read_matrix_csv(out / "state_var.csv")
         obs_var = io.read_vector_csv(out / "obs_var.csv")
         # parameters live on the full frequency grid, not the one-sided one
@@ -258,7 +259,8 @@ class TestEstimate:
 
     def test_assmt_outputs_state_var_trace(self, sim_dir, tmp_path):
         out = tmp_path / "assmt"
-        assert estimate(out, sim_dir, "assmt", "--baseline-seconds", "45") == EXIT_OK
+        with pytest.warns(UserWarning, match="em_fit did not converge"):
+            assert estimate(out, sim_dir, "assmt", "--baseline-seconds", "45") == EXIT_OK
         trace, _ = io.read_matrix_csv(out / "state_var_trace_taper0.csv")
         half = int(6 * FS) // 2 + 1
         assert trace.shape == (15, half)
@@ -279,12 +281,14 @@ class TestEstimate:
 
     def test_estimate_manifest_replay(self, sim_dir, tmp_path):
         first = tmp_path / "first"
-        assert estimate(first, sim_dir, "ssmt") == EXIT_OK
+        with pytest.warns(UserWarning, match="em_fit did not converge"):
+            assert estimate(first, sim_dir, "ssmt") == EXIT_OK
         second = tmp_path / "second"
-        code = main([
-            "estimate", "--from-manifest", str(first / "manifest.json"),
-            "--out-dir", str(second),
-        ])
+        with pytest.warns(UserWarning, match="em_fit did not converge"):
+            code = main([
+                "estimate", "--from-manifest", str(first / "manifest.json"),
+                "--out-dir", str(second),
+            ])
         assert code == EXIT_OK
         assert (second / "spectrogram.csv").read_bytes() == (first / "spectrogram.csv").read_bytes()
 
@@ -461,7 +465,8 @@ class TestMemory:
 
         monkeypatch.setattr(cli, "eigen_coefficients", spy_coefficients)
         monkeypatch.setattr(cli, "ssmt_spectrogram", spy_spectrogram)
-        assert estimate(tmp_path / method, sim_dir, method, *extra) == EXIT_OK
+        with pytest.warns(UserWarning, match="em_fit did not converge"):
+            assert estimate(tmp_path / method, sim_dir, method, *extra) == EXIT_OK
         assert refs and alive
         assert not any(alive)
 

@@ -5,8 +5,11 @@ from oracles import full_grid_coefficients, one_shot_eigen_coefficients
 
 from statespec import (
     EigenCoefficients,
+    GroundTruth,
     TaperBank,
     TimeSeries,
+    benchmark_config,
+    cli,
     dpss,
     eigen_coefficients,
     segment,
@@ -107,6 +110,35 @@ class TestSegment:
         series = TimeSeries(samples=np.ones(30), sample_rate_hz=1.0)
         with pytest.raises(ValueError, match="window_length_j"):
             segment(series, 0)
+
+
+class TestWindowGridRule:
+    """`segment`, the simulated truth and the CLI's settings share one window
+    grid rule: they reject the same grids with the same text."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return benchmark_config(duration_s=10.0)
+
+    @pytest.mark.parametrize(
+        "n, j, hop, match",
+        [
+            (30, 0, 1, "window_length_j"),
+            (30, 10, 0, "hop"),
+            (30, 10, 11, "hop"),
+            (9, 10, 10, "insufficient data"),
+        ],
+        ids=["J=0", "hop=0", "hop=J+1", "n=J-1"],
+    )
+    def test_same_rejection_everywhere(self, config, n, j, hop, match):
+        with pytest.raises(ValueError, match=match) as cut:
+            segment(TimeSeries(samples=np.ones(n), sample_rate_hz=1.0), j, hop)
+        truth = GroundTruth(config=config, noise_var=0.0, n_samples=n)
+        with pytest.raises(ValueError, match=match) as simulated:
+            truth.spectrogram(j, hop)
+        with pytest.raises(cli.ConfigError, match=match) as settings:
+            cli._check_window_grid(j, hop, n)
+        assert str(cut.value) == str(simulated.value) == str(settings.value)
 
 
 class TestTimeSeries:

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from conftest import make_eig
 from oracles import (
     allocating_em,
     allocating_forward_pass,
+    dense_log_likelihood,
     full_grid_coefficients,
     full_grid_em,
     gaussian_conditioning_means,
@@ -274,6 +276,60 @@ class TestEMFit:
         config = EMConfig(tol=0, max_iter=max_iter)
         assert config.max_iter == 7 and type(config.max_iter) is int
         assert config.tol == 0.0 and type(config.tol) is float
+
+
+class TestEMOptimizerOracle:
+    """`em_fit` lands on the maximum of the exact likelihood that a generic
+    optimizer finds over the log variances, with the first-window prior held
+    at EM's own starting point.  An M-step that climbed to another point
+    would fail here although its likelihood trace still rose."""
+
+    K, J = 60, 8
+
+    def record(self, seed):
+        """One taper's coefficients of a real record whose bins 0..J//2 walk
+        with unit step variance under unit white noise."""
+        rng = np.random.default_rng(seed)
+        shape = (self.K, self.J // 2 + 1)
+        steps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spectra = np.cumsum(np.sqrt(0.5) * steps, axis=0)
+        samples = np.fft.irfft(spectra, n=self.J, axis=1, norm="ortho").ravel()
+        samples += rng.standard_normal(samples.size)
+        series = TimeSeries(samples=samples, sample_rate_hz=1.0)
+        return eigen_coefficients(segment(series, self.J), dpss(self.J, 1.5, 1))
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_em_lands_on_the_likelihood_maximum(self, seed):
+        eig = self.record(seed)
+        coeffs = eig.coeffs
+        b_bins, m_tapers = coeffs.shape[1:]
+        assert b_bins == 5
+        # mirrored bins 1..J - B stand for two grid bins each
+        weight = np.ones(b_bins)
+        weight[1 : self.J - b_bins + 1] = 2.0
+        init_var, obs_start = ssm._moment_init(np.ascontiguousarray(coeffs), weight)
+        fit = em_fit(eig, EMConfig(tol=1e-13, max_iter=10_000))
+        assert fit.converged
+        state_var, obs_var = fit.params.state_var, fit.params.obs_var
+        # q/r well inside the boundary, where the maximum is a stationary point
+        assert np.all(state_var / obs_var >= 0.1)
+
+        def negative_ll(log_vars):
+            variances = np.exp(log_vars)
+            return -dense_log_likelihood(coeffs, variances[:-m_tapers].reshape(b_bins, m_tapers),
+                                         variances[-m_tapers:], init_var, weight)
+
+        start = np.log(np.r_[init_var.ravel(), obs_start])
+        best = minimize(negative_ll, start, method="Nelder-Mead",
+                        options={"xatol": 1e-5, "fatol": 1e-8, "maxiter": 20_000,
+                                 "maxfev": 20_000})
+        assert best.success
+        em_point = np.r_[state_var.ravel(), obs_var]
+        em_ll = -negative_ll(np.log(em_point))
+        # EM's last likelihood is that of the parameters it returns
+        assert em_ll == pytest.approx(fit.log_likelihoods[-1], rel=1e-12)
+        assert abs(em_ll + best.fun) <= 1e-6 * abs(best.fun)
+        np.testing.assert_allclose(em_point, np.exp(best.x), rtol=1e-3)
 
 
 class TestLagOneCovariance:

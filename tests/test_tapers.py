@@ -61,8 +61,10 @@ class TestBankProperties:
         assert np.all(bank.concentrations > 0.9)
 
     def test_sign_convention_reproducible(self):
-        a = dpss(50, 2.0, 4)
-        b = dpss(50, 2.0, 4)
+        with pytest.warns(UserWarning, match="trailing tapers will leak"):
+            a = dpss(50, 2.0, 4)
+        with pytest.warns(UserWarning, match="trailing tapers will leak"):
+            b = dpss(50, 2.0, 4)
         np.testing.assert_array_equal(a.tapers, b.tapers)
         for row in a.tapers:
             first = np.flatnonzero(np.abs(row) > 1e-13 * np.abs(row).max())[0]

@@ -300,7 +300,8 @@ _BLOCK_CELLS = 1 << 14
 
 class _Record:
     """The samples of a signal, read block by block as its windows need
-    them, and dropped once the windows that use them are transformed.
+    them, and dropped once the windows that use them are transformed; the
+    one place that decides where a block of windows ends and what it holds.
 
     Every block read is checked to be finite, so a non-finite sample is
     rejected wherever it lies, after the last window too.
@@ -313,6 +314,11 @@ class _Record:
         # is taken of until it is replaced, so it can grow in place
         self._samples = np.empty(0)
         self._first = 0
+        self._fit = None
+        # a record that cannot fill one window is rejected as `segment` rejects it
+        if not self.count(1):
+            _checked_window_count(self.held, config.window_samples, config.hop)
+        self._bank = dpss(config.window_samples, config.time_half_bandwidth, config.tapers)
 
     @property
     def held(self) -> int:
@@ -335,7 +341,7 @@ class _Record:
         windows = self._first + _window_count(self.held, j, hop)
         return windows if stop is None else min(stop, windows)
 
-    def coefficients(self, bank, stop: int) -> EigenCoefficients:
+    def coefficients(self, stop: int) -> EigenCoefficients:
         """The windows not yet transformed, up to ``stop - 1``, from their
         own samples: each window's bits are those of the whole record's
         transform.  Samples no later window uses are then dropped.
@@ -349,85 +355,77 @@ class _Record:
                            sample_rate_hz=config.sample_rate_hz)
         # a copy, so the transformed samples are not kept alive by a view
         self._samples, self._first = self._samples[(stop - first) * hop:].copy(), stop
-        eig = eigen_coefficients(segment(block, j, hop, demean=config.demean), bank)
+        eig = eigen_coefficients(segment(block, j, hop, demean=config.demean), self._bank)
         coeffs = eig.coeffs if config.method == "mt" else np.ascontiguousarray(eig.coeffs)
-        return EigenCoefficients(coeffs=owned(coeffs), frequencies_hz=eig.frequencies_hz,
-                                 window_times_s=_window_times(first, stop, j, hop,
-                                                              config.sample_rate_hz))
+        times = _window_times(first, stop, j, hop, config.sample_rate_hz)
+        return EigenCoefficients(owned(coeffs), eig.frequencies_hz, times)
+
+    def fit_coefficients(self) -> EigenCoefficients:
+        """The windows EM fits: the baseline's, or all of them without one,
+        whose baseline holds no window.  `blocks` slices its first blocks from them."""
+        self._fit = self.coefficients(self.count(self._config.baseline_windows or None))
+        return self._fit
+
+    def blocks(self):
+        """``(first, stop, last, coefficients)`` of each block of windows
+        ``first``..``stop - 1`` in turn, ``last`` true of the last.  Blocks end
+        where the fit does: each slices the fit's rows, released with its last
+        block, or transforms its own samples.  Each is yielded off a one-item
+        list, so only the consumer holds it."""
+        config, fit, self._fit = self._config, self._fit, None
+        n_fit = 0 if fit is None else fit.shape[0]
+        step = max(1, _BLOCK_CELLS // ((config.window_samples // 2 + 1) * config.tapers))
+        first, last = 0, False
+        while not last:
+            stop = self.count(min(first + step, n_fit) if first < n_fit else first + step)
+            # one window more tells whether this block is the last
+            last = self.count(stop + 1) == stop
+            if first < n_fit:
+                eig = [EigenCoefficients(owned(fit.coeffs[first:stop]), fit.frequencies_hz,
+                                         fit.window_times_s[first:stop])]
+                fit = fit if stop < n_fit else None
+            else:
+                eig = [self.coefficients(stop)]
+            yield first, stop, last, eig.pop()
+            first = stop
 
 
 def _estimate(config: RunConfig, staging: Path) -> None:
     """Estimate and write every output file into ``staging``.
 
-    The signal is read as its windows need it.  EM fits the baseline
-    windows, or all of them when there is no baseline.  Then the record is
-    transformed, filtered and written in blocks of windows; a block reuses
-    the fit's coefficients where they exist, and starts from the previous
-    block's last posterior and tracker.  The window count is known only at
-    the last block, which restates it in the headers of the files written
-    in blocks.
+    EM fits the baseline windows, or all of them without a baseline.  Then
+    each of `_Record.blocks` is filtered, from the previous block's last
+    posterior and tracker, and written.  The last block restates the window
+    count in the headers of the files written in blocks.
     """
+    j = config.window_samples
+    manifest = {"command": "estimate", "version": __version__, "config": asdict(config)}
     blocks = io.read_signal(config.input_path, config.input_format, blocks=True)
     with contextlib.closing(blocks):
-        _estimate_blocks(config, _Record(blocks, config), staging)
-
-
-def _estimate_blocks(config: RunConfig, record: _Record, staging: Path) -> None:
-    j = config.window_samples
-    if not record.count(1):
-        raise DataError(
-            f"insufficient data: {config.input_path} holds {record.held} samples, "
-            f"fewer than one {j}-sample window"
-        )
-    bank = dpss(j, config.time_half_bandwidth, config.tapers)
-
-    n_fit = 0
-    manifest = {"command": "estimate", "version": __version__, "config": asdict(config)}
-    if config.method != "mt":
-        n_fit = record.count(config.baseline_windows if config.baseline_seconds > 0 else None)
-        fit_obs = record.coefficients(bank, n_fit)
-        fit = em_fit(fit_obs, config.em)
-        params = fit.params
-        manifest["em"] = {
-            "converged": fit.converged,
-            "n_iter": fit.n_iter,
-            "log_likelihoods": [float(v) for v in fit.log_likelihoods],
-        }
-        # the fit holds bins 0..J//2; state_var.csv holds the model's (J, M) grid
-        io.write_matrix(staging / "state_var", _unfold(params.state_var, j, axis=0),
-                        fmt=config.output_format)
-        io.write_vector_csv(staging / "obs_var.csv", params.obs_var)
-        # warm start at the first observation: the state prior has no
-        # knowledge of absolute level, so seeding with window 0 avoids a
-        # long ramp-in at bins whose power sits far above the prior mean
-        mean = fit_obs.coeffs[0].copy()
-        var = np.broadcast_to(params.obs_var[None, :], params.state_var.shape).copy()
-        adaptive = AdaptiveParams.from_model_params(params)
-        tracker = None
-
-    step = max(1, _BLOCK_CELLS // ((j // 2 + 1) * config.tapers))
-    first = last = 0
-    while not last:
-        # blocks end where the fit does, so each one reuses the fit's rows
-        # or transforms its own; one window more tells whether it is the last
-        stop = record.count(min(first + step, n_fit) if first < n_fit else first + step)
-        last = record.count(stop + 1) == stop
-        # the window count, for the headers, once it is known
-        rows = stop if last else None
-        if first < n_fit:
-            eig = EigenCoefficients(coeffs=owned(fit_obs.coeffs[first:stop]),
-                                    frequencies_hz=fit_obs.frequencies_hz,
-                                    window_times_s=fit_obs.window_times_s[first:stop])
-            if stop == n_fit:
-                # past this block, only the filter's view of it holds the fit's rows
-                del fit_obs
-        else:
-            eig = record.coefficients(bank, stop)
-        if config.method == "mt":
-            spect = mt_spectrogram(eig, one_sided=config.one_sided)
-            del eig
-        else:
-            if config.method == "ssmt":
+        record = _Record(blocks, config)
+        if config.method != "mt":
+            fit_obs = record.fit_coefficients()
+            fit = em_fit(fit_obs, config.em)
+            params = fit.params
+            manifest["em"] = {"converged": fit.converged, "n_iter": fit.n_iter,
+                              "log_likelihoods": [float(v) for v in fit.log_likelihoods]}
+            # the fit holds bins 0..J//2; state_var.csv holds the model's (J, M) grid
+            io.write_matrix(staging / "state_var", _unfold(params.state_var, j, axis=0),
+                            fmt=config.output_format)
+            io.write_vector_csv(staging / "obs_var.csv", params.obs_var)
+            # warm start at the first observation: the state prior has no
+            # knowledge of absolute level, so seeding with window 0 avoids a
+            # long ramp-in at bins whose power sits far above the prior mean
+            mean = fit_obs.coeffs[0].copy()
+            del fit_obs  # the record's blocks release the fit's rows
+            var = np.broadcast_to(params.obs_var[None, :], params.state_var.shape).copy()
+            adaptive, tracker = AdaptiveParams.from_model_params(params), None
+        for first, stop, last, eig in record.blocks():
+            # the window count, for the headers, once it is known
+            rows = stop if last else None
+            if config.method == "mt":
+                spect = mt_spectrogram(eig, one_sided=config.one_sided)
+            elif config.method == "ssmt":
                 trace = filter_all(eig, params, init_mean=mean, init_var=var)
             else:
                 trace, sv_trace, tracker = assmt_filter(
@@ -441,20 +439,19 @@ def _estimate_blocks(config: RunConfig, record: _Record, staging: Path) -> None:
                     io.write_matrix(staging / f"state_var_trace_taper{m}", sv_trace[:, :, m],
                                     fmt=config.output_format, rows=rows, append=first > 0)
                 del sv_trace
-            # the filter was the last user of the block's coefficients
-            del eig
-            # the next block starts from this one's last posterior
-            mean, var = trace.means[-1].copy(), trace.variances[-1].copy()
-            spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
-            del trace
-        if config.scale == "dB":
-            spect = spect.to_db()
-        frequencies = spect.frequencies_hz
-        io.write_matrix(staging / "spectrogram", spect.power, fmt=config.output_format,
-                        scale=spect.scale, rows=rows, append=first > 0)
-        # nothing of this block is held while the next one is made
-        del spect
-        first = stop
+            del eig  # the block's coefficients have no user left
+            if config.method != "mt":
+                # the next block starts from this one's last posterior
+                mean, var = trace.means[-1].copy(), trace.variances[-1].copy()
+                spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
+                del trace
+            if config.scale == "dB":
+                spect = spect.to_db()
+            frequencies = spect.frequencies_hz
+            io.write_matrix(staging / "spectrogram", spect.power, fmt=config.output_format,
+                            scale=spect.scale, rows=rows, append=first > 0)
+            # nothing of this block is held while the next one is made
+            del spect
     io.write_vector_csv(staging / "frequencies.csv", frequencies)
     io.write_vector_csv(staging / "times.csv",
                         _window_times(0, stop, j, config.hop, config.sample_rate_hz))

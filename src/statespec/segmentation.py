@@ -77,10 +77,7 @@ class SegmentedSeries:
             raise ValueError("at least one window is required")
         if windows.shape[1] != j:
             raise ValueError("window rows must have window_length_j samples")
-        if hop < 1:
-            raise ValueError("hop must be at least 1")
-        if hop > j:
-            raise ValueError("hop must not exceed the window length")
+        _check_grid(j, hop)
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
         object.__setattr__(self, "window_length_j", j)
@@ -185,13 +182,18 @@ def _window_count(n_samples: int, j: int, hop: int) -> int:
     return max(0, (n_samples - j) // hop + 1)
 
 
-def _checked_window_count(n_samples: int, j: int, hop: int) -> int:
-    """`_window_count` of a grid that can cut the record, the rule `segment`,
-    the simulated truth and the CLI share: J >= 1, 1 <= hop <= J, n >= J."""
+def _check_grid(j: int, hop: int) -> None:
+    """J >= 1 and 1 <= hop <= J: the grid rule a segmented series keeps too."""
     if j < 1:
         raise ValueError(f"window_length_j must be at least 1, got {j}")
     if not 1 <= hop <= j:
         raise ValueError(f"hop must satisfy 1 <= hop <= window_length_j = {j}, got {hop}")
+
+
+def _checked_window_count(n_samples: int, j: int, hop: int) -> int:
+    """`_window_count` of a grid that can cut the record, the rule `segment`,
+    the simulated truth and the CLI share: `_check_grid`, and n >= J."""
+    _check_grid(j, hop)
     if n_samples < j:
         raise ValueError(f"insufficient data: {n_samples} samples cannot fill a window of {j}")
     return _window_count(n_samples, j, hop)

@@ -130,7 +130,7 @@ class TestWindowGridRule:
         ],
         ids=["J=0", "hop=0", "hop=J+1", "n=J-1"],
     )
-    def test_same_rejection_everywhere(self, config, n, j, hop, match):
+    def test_same_rejection_everywhere(self, config, tmp_path, capsys, n, j, hop, match):
         with pytest.raises(ValueError, match=match) as cut:
             segment(TimeSeries(samples=np.ones(n), sample_rate_hz=1.0), j, hop)
         truth = GroundTruth(config=config, noise_var=0.0, n_samples=n)
@@ -139,6 +139,20 @@ class TestWindowGridRule:
         with pytest.raises(cli.ConfigError, match=match) as settings:
             cli._check_window_grid(j, hop, n)
         assert str(cut.value) == str(simulated.value) == str(settings.value)
+        if match == "hop":
+            with pytest.raises(ValueError, match=match) as segmented:
+                segmentation.SegmentedSeries(windows=np.ones((1, j)), window_length_j=j,
+                                             hop=hop, sample_rate_hz=1.0)
+            assert str(segmented.value) == str(cut.value)
+        if match == "insufficient data":
+            # an estimate on the record names it before the same text, and exits 3
+            signal = tmp_path / "signal.csv"
+            signal.write_text("1\n" * n)
+            capsys.readouterr()
+            code = cli.main(["estimate", "--input", str(signal), "--sample-rate", "1",
+                             "--window-seconds", str(j), "--out-dir", str(tmp_path / "out")])
+            assert code == cli.EXIT_DATA
+            assert capsys.readouterr().err.splitlines() == [f"error: {signal}: {cut.value}"]
 
 
 class TestTimeSeries:

@@ -16,6 +16,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -680,9 +681,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a warning shown on stderr is one line, like an error, with no source
+    # path or line; it is still raised, so filters and pytest.warns see it
+    saved = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -691,6 +700,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        warnings.formatwarning = saved
 
 
 if __name__ == "__main__":

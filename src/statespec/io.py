@@ -89,21 +89,9 @@ def _restate_csv_rows(path: Path, rows: int) -> None:
     os.replace(part, path)
 
 
-# Characters of text the CSV readers take from the file per block.
-_READ_BLOCK_CHARS = 1 << 16
-# Characters per read of a text file, which keeps the text it last decoded,
-# and its bytes, until the next read.
-_READ_PIECE_CHARS = 1 << 13
-
-
-def _text_chunks(fh):
-    """The text of ``fh`` in chunks of ``_READ_BLOCK_CHARS`` characters,
-    rounded up to whole reads of at most ``_READ_PIECE_CHARS``."""
-    piece = min(_READ_BLOCK_CHARS, _READ_PIECE_CHARS)
-    per_chunk = -(-_READ_BLOCK_CHARS // piece)
-    pieces = iter(functools.partial(fh.read, piece), "")
-    # iterators, not a generator, whose frame would hold the last chunk
-    return map("".join, iter(lambda: list(itertools.islice(pieces, per_chunk)), []))
+# Characters of CSV text, or bytes of a ``.f64``, per read and per block: a text
+# file keeps its last read until the next, and a block is held again as lines.
+_READ_BLOCK_CHARS = 1 << 13
 
 
 def _strip_chunks(chunks):
@@ -139,7 +127,7 @@ def _line_blocks(path, strip: bool = False):
     the last one.
     """
     with open(path) as fh:
-        chunks = _text_chunks(fh)
+        chunks = iter(functools.partial(fh.read, _READ_BLOCK_CHARS), "")
         if strip:
             chunks = _strip_chunks(chunks)
         tail = ""

@@ -1532,6 +1532,35 @@ class TestTapers:
         assert not out.exists()
 
 
+class TestWarningLines:
+    @pytest.mark.parametrize("argv, line", [
+        (["estimate", "--input", "signal.csv", "--sample-rate", str(FS), "--method", "ssmt",
+          "--em-max-iter", "3"],
+         "warning: em_fit did not converge within 3 iterations"),
+        (["tapers", "--window-length", "64", "--tapers", "4", "--nw", "1.5"],
+         "warning: requested 4 tapers but only 2 are well concentrated for NW=1.5; "
+         "trailing tapers will leak out of band"),
+    ], ids=["capped-em", "leaky-tapers"])
+    def test_warning_is_one_line_on_stderr(self, sim_dir, tmp_path, argv, line):
+        # no source path or line number, which would differ between installs
+        src = str(Path(statespec.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "statespec.cli", *argv, "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=sim_dir, env=env, timeout=120,
+        )
+        assert result.returncode == EXIT_OK
+        assert result.stderr == line + "\n"
+
+    def test_main_restores_the_warning_format(self, tmp_path):
+        before = warnings.formatwarning
+        with pytest.warns(UserWarning, match="leak out of band"):
+            assert main(["tapers", "--window-length", "64", "--tapers", "4", "--nw", "1.5",
+                         "--out-dir", str(tmp_path / "t")]) == EXIT_OK
+        assert warnings.formatwarning is before
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -389,6 +389,23 @@ class TestMatrixMemory:
         np.testing.assert_array_equal(read, np.array([[float(f"{v:.9g}") for v in row]
                                                       for row in values]))
 
+    def test_hour_spectrogram_peaks_near_its_matrix(self, tmp_path, rng):
+        # an hour's one-sided spectrogram, 600 windows of 109 bins: a block's
+        # text, as lines and then fields, is the one transient above the
+        # matrix; a block of 64 Ki characters would take the read to 1.9
+        # times it
+        values = rng.standard_normal((600, 109))
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, values)
+        tracemalloc.start()
+        try:
+            read, _ = io.read_matrix_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * read.nbytes
+        assert read.shape == values.shape
+
 
 class TestSignalMemory:
     def test_write_signal_streams_blocks(self, tmp_path, rng):
@@ -431,6 +448,21 @@ class TestSignalMemory:
         assert peak <= 1.5 * read.nbytes + 512 * 1024
         np.testing.assert_array_equal(read, samples)
 
+    def test_csv_signal_read_peaks_near_its_samples(self, tmp_path, rng):
+        # 600 s at 36 Hz: a block's text as lines is the one transient above
+        # the samples; a block of 64 Ki characters would take the read to 3.2
+        # times them
+        samples = rng.standard_normal(600 * 36)
+        path = io.write_signal(tmp_path / "s", samples, fmt="csv")
+        tracemalloc.start()
+        try:
+            read = io.read_signal(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * read.nbytes
+        np.testing.assert_array_equal(read, samples)
+
     @pytest.mark.parametrize("reader", ["signal-blocks", "matrix-lines"])
     def test_reader_holds_no_block_between_calls(self, tmp_path, rng, reader):
         # 100 000 lines: many blocks of text, each of which, as lines, takes
@@ -451,7 +483,7 @@ class TestSignalMemory:
             tracemalloc.stop()
         # what the text file keeps of its last read, as text and bytes: a
         # block of 64 Ki characters would add about four times that as lines
-        assert held <= 2 * io._READ_PIECE_CHARS + 16 * 1024
+        assert held <= 2 * io._READ_BLOCK_CHARS + 16 * 1024
 
     def test_read_signal_streams_blocks(self, tmp_path, rng):
         path = io.write_signal(tmp_path / "s", rng.standard_normal(100_000), fmt="csv")

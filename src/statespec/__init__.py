@@ -8,90 +8,21 @@ tracker (`assmt_filter`).  `itakura_saito` scores any estimate against a
 reference spectrum on the same grid.
 """
 
+from . import adaptive, metrics, segmentation, simulate, ssm, tapers
 from ._version import __version__
-from .adaptive import (
-    AdaptiveParams,
-    NonstationarityTracker,
-    adaptive_state_variance,
-    assmt_filter,
-    assmt_spectrogram,
-    ema_update,
-)
-from .metrics import DivergenceReport, itakura_saito
-from .segmentation import (
-    EigenCoefficients,
-    SegmentedSeries,
-    TimeSeries,
-    eigen_coefficients,
-    segment,
-)
-from .simulate import (
-    GroundTruth,
-    PoleZeroSchedule,
-    SimulationConfig,
-    ar_coefficients,
-    benchmark_config,
-    gen_ar,
-    gen_arma_tv,
-    gen_benchmark,
-    gen_regime_switch,
-)
-from .ssm import (
-    DB_FLOOR,
-    EMConfig,
-    EMFit,
-    FilterState,
-    FilterTrace,
-    ModelParams,
-    Spectrogram,
-    em_fit,
-    filter_all,
-    kalman_gain,
-    kalman_step,
-    mt_spectrogram,
-    ssmt_spectrogram,
-    steady_state_gain,
-)
-from .tapers import TaperBank, dpss
+from .adaptive import *
+from .metrics import *
+from .segmentation import *
+from .simulate import *
+from .ssm import *
+from .tapers import *
 
 __all__ = [
     "__version__",
-    "AdaptiveParams",
-    "DB_FLOOR",
-    "DivergenceReport",
-    "EMConfig",
-    "EMFit",
-    "EigenCoefficients",
-    "FilterState",
-    "FilterTrace",
-    "GroundTruth",
-    "ModelParams",
-    "NonstationarityTracker",
-    "PoleZeroSchedule",
-    "SegmentedSeries",
-    "SimulationConfig",
-    "Spectrogram",
-    "TaperBank",
-    "TimeSeries",
-    "adaptive_state_variance",
-    "ar_coefficients",
-    "assmt_filter",
-    "assmt_spectrogram",
-    "benchmark_config",
-    "dpss",
-    "em_fit",
-    "eigen_coefficients",
-    "ema_update",
-    "filter_all",
-    "gen_ar",
-    "gen_arma_tv",
-    "gen_benchmark",
-    "gen_regime_switch",
-    "itakura_saito",
-    "kalman_gain",
-    "kalman_step",
-    "mt_spectrogram",
-    "segment",
-    "ssmt_spectrogram",
-    "steady_state_gain",
+    *adaptive.__all__,
+    *metrics.__all__,
+    *segmentation.__all__,
+    *simulate.__all__,
+    *ssm.__all__,
+    *tapers.__all__,
 ]

@@ -315,7 +315,6 @@ class _Record:
         # is taken of until it is replaced, so it can grow in place
         self._samples = np.empty(0)
         self._first = 0
-        self._fit = None
         # a record that cannot fill one window is rejected as `segment` rejects it
         if not self.count(1):
             _checked_window_count(self.held, config.window_samples, config.hop)
@@ -361,19 +360,14 @@ class _Record:
         times = _window_times(first, stop, j, hop, config.sample_rate_hz)
         return EigenCoefficients(owned(coeffs), eig.frequencies_hz, times)
 
-    def fit_coefficients(self) -> EigenCoefficients:
-        """The windows EM fits: the baseline's, or all of them without one,
-        whose baseline holds no window.  `blocks` slices its first blocks from them."""
-        self._fit = self.coefficients(self.count(self._config.baseline_windows or None))
-        return self._fit
-
-    def blocks(self):
+    def blocks(self, fit: EigenCoefficients | None = None):
         """``(first, stop, last, coefficients)`` of each block of windows
-        ``first``..``stop - 1`` in turn, ``last`` true of the last.  Blocks end
-        where the fit does: each slices the fit's rows, released with its last
-        block, or transforms its own samples.  Each is yielded off a one-item
-        list, so only the consumer holds it."""
-        config, fit, self._fit = self._config, self._fit, None
+        ``first``..``stop - 1`` in turn, ``last`` true of the last.  ``fit``
+        holds the record's first windows, already transformed; blocks end
+        where it does: each slices its rows, released with its last block,
+        or transforms its own samples.  Each is yielded off a one-item list,
+        so only the consumer holds it."""
+        config = self._config
         n_fit = 0 if fit is None else fit.shape[0]
         step = max(1, _BLOCK_CELLS // ((config.window_samples // 2 + 1) * config.tapers))
         first, last = 0, False
@@ -403,9 +397,9 @@ def _estimate(config: RunConfig, staging: Path) -> None:
     manifest = {"command": "estimate", "version": __version__, "config": asdict(config)}
     blocks = io.read_signal(config.input_path, config.input_format, blocks=True)
     with contextlib.closing(blocks):
-        record = _Record(blocks, config)
+        record, fit_obs = _Record(blocks, config), None
         if config.method != "mt":
-            fit_obs = record.fit_coefficients()
+            fit_obs = record.coefficients(record.count(config.baseline_windows or None))
             fit = em_fit(fit_obs, config.em)
             params = fit.params
             manifest["em"] = {"converged": fit.converged, "n_iter": fit.n_iter,
@@ -418,10 +412,11 @@ def _estimate(config: RunConfig, staging: Path) -> None:
             # knowledge of absolute level, so seeding with window 0 avoids a
             # long ramp-in at bins whose power sits far above the prior mean
             mean = fit_obs.coeffs[0].copy()
-            del fit_obs  # the record's blocks release the fit's rows
             var = np.broadcast_to(params.obs_var[None, :], params.state_var.shape).copy()
             adaptive, tracker = AdaptiveParams.from_model_params(params), None
-        for first, stop, last, eig in record.blocks():
+        windows = record.blocks(fit_obs)
+        del fit_obs  # the record's blocks release the fit's rows
+        for first, stop, last, eig in windows:
             # the window count, for the headers, once it is known
             rows = stop if last else None
             if config.method == "mt":
@@ -509,7 +504,7 @@ def _load_spectrogram(directory: Path, names: tuple[str, ...]) -> Spectrogram:
     manifest_path = directory / "manifest.json"
     manifest = _read_manifest(manifest_path) if manifest_path.exists() else None
     if manifest is None:
-        suffixes = (".csv", ".f32")
+        suffixes = tuple(io.MATRIX_SUFFIXES.values())
     else:
         fmt = None
         if manifest.get("command") == "estimate":
@@ -526,7 +521,7 @@ def _load_spectrogram(directory: Path, names: tuple[str, ...]) -> Spectrogram:
         tried = names if manifest is None else [path.name for path in candidates]
         raise DataError(f"no spectrogram found under {directory} (tried {', '.join(tried)})")
     stem = matrix_path.stem
-    if matrix_path.suffix == ".csv":
+    if matrix_path.suffix == io.MATRIX_SUFFIXES["csv"]:
         power, meta = io.read_matrix_csv(matrix_path)
         scale = meta.get("scale", "linear")
     else:

@@ -253,7 +253,7 @@ def write_matrix(path, values, fmt: str = "csv", scale: str | None = None,
 
 def read_matrix(path) -> tuple[np.ndarray, dict]:
     path = Path(path)
-    if path.suffix == ".f32":
+    if path.suffix == MATRIX_SUFFIXES["bin"]:
         return read_matrix_bin(path), {}
     return read_matrix_csv(path)
 
@@ -317,6 +317,11 @@ def _sample_fields(path):
             yield lines.pop()
 
 
+def _check_f64_size(path, size: int) -> None:
+    if size % 8:
+        raise ValueError(f"{path}: {size} bytes is not a whole number of float64 samples")
+
+
 def _sample_blocks(path, fmt: str):
     """The samples of a signal file in blocks of ``_READ_BLOCK_CHARS``
     characters of CSV text, or bytes of float64."""
@@ -325,8 +330,7 @@ def _sample_blocks(path, fmt: str):
         return
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size % 8:
-            raise ValueError(f"{path}: {size} bytes is not a whole number of float64 samples")
+        _check_f64_size(path, size)
         step = max(1, _READ_BLOCK_CHARS // 8) * 8
         for _ in range(0, size, step):
             yield np.frombuffer(fh.read(step), dtype="<f8")
@@ -347,7 +351,9 @@ def read_signal(path, fmt: str | None = None, blocks: bool = False):
     if blocks:
         return _sample_blocks(path, fmt)
     if fmt == "bin":
-        return np.frombuffer(path.read_bytes(), dtype="<f8")
+        data = path.read_bytes()
+        _check_f64_size(path, len(data))
+        return np.frombuffer(data, dtype="<f8")
     # one array grown in place: never the blocks and their concatenation
     return np.fromiter(map(float, itertools.chain.from_iterable(_sample_fields(path))),
                        dtype=float)

@@ -173,6 +173,16 @@ class TestSignal:
         with pytest.raises(ValueError, match="20 bytes"):
             next(io.read_signal(path, blocks=True))
 
+    def test_truncated_binary_whole_read_names_the_file(self, tmp_path):
+        path = tmp_path / "trunc.f64"
+        path.write_bytes(bytes(37))
+        message = f"{path}: 37 bytes is not a whole number of float64 samples"
+        with pytest.raises(ValueError) as whole:
+            io.read_signal(path)
+        with pytest.raises(ValueError) as in_blocks:
+            next(io.read_signal(path, blocks=True))
+        assert str(whole.value) == str(in_blocks.value) == message
+
 
 class TestVectorAndManifest:
     def test_vector_round_trip(self, tmp_path):

@@ -40,6 +40,14 @@ def test_quick_start_assmt_beats_mt(readme):
     assert assmt_total < mt_total
 
 
+def test_quick_start_raised_cells_are_the_non_baseline_ones(readme):
+    namespace, _ = readme
+    state_var, baseline = namespace["state_var"], namespace["fit"].params.state_var
+    raised = namespace["raised"]
+    assert raised.any() and not raised.all()
+    assert np.array_equal(raised, state_var != np.broadcast_to(baseline, state_var.shape))
+
+
 class TestGainRecipe:
     """`kalman_gains` from the state variances a filter used gives its gains."""
 

@@ -147,14 +147,20 @@ def _tracked_state_variance(coeffs, params: AdaptiveParams, alpha: float,
     else:
         rest, rest_sv = coeffs, sv
     if len(rest):
-        # the differences np.diff takes, the first from the tracker's
-        # observation; a square past the float range is reported once, below
-        diff = np.empty(rest.shape, dtype=complex)
+        # the squared differences np.diff takes, the first from the tracker's
+        # observation.  Complex subtraction is componentwise, so the real and
+        # imaginary parts are taken apart, the same bits with no complex
+        # array; the imaginary parts are squared in the rows of the state
+        # variances they end in.  A square past the float range is reported
+        # once, below
+        ema, part = np.empty(rest.shape), rest_sv
         with np.errstate(over="ignore"):
-            np.subtract(rest[0], tracker.prev_obs, out=diff[0])
-            np.subtract(rest[1:], rest[:-1], out=diff[1:])
-            ema = diff.real**2 + diff.imag**2
-        del diff
+            for out, obs, prev in ((ema, rest.real, tracker.prev_obs.real),
+                                   (part, rest.imag, tracker.prev_obs.imag)):
+                np.subtract(obs[0], prev, out=out[0])
+                np.subtract(obs[1:], obs[:-1], out=out[1:])
+                np.square(out, out=out)
+            ema += part
         if not np.isfinite(ema).all():
             raise ValueError("squared differences of the observations overflow")
         if tracker.ema is not None:

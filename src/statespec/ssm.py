@@ -374,130 +374,142 @@ def _moment_init(coeffs: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np
     return state_var, obs_var
 
 
-# Cells per window block of the E- and M-step's block temporaries.
+# Cells per window block of an EM iteration's block scratch.
 _EM_BLOCK_CELLS = 1 << 12
 
 
-def _em_buffers(coeffs):
-    """The record-sized arrays of one EM fit on ``coeffs`` (K, B, M), and the
-    row views its per-window loops use.
-
-    Returns ``(arrays, rows)``: the arrays are the forward pass's K + 1 means
-    and variances and its K rows of gains; the rows are the lists of the rows
-    of ``coeffs`` and of each array, made once per fit.
-    """
-    k_windows, *chain = coeffs.shape
-    arrays = (np.empty((k_windows + 1, *chain), dtype=complex),
-              np.empty((k_windows + 1, *chain)), np.empty(coeffs.shape))
-    return arrays, (list(coeffs), *map(list, arrays))
+def _block_windows(shape):
+    """Windows per block of (K, B, M) ``shape``: at most `_EM_BLOCK_CELLS`
+    cells, or one window."""
+    return max(1, _EM_BLOCK_CELLS // (shape[1] * shape[2]))
 
 
 def _window_blocks(shape):
-    """Slices of consecutive windows of (K, B, M) ``shape``, each of at most
-    `_EM_BLOCK_CELLS` cells, or one window."""
-    k_windows, b_bins, m_tapers = shape
-    step = max(1, _EM_BLOCK_CELLS // (b_bins * m_tapers))
-    return [slice(first, min(first + step, k_windows)) for first in range(0, k_windows, step)]
+    """Slices of consecutive windows of (K, B, M) ``shape``, each of
+    `_block_windows` windows but the last."""
+    step = _block_windows(shape)
+    return [slice(first, min(first + step, shape[0])) for first in range(0, shape[0], step)]
 
 
-def _e_step(coeffs, state_var, obs_var, init_var, weight, work=None):
-    """Filter, smooth, and collect the moments the M-step needs.
+def _em_buffers(coeffs, weight):
+    """The record-sized arrays of one EM fit on ``coeffs`` (K, B, M), the
+    row views its per-window loops use, and its block scratch.
 
-    Returns the smoothed means and variances, the smoother gains, whose
-    product sgain[k] * ps[k + 1] is the lag-one covariance Cov(Z_{k+1}, Z_k |
-    all data) (de Jong and Mackinnon, Biometrika 75:601, 1988), and the
-    innovations-form log-likelihood with bin j's terms counted weight[j] times.
-
-    Everything is formed in ``work``, the `_em_buffers` of the fit (new ones
-    if None): the forward pass fills its means, variances and gains; the
-    gains then hold the per-cell likelihood terms, and at return the
-    smoother gains.  The smoothed moments overwrite the forward pass's means
-    and variances, row by row from the last.  The innovations' squared
-    imaginary parts and variances are formed a block of windows at a time,
-    and the smoother's predicted variances pp one window at a time.
+    Returns ``(arrays, rows, scratch)``: the arrays are the forward pass's
+    K + 1 means and variances; the rows are the lists of the rows of
+    ``coeffs`` and of each array; the scratch is two real blocks and a
+    complex one of the longest block's windows, the lists of their rows,
+    and a block of each bin's ``weight``.  All are made once per fit.
+    The weight block has the shape of the blocks it multiplies, so that
+    product needs no broadcast, which numpy would buffer.
     """
-    (zs, ps, sgain), (coeff_rows, z_rows, p_rows, g_rows) = (
-        work if work is not None else _em_buffers(coeffs))
+    k_windows, *chain = coeffs.shape
+    arrays = (np.empty((k_windows + 1, *chain), dtype=complex), np.empty((k_windows + 1, *chain)))
+    block = (min(_block_windows(coeffs.shape), k_windows), *chain)
+    scratch = (np.empty(block), np.empty(block), np.empty(block, dtype=complex))
+    weights = np.broadcast_to(weight[:, None], block).copy()
+    return arrays, (list(coeffs), *map(list, arrays)), (*scratch, *map(list, scratch), weights)
+
+
+def _filter_likelihood(coeffs, state_var, obs_var, init_var, work):
+    """Filter ``coeffs`` into ``work``, the fit's `_em_buffers`, and return
+    the innovations-form log-likelihood, each bin's terms counted as many
+    times as its weight.
+
+    The forward pass fills the means and variances and writes every
+    window's gain into one row of the scratch.  -ll per cell is log(pi v) +
+    |e|^2 / v for innovation e of variance v = ps[k] + state_var + obs_var,
+    with |e|^2 the sum of the squares of e's real and imaginary parts,
+    squared in place over the block's float view.  The terms are formed a
+    block of windows at a time and their window totals added in window
+    order.
+    """
+    (zs, ps), (coeff_rows, z_rows, p_rows), (terms, innov, cinnov, *_, weights) = work
     _forward_pass(coeff_rows, state_var, obs_var, init_var=init_var,
-                  out=(z_rows, p_rows, g_rows))
-    # -ll per cell is log(pi v) + |e|^2 / v for innovation e of variance
-    # v = pp + obs_var, pp = ps[:-1] + state_var; complex subtraction is
-    # componentwise, so e's real and imaginary parts are taken apart, the same
-    # bits with no complex array.  Window totals are then added in window order
-    nll = np.subtract(coeffs.real, zs.real[:-1], out=sgain)
-    np.square(nll, out=nll)
-    for block in _window_blocks(nll.shape):
-        part = np.subtract(coeffs.imag[block], zs.imag[block])
-        terms = nll[block]
-        terms += np.square(part, out=part)
-        innov_var = np.add(ps[block], state_var, out=part)
-        innov_var += obs_var[None, :]
-        terms /= innov_var
+                  out=(z_rows, p_rows, [terms[0]] * len(coeff_rows)))
+    totals = np.empty(len(coeff_rows))
+    for block in _window_blocks(coeffs.shape):
+        n = block.stop - block.start
+        nll, innov_var, e = terms[:n], innov[:n], cinnov[:n]
+        np.subtract(coeffs[block], zs[block], out=e)
+        parts = e.view(float)
+        np.square(parts, out=parts)
+        np.add(e.real, e.imag, out=nll)
+        np.add(ps[block], state_var, out=innov_var)
+        innov_var += obs_var
+        nll /= innov_var
         innov_var *= np.pi
-        terms += np.log(innov_var, out=innov_var)
-    nll *= weight[:, None]
-    ll = -float(np.cumsum(nll.sum(axis=(1, 2)))[-1])
-
-    # RTS smoother: row K is already smoothed, and each row k below it reads
-    # the smoothed row k + 1 and its own filtered values before it is
-    # overwritten.  The gains ps[k] / pp[k], pp = ps[:-1] + state_var, depend on
-    # the filtered variances alone and are formed over the whole record first;
-    # pp is then formed again per window, by the same operation, in a row made
-    # once, and the gain enters the mean's step as a complex row, as in the
-    # forward pass
-    np.add(ps[:-1], state_var, out=sgain)
-    np.divide(ps[:-1], sgain, out=sgain)
-    shape = coeff_rows[0].shape
-    pp, gain2, step = np.empty(shape), np.empty(shape), np.empty(shape, complex)
-    cgain = np.zeros(shape, complex)
-    gain_re = cgain.real
-    for z, z_next, p, p_next, g in zip(z_rows[-2::-1], z_rows[::-1], p_rows[-2::-1],
-                                       p_rows[::-1], g_rows[::-1]):
-        np.add(p, state_var, pp)
-        gain_re[...] = g
-        np.subtract(z_next, z, step)
-        np.multiply(cgain, step, step)
-        np.add(z, step, z)
-        np.subtract(p_next, pp, pp)
-        np.square(g, gain2)
-        np.multiply(gain2, pp, gain2)
-        np.add(p, gain2, p)
-    return zs, ps, sgain, ll
+        nll += np.log(innov_var, out=innov_var)
+        nll *= weights[:n]
+        nll.sum(axis=(1, 2), out=totals[block])
+    return -float(np.cumsum(totals)[-1])
 
 
-def _m_step(coeffs, zs, ps, sgain, weight, j_bins):
-    """New ``(state_var, obs_var)`` from the E-step's smoothed moments.
+def _smooth_m_step(coeffs, state_var, j_bins, work):
+    """Smooth the filtered moments in ``work`` and return the M-step's new
+    ``(state_var, obs_var)``.
 
-    Bin j's residuals count weight[j] times in the observation variance,
-    which is pooled over the J bins of the grid.  The E-step's arrays are
-    spent: the increments are formed over the smoother gains, the residuals
-    ``coeffs - zs[1:]`` over the smoothed means once the increments are
-    summed, and their magnitudes over the smoother gains again.  The only
-    other temporaries are made a block of windows at a time.
+    The RTS smoother walks the windows from the last a block at a time.  A
+    block's smoother gains g = ps[k] / pp[k], pp = ps[k] + state_var, depend
+    on its filtered variances alone, so pp, g^2 and g are formed for the
+    whole block before its windows are smoothed, each reading the smoothed
+    row k + 1; g is formed as the real part of a complex block whose
+    imaginary part is zero, so g (z - m) is numpy's product of a complex g.
+    With the block smoothed, Cov(Z_{k+1}, Z_k | all data) = g[k] ps[k+1]
+    (de Jong and Mackinnon, Biometrika 75:601, 1988) gives the expected
+    increment E|Z_{k+1} - Z_k|^2 = |dz|^2 + ps[k] + (1 - 2 g[k]) ps[k+1] of
+    each window, and its residual E|Y_k - Z_{k+1}|^2 = |coeffs[k] -
+    zs[k+1]|^2 + ps[k+1], times its bin's weight.  They are written over
+    rows first + 1..stop of ``zs.real`` and ``ps``, which no earlier block
+    reads, so each sum over windows below is one reduction in window order.
+    The observation variance is pooled over the J grid bins.
     """
+    (zs, ps), (_, z_rows, p_rows), (pp, gain2, cgain, pp_rows, gain2_rows, cgain_rows,
+                                    weights) = work
     k_windows = coeffs.shape[0]
-    # E|Z_{k+1} - Z_k|^2 = |dz|^2 + ps[k] + (1 - 2 sgain) ps[k+1]: the lag-one
-    # term is formed over the smoother gains, and |dz|^2 + ps[k], the real and
-    # imaginary differences taken apart as in the E-step, is added into it a
-    # block at a time.  Addition commutes, so each sum has the bits of that order
-    increments = np.multiply(2.0, sgain, out=sgain)
-    np.subtract(1.0, increments, out=increments)
-    increments *= ps[1:]
-    for block in _window_blocks(increments.shape):
-        after = slice(block.start + 1, block.stop + 1)
-        dz2 = np.subtract(zs.real[after], zs.real[block])
-        np.square(dz2, out=dz2)
-        part = np.subtract(zs.imag[after], zs.imag[block])
-        dz2 += np.square(part, out=part)
+    step = np.empty(coeffs.shape[1:], dtype=complex)
+    for block in reversed(_window_blocks(coeffs.shape)):
+        first, stop = block.start, block.stop
+        n, after = stop - first, slice(first + 1, stop + 1)
+        bpp, g2, cg = pp[:n], gain2[:n], cgain[:n]
+        g = cg.real
+        np.add(ps[block], state_var, out=bpp)
+        np.divide(ps[block], bpp, out=g)
+        np.square(g, out=g2)
+        cg.imag = 0.0
+        # each window's step writes into rows made once, its output passed
+        # positionally, as in the forward pass
+        for z, z_next, p, p_next, d, gg, cg_k in zip(
+                reversed(z_rows[block]), reversed(z_rows[after]), reversed(p_rows[block]),
+                reversed(p_rows[after]), reversed(pp_rows[:n]), reversed(gain2_rows[:n]),
+                reversed(cgain_rows[:n])):
+            np.subtract(z_next, z, step)
+            np.multiply(cg_k, step, step)
+            np.add(z, step, z)
+            np.subtract(p_next, d, d)
+            np.multiply(gg, d, d)
+            np.add(p, d, p)
+
+        # the block's M-step terms, from rows first..stop, all read before
+        # rows first + 1..stop are overwritten
+        p_after = ps[after]
+        increments = np.multiply(2.0, g, out=bpp)
+        np.subtract(1.0, increments, out=increments)
+        increments *= p_after
+        dz = np.subtract(zs[after], zs[block], out=cg)
+        parts = dz.view(float)
+        np.square(parts, out=parts)
+        dz2 = np.add(dz.real, dz.imag, out=g2)
         dz2 += ps[block]
-        increments[block] += dz2
-    state_var = np.maximum(increments.mean(axis=0), 0.0)
-    resid = np.subtract(coeffs, zs[1:], out=zs[1:])
-    resid = np.abs(resid, out=sgain)
-    np.square(resid, out=resid)
-    resid += ps[1:]
-    resid *= weight[:, None]
-    obs_var = np.maximum(resid.sum(axis=(0, 1)) / (k_windows * j_bins), np.finfo(float).tiny)
+        increments += dz2
+        resid = np.subtract(coeffs[block], zs[after], out=cg)
+        resid2 = np.abs(resid, out=g2)
+        np.square(resid2, out=resid2)
+        resid2 += p_after
+        np.multiply(resid2, weights[:n], out=p_after)
+        zs.real[after] = increments
+    state_var = np.maximum(zs.real[1:].mean(axis=0), 0.0)
+    obs_var = np.maximum(ps[1:].sum(axis=(0, 1)) / (k_windows * j_bins), np.finfo(float).tiny)
     return state_var, obs_var
 
 
@@ -526,21 +538,25 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     as a constant of the model keeps every iteration an exact ascent
     step.  Each taper's observation variance is pooled across bins, so
     the M-step couples chains within a taper but never across tapers.
-    With Cov(Z_{k+1}, Z_k | all data) = sgain[k] ps[k+1], one smoother pass
-    gives E|Z_{k+1} - Z_k|^2 = |zs[k+1] - zs[k]|^2 + ps[k] + (1 - 2 sgain[k]) ps[k+1].
+    With smoother gain g[k] = ps[k] / (ps[k] + state_var) before smoothing,
+    Cov(Z_{k+1}, Z_k | all data) = g[k] ps[k+1], so one smoother pass gives
+    E|Z_{k+1} - Z_k|^2 = |zs[k+1] - zs[k]|^2 + ps[k] + (1 - 2 g[k]) ps[k+1].
 
-    A fit owns three record-sized arrays, made once after the starting
-    point with the lists of their row views and of the coefficients' rows
-    (`_em_buffers`): the K + 1 means and variances of the forward pass,
-    which the smoother overwrites with its own, and the K rows of filter
-    gains, which then hold the likelihood terms, the smoother gains and the
-    M-step's increments.  The M-step spends them in place.  Any other
-    temporary is one (B, M) row or a block of windows of `_EM_BLOCK_CELLS`
-    cells, so no iteration makes another record-sized array, and the
-    returned parameters are new (B, M) and (M,) arrays, no views of them.
-    Every operation and its order are those of an EM that allocates each
-    iteration's arrays, and every sum over windows is one reduction in
-    window order, so the two agree bit for bit.
+    An iteration is two passes over the windows: the forward pass with the
+    likelihood (`_filter_likelihood`), then, unless the fit has converged,
+    the smoother walking back a block at a time with the M-step folded in
+    (`_smooth_m_step`).  A fit owns two record-sized arrays, made once
+    after the starting point with the lists of their row views and of the
+    coefficients' rows (`_em_buffers`): the K + 1 means and variances of the
+    forward pass, which the smoother overwrites with its own, and the
+    M-step then with its per-window terms.  Any other array it makes is one
+    (B, M) row or one block of windows of at most `_EM_BLOCK_CELLS` cells,
+    the blocks made once per fit, so no iteration makes another
+    record-sized array, and the returned parameters are new (B, M) and (M,)
+    arrays, no views of them.  Every operation and its order are those of
+    an EM that allocates each iteration's arrays, and every sum over
+    windows is one reduction in window order, so the two agree bit for
+    bit.
 
     EM fits the B bins ``obs`` stores and returns parameters on them.  When
     they are bins 0..J//2 of a real signal, bins 1..J - B also stand for
@@ -569,17 +585,16 @@ def em_fit(obs: EigenCoefficients, config: EMConfig | None = None) -> EMFit:
     init_var = state_var
     # made after the starting point's temporaries are freed, and reused by
     # every iteration
-    work = _em_buffers(coeffs)
+    work = _em_buffers(coeffs, weight)
 
     lls: list[float] = []
     converged = False
     for _ in range(cfg.max_iter):
-        zs, ps, sgain, ll = _e_step(coeffs, state_var, obs_var, init_var, weight, work)
-        lls.append(ll)
+        lls.append(_filter_likelihood(coeffs, state_var, obs_var, init_var, work))
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= cfg.tol * abs(lls[-2]):
             converged = True
             break
-        state_var, obs_var = _m_step(coeffs, zs, ps, sgain, weight, j_bins)
+        state_var, obs_var = _smooth_m_step(coeffs, state_var, j_bins, work)
     if not converged:
         warnings.warn(
             f"em_fit did not converge within {cfg.max_iter} iterations",

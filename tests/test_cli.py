@@ -1089,7 +1089,7 @@ class TestMalformedInput:
                                                      method, extra):
         # EM is refused before its first E-step, with no numpy warning or
         # non-convergence warning ahead of the one error
-        monkeypatch.setattr(ssm, "_e_step", not_reached)
+        monkeypatch.setattr(ssm, "_filter_likelihood", not_reached)
         path = tmp_path / "signal.f64"
         path.write_bytes(np.full(400, 1e200).astype("<f8").tobytes())
         out = tmp_path / "out"

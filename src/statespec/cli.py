@@ -540,9 +540,12 @@ def _load_spectrogram(directory: Path, names: tuple[str, ...]) -> Spectrogram:
     prefix = "truth_" if stem.startswith("truth_") else ""
     freqs = io.read_vector_csv(directory / f"{prefix}frequencies.csv")
     times = io.read_vector_csv(directory / f"{prefix}times.csv")
-    # the arrays just read are adopted, not copied
-    spect = Spectrogram(owned(power), owned(freqs), owned(times), scale=scale)
-    return spect.to_linear()
+    # the arrays just read are adopted, not copied; a read error names its
+    # file, and an error of the arrays together names their directory
+    try:
+        return Spectrogram(owned(power), owned(freqs), owned(times), scale=scale).to_linear()
+    except ValueError as exc:
+        raise DataError(f"{directory}: {exc}") from exc
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

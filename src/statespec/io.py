@@ -148,7 +148,31 @@ def _floats(fields: list[str]) -> np.ndarray:
     return np.fromiter(map(float, fields), dtype=float, count=len(fields))
 
 
-def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
+def _header_meta(line: str) -> dict:
+    """The ``key=value`` fields of a matrix CSV's ``#`` header line."""
+    meta = {}
+    for token in line.lstrip("#").split():
+        if "=" in token:
+            key, _, value = token.partition("=")
+            meta[key] = value
+    return meta
+
+
+def _header_shape(path, meta: dict) -> tuple[int, int] | None:
+    """The (rows, cols) a header states, or None if it states no shape."""
+    if "rows" not in meta or "cols" not in meta:
+        return None
+    shape = []
+    for key in ("rows", "cols"):
+        try:
+            shape.append(int(meta[key]))
+        except ValueError:
+            raise ValueError(f"{path}: header {key}={meta[key]!r} is not an integer") from None
+    return shape[0], shape[1]
+
+
+def _read_matrix_blocks(path) -> tuple[np.ndarray, dict]:
+    """`read_matrix_csv` of any file, a block of lines at a time."""
     meta: dict = {}
     commas: set[int] = set()
     # one array grown in place: never the parsed blocks and their concatenation
@@ -159,10 +183,7 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     # kept and raised after them
     for index, lines in enumerate(_line_blocks(path, strip=True)):
         if index == 0 and lines[0].startswith("#"):
-            for token in lines[0].lstrip("#").split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    meta[key] = value
+            meta = _header_meta(lines[0])
             lines = lines[1:]
         lines = list(filter(None, lines))
         if not lines:
@@ -181,12 +202,88 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     if len(commas) > 1:
         raise ValueError(f"{path}: rows hold different numbers of fields")
     cols = commas.pop() + 1
-    expected = (int(meta["rows"]), int(meta["cols"])) if "rows" in meta and "cols" in meta else None
+    expected = _header_shape(path, meta)
     if expected is not None and (rows, cols) != expected:
         raise ValueError(f"{path}: header says {expected}, data is {(rows, cols)}")
     if error is not None:
         raise error
     return values.reshape(rows, cols), meta
+
+
+# The bytes of a plain matrix CSV's data: digits, signs, the decimal point,
+# exponents, the letters of nan, inf and infinity in either case, commas and
+# line breaks.  numpy's C text reader converts a field with the same
+# PyOS_string_to_double that float() calls, and of these bytes neither
+# reader sees a line break or a field edge the other does not.  Spaces,
+# underscores, non-ASCII digits and the other line breaks of
+# str.splitlines are where the two differ.
+_PLAIN_BYTES = b"0123456789.,+-eEnaiftyNAIFTY\n\r"
+# The bytes of a plain header line: printable ASCII and the tab
+_HEADER_BYTES = bytes(range(0x20, 0x7F)) + b"\t"
+# Bytes per read of the plainness check
+_PLAIN_BLOCK = 1 << 16
+
+
+def _plain_header(path) -> str | None:
+    """The header line of a plain matrix CSV, "" when it has none, or None
+    when the file is not plain.
+
+    A file is plain when its first line is a ``#`` header of
+    `_HEADER_BYTES` or is data, every byte after the header is one of
+    `_PLAIN_BYTES`, and at least one of them is not a line break.
+    """
+    header = b""
+    data = False
+    with open(path, "rb") as fh:
+        blocks = iter(functools.partial(fh.read, _PLAIN_BLOCK), b"")
+        for index, block in enumerate(blocks):
+            if index == 0 and block.startswith(b"#"):
+                ends = [at for at in (block.find(b"\n"), block.find(b"\r")) if at >= 0]
+                if not ends:
+                    return None
+                header, block = block[:min(ends)], block[min(ends):]
+                if header.translate(None, _HEADER_BYTES):
+                    return None
+            if block.translate(None, _PLAIN_BYTES):
+                return None
+            data = data or bool(block.strip(b"\r\n"))
+    return header.decode("ascii") if data else None
+
+
+def _read_matrix_plain(path, header: str) -> tuple[np.ndarray, dict] | None:
+    """`read_matrix_csv` of a plain file by numpy's C text reader, or None
+    where the reader or the header's shape rejects it."""
+    meta = _header_meta(header)
+    try:
+        shape = _header_shape(path, meta)
+        # an open file, not a path: numpy would take a path ending in .gz
+        # for a compressed file, and its own opening peaks higher; and no
+        # max_rows, which numpy allocates in full before the first row, so
+        # a header's row count cannot ask for more memory than the data
+        with open(path) as fh:
+            values = np.loadtxt(fh, delimiter=",", comments=None,
+                                skiprows=1 if header else 0, ndmin=2)
+    except ValueError:
+        return None
+    # numpy warns, and gives no rows, only for text without data, which a
+    # plain file is not; the warning is not caught, since leaving
+    # warnings.catch_warnings makes every warning shown once show again
+    if not values.size or (shape is not None and values.shape != shape):
+        return None
+    return values, meta
+
+
+def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
+    """The matrix of a CSV file and the fields of its ``#`` header line.
+
+    A plain file (see `_plain_header`) is read by numpy's C text reader.
+    Any other file, and a plain one that reader or the header's shape
+    rejects, is read a block of lines at a time, which gives the same
+    values bit for bit and every error.
+    """
+    header = _plain_header(path)
+    read = None if header is None else _read_matrix_plain(path, header)
+    return read if read is not None else _read_matrix_blocks(path)
 
 
 def check_float32(values, name: str = "values") -> None:

@@ -1379,6 +1379,31 @@ class TestMalformedEstimates:
             assert not report.exists()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_shape_error_names_the_directory(self, tiny_manifests, tmp_path, fmt):
+        truth = tiny_manifests["simulate"][0].parent
+        write_estimate(tmp_path, truth, fmt, "linear", None, None)
+        times = tmp_path / "times.csv"
+        io.write_vector_csv(times, io.read_vector_csv(times)[:-1])
+        err = StringIO()
+        with redirect_stderr(err):
+            code = main(["compare", "--estimate", str(tmp_path), "--truth", str(truth)])
+        assert code == EXIT_DATA
+        assert err.getvalue() == f"error: {tmp_path}: power shape must be (num windows, num bins)\n"
+
+    def test_bad_header_names_its_file(self, tiny_manifests, tmp_path):
+        truth = tiny_manifests["simulate"][0].parent
+        write_estimate(tmp_path, truth, "csv", "linear", None, None)
+        matrix = tmp_path / "spectrogram.csv"
+        header, _, body = matrix.read_bytes().partition(b"\n")
+        matrix.write_bytes(header.replace(b"rows=", b"rows=x") + b"\n" + body)
+        rows = io.read_matrix_csv(truth / "truth_spectrogram.csv")[0].shape[0]
+        err = StringIO()
+        with redirect_stderr(err):
+            code = main(["compare", "--estimate", str(tmp_path), "--truth", str(truth)])
+        assert code == EXIT_DATA
+        assert err.getvalue() == f"error: {matrix}: header rows='x{rows}' is not an integer\n"
+
 
 # Extreme or out-of-range values of a flag, by kind.  None is a valid large
 # duration, rate or window length, which would allocate a record or a bank

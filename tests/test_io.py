@@ -381,6 +381,164 @@ class TestMatrixCsvParser:
         assert meta == {"rows": str(values.shape[0]), "cols": str(values.shape[1]),
                         "scale": "linear"}
 
+    @pytest.mark.parametrize(("header", "field"), [("rows=x cols=2", "rows='x'"),
+                                                   ("rows=1 cols=2.0", "cols='2.0'")],
+                             ids=["rows", "cols"])
+    @pytest.mark.parametrize("data", ["1,2\n", "1, 2\n"], ids=["plain", "spaced"])
+    def test_bad_header_names_its_file(self, tmp_path, header, field, data):
+        path = tmp_path / "m.csv"
+        path.write_text(f"# {header}\n{data}")
+        with pytest.raises(ValueError) as raised:
+            io.read_matrix_csv(path)
+        assert str(raised.value) == f"{path}: header {field} is not an integer"
+
+
+# Files that only the block reader reads: each holds a byte numpy's C text
+# reader does not take as the block reader does, or no data.
+OUTSIDER_CSV = {
+    "underscore": "1_0,2\n",
+    "form-feed": "1,\x0c2,3\n",
+    "nul": "1\x00,2\n",
+    "comment-after-header": "# rows=1 cols=2\n1,2\n#c\n",
+    "blank-before-header": "\n# rows=1 cols=2\n1,2\n",
+    "header-only": "# rows=1 cols=2\n",
+    "arabic-digit": "١,2\n",
+    "form-feed-in-header": "# rows=1\x0ccols=2\n1,2\n",
+    "non-ascii-header": "# rows=1 cols=2 scale=dé\n1,2\n",
+}
+# Plain files: numpy's reader reads them, and the block reader as well where
+# the header's shape disagrees.
+PLAIN_CSV = {
+    "spelled": "infinity,-NaN\n+1e5,1E-5\n",
+    "rows-past-header": "# rows=1 cols=2\n1,2\n3,4\n",
+}
+# A plain field of each spelling float() takes, or a near miss
+PLAIN_FIELDS = st.one_of(
+    st.from_regex(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(["nan", "-NaN", "inf", "+Infinity", "INF", "-iNfInItY", "e", ".", "", "1e"]),
+)
+
+
+def assert_matrix_same_bits_as_reference(path):
+    """`assert_matrix_reads_like_reference`, with NaN signs compared too."""
+    try:
+        expected, expected_meta = read_matrix_csv_rows(path)
+    except ValueError:
+        with pytest.raises(ValueError):
+            io.read_matrix_csv(path)
+    else:
+        values, meta = io.read_matrix_csv(path)
+        assert values.shape == expected.shape and values.dtype == expected.dtype
+        assert values.tobytes() == expected.tobytes()
+        assert meta == expected_meta
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """How each `np.loadtxt` call so far ended: "returned" or "raised"."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append("raised")
+        values = loadtxt(*args, **kwargs)
+        calls[-1] = "returned"
+        return values
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+class TestMatrixCsvReaders:
+    """A plain matrix CSV is read by numpy's C text reader, any other by the
+    block reader, and both give the values and errors of the reference."""
+
+    @pytest.mark.parametrize("text", [*OUTSIDER_CSV.values(), *PLAIN_CSV.values()],
+                             ids=[*OUTSIDER_CSV, *PLAIN_CSV])
+    def test_matches_reference(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        assert_matrix_same_bits_as_reference(path)
+
+    @pytest.mark.parametrize("text", OUTSIDER_CSV.values(), ids=OUTSIDER_CSV)
+    def test_outsiders_skip_the_c_reader(self, tmp_path, loadtxt_calls, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        with contextlib.suppress(ValueError):
+            io.read_matrix_csv(path)
+        assert loadtxt_calls == []
+
+    @pytest.mark.parametrize("text", PLAIN_CSV.values(), ids=PLAIN_CSV)
+    def test_plain_files_take_the_c_reader(self, tmp_path, loadtxt_calls, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        with contextlib.suppress(ValueError):
+            io.read_matrix_csv(path)
+        assert loadtxt_calls == ["returned"]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_written_matrix_takes_the_c_reader(self, tmp_path, rng, loadtxt_calls, newline):
+        values = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3))
+        values[0, :] = [np.nan, -np.inf, -0.0]
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, values, scale="dB")
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        assert_matrix_same_bits_as_reference(path)
+        assert loadtxt_calls == ["returned"]
+        read, meta = io.read_matrix_csv(path)
+        assert read.flags.c_contiguous and read.flags.writeable and read.flags.owndata
+        assert meta == {"rows": "7", "cols": "3", "scale": "dB"}
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1)])
+    def test_vectors_keep_their_shape(self, tmp_path, loadtxt_calls, shape):
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, np.arange(float(np.prod(shape))).reshape(shape))
+        assert io.read_matrix_csv(path)[0].shape == shape
+        assert loadtxt_calls == ["returned"]
+
+    @pytest.mark.parametrize("rows", ["0", "-1", "10" * 12, "9" * 40])
+    def test_any_header_row_count(self, tmp_path, rows):
+        # numpy's reader is given no row count, so a huge one allocates nothing
+        path = tmp_path / "m.csv"
+        path.write_text(f"# rows={rows} cols=2\n1,2\n3,4\n")
+        with pytest.raises(ValueError, match="header says"):
+            io.read_matrix_csv(path)
+
+    def test_warnings_shown_once_stay_shown_once(self, tmp_path):
+        # a read between two estimates must not make the first one's
+        # warning show again on the second
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, np.ones((2, 2)))
+
+        def warn():
+            warnings.warn("shown once", UserWarning)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            warn()
+            io.read_matrix_csv(path)
+            warn()
+        assert len(caught) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.lists(PLAIN_FIELDS, min_size=1, max_size=3), max_size=4),
+           header=st.sampled_from(["none", "shape", "other"]),
+           other=st.text(alphabet="#rowscl= 0123456789\x0c", max_size=16),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           noise=st.text(alphabet="0123456789.,+-eEnaifty\n\r#rowscl= _\x00\x0c", max_size=2),
+           at=st.integers(0, 60))
+    def test_mostly_plain_text(self, rows, header, other, newline, noise, at):
+        text = newline.join(",".join(row) for row in rows) + newline
+        if header == "shape":
+            text = f"# rows={len(rows)} cols={len(rows[0]) if rows else 0}{newline}" + text
+        elif header == "other":
+            text = other + newline + text
+        text = text[:at] + noise + text[at:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_bytes(text.encode())
+            assert_matrix_same_bits_as_reference(path)
+
 
 class TestMatrixMemory:
     def test_csv_matrix_is_held_once(self, tmp_path, rng):

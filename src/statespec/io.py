@@ -23,8 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import append_in_place
-
 __all__ = [
     "MATRIX_MAGIC",
     "MATRIX_SUFFIXES",
@@ -94,32 +92,11 @@ def _restate_csv_rows(path: Path, rows: int) -> None:
 _READ_BLOCK_CHARS = 1 << 13
 
 
-def _strip_chunks(chunks):
-    """The chunks of a text with the whitespace at both of its ends left out.
-
-    Whitespace between the first and the last non-blank chunk is kept: it
-    is held back until a later chunk shows that text follows it.
-    """
-    held = None  # whitespace since the last text; None before any text
-    for chunk in chunks:
-        body = chunk.rstrip()
-        if not body:
-            if held is not None:
-                held += chunk
-            continue
-        text = [body.lstrip() if held is None else held + body]
-        held = chunk[len(body):]
-        del chunk, body
-        yield text.pop()
-
-
-def _line_blocks(path, strip: bool = False):
+def _line_blocks(path):
     """The lines of a text file as ``str.splitlines`` cuts them, in blocks.
 
-    With ``strip``, the lines of the text stripped at both ends, as
-    ``text.strip().splitlines()`` gives them.  The file is read
-    ``_READ_BLOCK_CHARS`` characters at a time, so its whole text is never
-    held at once.  No block is empty.
+    The file is read ``_READ_BLOCK_CHARS`` characters at a time, so its
+    whole text is never held at once.  No block is empty.
 
     A suspended generator keeps its locals alive, so this one and the
     readers built on it drop the text a block came from and yield the
@@ -127,11 +104,8 @@ def _line_blocks(path, strip: bool = False):
     the last one.
     """
     with open(path) as fh:
-        chunks = iter(functools.partial(fh.read, _READ_BLOCK_CHARS), "")
-        if strip:
-            chunks = _strip_chunks(chunks)
         tail = ""
-        for chunk in chunks:
+        for chunk in iter(functools.partial(fh.read, _READ_BLOCK_CHARS), ""):
             # the sentinel ends the last line, so what follows the chunk's last
             # line break (often nothing) is split off and carried to the next
             lines = (tail + chunk + "x").splitlines()
@@ -171,42 +145,31 @@ def _header_shape(path, meta: dict) -> tuple[int, int] | None:
     return shape[0], shape[1]
 
 
-def _read_matrix_blocks(path) -> tuple[np.ndarray, dict]:
-    """`read_matrix_csv` of any file, a block of lines at a time."""
-    meta: dict = {}
-    commas: set[int] = set()
-    # one array grown in place: never the parsed blocks and their concatenation
-    values = np.empty(0)
-    rows = 0
-    error = None
-    # the shape checks need every line, so a value that does not parse is
-    # kept and raised after them
-    for index, lines in enumerate(_line_blocks(path, strip=True)):
-        if index == 0 and lines[0].startswith("#"):
-            meta = _header_meta(lines[0])
-            lines = lines[1:]
-        lines = list(filter(None, lines))
-        if not lines:
-            continue
-        rows += len(lines)
-        commas.update({line.count(",") for line in lines})
-        if error is None:
-            try:
-                append_in_place(values, _floats(",".join(lines).split(",")))
-            except ValueError as exc:
-                error = exc
-        # not held while the next block is read
-        del lines
-    if not rows:
+def _read_matrix_text(path) -> tuple[np.ndarray, dict]:
+    """`read_matrix_csv` of any file, parsed from its whole text."""
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    meta = {}
+    if lines and lines[0].startswith("#"):
+        meta = _header_meta(lines.pop(0))
+    lines = list(filter(None, lines))
+    if not lines:
         raise ValueError(f"{path}: no data rows")
+    commas = {line.count(",") for line in lines}
     if len(commas) > 1:
         raise ValueError(f"{path}: rows hold different numbers of fields")
-    cols = commas.pop() + 1
+    rows, cols = len(lines), commas.pop() + 1
     expected = _header_shape(path, meta)
     if expected is not None and (rows, cols) != expected:
         raise ValueError(f"{path}: header says {expected}, data is {(rows, cols)}")
-    if error is not None:
-        raise error
+    # one line's fields at a time: never every field of the file at once
+    fields = itertools.chain.from_iterable(line.split(",") for line in lines)
+    try:
+        values = np.fromiter(map(float, fields), dtype=float, count=rows * cols)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return values.reshape(rows, cols), meta
 
 
@@ -278,12 +241,13 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
 
     A plain file (see `_plain_header`) is read by numpy's C text reader.
     Any other file, and a plain one that reader or the header's shape
-    rejects, is read a block of lines at a time, which gives the same
-    values bit for bit and every error.
+    rejects, is parsed from its whole text, which gives the same values
+    bit for bit and every error; that parse peaks at about twice the
+    text's size.
     """
     header = _plain_header(path)
     read = None if header is None else _read_matrix_plain(path, header)
-    return read if read is not None else _read_matrix_blocks(path)
+    return read if read is not None else _read_matrix_text(path)
 
 
 def check_float32(values, name: str = "values") -> None:
@@ -317,12 +281,12 @@ def read_matrix_bin(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:8] != MATRIX_MAGIC:
         raise ValueError(f"{path}: not a matrix binary (bad magic)")
-    rows, cols = np.frombuffer(raw[8:16], dtype="<u4")
-    data = np.frombuffer(raw[16:], dtype="<f4")
     # Python ints: the uint32 product would wrap around
-    if data.size != int(rows) * int(cols):
-        raise ValueError(f"{path}: header says {rows}x{cols}, payload has {data.size} values")
-    return data.reshape(int(rows), int(cols)).astype(float)
+    rows, cols = map(int, np.frombuffer(raw[8:16], dtype="<u4"))
+    if len(raw) - 16 != 4 * rows * cols:
+        raise ValueError(f"{path}: header says {rows}x{cols} float32 values, "
+                         f"payload has {len(raw) - 16} bytes")
+    return np.frombuffer(raw, dtype="<f4", offset=16).reshape(rows, cols).astype(float)
 
 
 # The extension of each matrix format's files.

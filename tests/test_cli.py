@@ -1405,6 +1405,60 @@ class TestMalformedEstimates:
         assert err.getvalue() == f"error: {matrix}: header rows='x{rows}' is not an integer\n"
 
 
+class TestMatrixReadErrors:
+    """compare exits 3 with one error line naming the matrix file it could
+    not read: an unparseable CSV field, a byte that is not UTF-8, or a .f32
+    payload that is not a whole number of float32 values."""
+
+    @pytest.mark.parametrize("defect", ["unparseable", "non-utf8", "f32-size"])
+    def test_error_names_its_file(self, tiny_manifests, tmp_path, defect):
+        truth = tiny_manifests["simulate"][0].parent
+        fmt = "bin" if defect == "f32-size" else "csv"
+        write_estimate(tmp_path, truth, fmt, "linear", None, None)
+        matrix = tmp_path / f"spectrogram{io.MATRIX_SUFFIXES[fmt]}"
+        raw = matrix.read_bytes()
+        if defect == "unparseable":
+            matrix.write_bytes(raw[:raw.rindex(b",") + 1] + b"abc\n")
+            message = "could not convert string to float: 'abc'"
+        elif defect == "non-utf8":
+            at = len(raw) // 2
+            matrix.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+            message = f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+        else:
+            rows, cols = io.read_matrix_bin(matrix).shape
+            matrix.write_bytes(raw[:-1])
+            message = f"header says {rows}x{cols} float32 values, payload has {len(raw) - 17} bytes"
+        err = StringIO()
+        with redirect_stderr(err):
+            code = main(["compare", "--estimate", str(tmp_path), "--truth", str(truth)])
+        assert code == EXIT_DATA
+        assert err.getvalue() == f"error: {matrix}: {message}\n"
+
+
+def test_package_writes_only_plain_matrices(tmp_path, monkeypatch):
+    # every matrix CSV that simulate and estimate write is read by numpy's
+    # reader in compare, never parsed from its whole text
+    reads, whole_text = [], []
+    read_plain, read_text = io._read_matrix_plain, io._read_matrix_text
+    monkeypatch.setattr(io, "_read_matrix_plain",
+                        lambda *args: reads.append(read_plain(*args)) or reads[-1])
+    monkeypatch.setattr(io, "_read_matrix_text",
+                        lambda path: whole_text.append(path) or read_text(path))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--duration", "120", "--out-dir", str(sim)]) == EXIT_OK
+    for method, extra in [("mt", ()), ("ssmt", ()), ("assmt", ("--baseline-seconds", "30"))]:
+        for fmt in ("csv", "bin"):
+            out = tmp_path / f"{method}-{fmt}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                assert main(["estimate", "--input", str(sim / "signal.csv"), "--sample-rate", "36",
+                             "--method", method, "--format", fmt, "--out-dir", str(out),
+                             *extra]) == EXIT_OK
+            assert main(["compare", "--estimate", str(out), "--truth", str(sim)]) == EXIT_OK
+    assert reads and None not in reads
+    assert whole_text == []
+
+
 # Extreme or out-of-range values of a flag, by kind.  None is a valid large
 # duration, rate or window length, which would allocate a record or a bank
 # that size: "1e308" and a 400-digit number overflow once they are scaled.

@@ -393,8 +393,8 @@ class TestMatrixCsvParser:
         assert str(raised.value) == f"{path}: header {field} is not an integer"
 
 
-# Files that only the block reader reads: each holds a byte numpy's C text
-# reader does not take as the block reader does, or no data.
+# Files that only the whole-text parse reads: each holds a byte numpy's C
+# text reader does not take as that parse does, or no data.
 OUTSIDER_CSV = {
     "underscore": "1_0,2\n",
     "form-feed": "1,\x0c2,3\n",
@@ -406,8 +406,8 @@ OUTSIDER_CSV = {
     "form-feed-in-header": "# rows=1\x0ccols=2\n1,2\n",
     "non-ascii-header": "# rows=1 cols=2 scale=dé\n1,2\n",
 }
-# Plain files: numpy's reader reads them, and the block reader as well where
-# the header's shape disagrees.
+# Plain files: numpy's reader reads them, and the whole-text parse as well
+# where the header's shape disagrees.
 PLAIN_CSV = {
     "spelled": "infinity,-NaN\n+1e5,1E-5\n",
     "rows-past-header": "# rows=1 cols=2\n1,2\n3,4\n",
@@ -450,8 +450,9 @@ def loadtxt_calls(monkeypatch):
 
 
 class TestMatrixCsvReaders:
-    """A plain matrix CSV is read by numpy's C text reader, any other by the
-    block reader, and both give the values and errors of the reference."""
+    """A plain matrix CSV is read by numpy's C text reader, any other is
+    parsed from its whole text, and both give the values and errors of the
+    reference."""
 
     @pytest.mark.parametrize("text", [*OUTSIDER_CSV.values(), *PLAIN_CSV.values()],
                              ids=[*OUTSIDER_CSV, *PLAIN_CSV])
@@ -540,6 +541,30 @@ class TestMatrixCsvReaders:
             assert_matrix_same_bits_as_reference(path)
 
 
+class TestMatrixReadErrors:
+    """Every error of a matrix read names its file."""
+
+    @pytest.mark.parametrize("defect", ["unparseable", "non-utf8", "f32-size"])
+    def test_error_names_its_file(self, tmp_path, rng, defect):
+        fmt = "bin" if defect == "f32-size" else "csv"
+        path = io.write_matrix(tmp_path / "m", rng.standard_normal((100, 20)), fmt=fmt)
+        raw = path.read_bytes()
+        if defect == "unparseable":
+            path.write_bytes(raw[:raw.rindex(b",") + 1] + b"abc\n")
+            message = "could not convert string to float: 'abc'"
+        elif defect == "non-utf8":
+            # past the first 8 Ki characters: the position is the file's own
+            at = 12017
+            path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+            message = f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+        else:
+            path.write_bytes(raw[:-1])
+            message = f"header says 100x20 float32 values, payload has {len(raw) - 17} bytes"
+        with pytest.raises(ValueError) as raised:
+            io.read_matrix(path)
+        assert str(raised.value) == f"{path}: {message}"
+
+
 class TestMatrixMemory:
     def test_csv_matrix_is_held_once(self, tmp_path, rng):
         # 1.7 MB of values, parsed block by block into one array that grows
@@ -573,6 +598,23 @@ class TestMatrixMemory:
             tracemalloc.stop()
         assert peak <= 1.4 * read.nbytes
         assert read.shape == values.shape
+
+    def test_text_parse_peaks_near_its_text(self, tmp_path, rng):
+        # the hour's spectrogram with a space after each comma, which numpy's
+        # reader turns away: its text and its lines are held while one
+        # line's fields at a time are parsed; splitting every field at once
+        # would take the read to over 7 times the text
+        values = rng.standard_normal((600, 109))
+        path = tmp_path / "m.csv"
+        path.write_text(matrix_csv_text(values, None).replace(",", ", "))
+        tracemalloc.start()
+        try:
+            read, _ = io.read_matrix_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * path.stat().st_size
+        np.testing.assert_array_equal(read, read_matrix_csv_rows(path)[0])
 
 
 class TestSignalMemory:
@@ -631,17 +673,13 @@ class TestSignalMemory:
         assert peak <= 2 * read.nbytes
         np.testing.assert_array_equal(read, samples)
 
-    @pytest.mark.parametrize("reader", ["signal-blocks", "matrix-lines"])
-    def test_reader_holds_no_block_between_calls(self, tmp_path, rng, reader):
+    def test_reader_holds_no_block_between_calls(self, tmp_path, rng):
         # 100 000 lines: many blocks of text, each of which, as lines, takes
         # about four times its characters
         path = io.write_signal(tmp_path / "s", rng.standard_normal(100_000), fmt="csv")
         tracemalloc.start()
         try:
-            if reader == "signal-blocks":
-                blocks = io.read_signal(path, blocks=True)
-            else:
-                blocks = io._line_blocks(path, strip=True)
+            blocks = io.read_signal(path, blocks=True)
             with contextlib.closing(blocks):
                 next(blocks)
                 held = tracemalloc.get_traced_memory()[0]

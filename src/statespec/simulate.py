@@ -68,37 +68,46 @@ def _burn_in(max_radius: float, order: int) -> int:
 _RECURSION_BLOCK = 4096
 
 # Source of the order-p autoregression over one block; `_ar_kernel` fills
-# in the lag indices only.  ``cols`` holds the block's coefficients one
-# list per lag and ``lags`` the p latest outputs, most recent first; the
-# outputs overwrite ``block`` and the new latest outputs are returned.
+# in the lag names and how the coefficients are read.  ``lags`` holds the p
+# latest outputs, most recent first; the block's outputs are returned as a
+# new list, with the new latest outputs.  Constant coefficients come as one
+# list of p values, bound to locals once; time-varying ones as one list per
+# lag, read in step with the block.
 _AR_KERNEL_SOURCE = """
-def kernel(block, cols, lags):
+def kernel(block, coeffs, lags):
     {lags}, = lags
-    for t, (u, {coeffs}) in enumerate(zip(block, *cols)):
+    {bind}
+    out = []
+    append = out.append
+    for {sample} in {samples}:
         acc = u{terms}
-        block[t] = acc
+        append(acc)
         {lags}, = {shifted},
-    return {lags},
+    return out, ({lags},)
 """
 
 
 @functools.cache
-def _ar_kernel(p: int):
+def _ar_kernel(p: int, constant: bool):
     """The unrolled order-``p`` autoregression block, compiled on first use.
 
     Python evaluates ``u - c1 * v1 - c2 * v2 - ...`` left to right, so each
     sample takes the same operations in the same order as subtracting one
-    lag at a time, and the same bits.
+    lag at a time, and the same bits, whichever way the coefficients come.
     """
     lags = range(1, p + 1)
+    coeffs = ", ".join(f"c{i}" for i in lags)
     source = _AR_KERNEL_SOURCE.format(
         lags=", ".join(f"v{i}" for i in lags),
-        coeffs=", ".join(f"c{i}" for i in lags),
+        bind=f"{coeffs}, = coeffs" if constant else "",
+        sample="u" if constant else f"u, {coeffs}",
+        samples="block" if constant else "zip(block, *coeffs)",
         terms="".join(f" - c{i} * v{i}" for i in lags),
         shifted=", ".join(["acc"] + [f"v{i}" for i in range(1, p)]),
     )
+    kind = "constant" if constant else "varying"
     namespace: dict = {}
-    exec(compile(source, f"<ar kernel p={p}>", "exec"), namespace)
+    exec(compile(source, f"<ar kernel p={p} {kind}>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -109,9 +118,12 @@ def _run_recursion(coefficients, innovations: np.ndarray) -> np.ndarray:
     numerator coefficients of samples ``start`` to ``stop - 1``, lag-major:
     shapes (p + 1, stop - start) and (q + 1, stop - start), row i holding
     lag i.  The recursion asks for them one block of ``_RECURSION_BLOCK``
-    samples at a time, so no whole-record coefficient array is made, and
-    constant-coefficient and scheduled processes share one code path (and
-    bit-identical output where their schedules agree).
+    samples at a time, so no whole-record coefficient array is made.
+    Denominator rows broadcast along time (stride 0, as `gen_ar` passes
+    them) run the constant `_ar_kernel`, which binds the coefficients once;
+    other rows run the time-varying one.  Both come from one template and
+    give the same bits, so constant-coefficient and scheduled processes
+    agree bit for bit where their schedules agree.
 
     Sample t is ``w[t] + sum_i b[i, t] w[t-i] - sum_i a[i, t] x[t-i]``,
     each sum taken in order of increasing lag and over the lags inside the
@@ -138,20 +150,18 @@ def _run_recursion(coefficients, innovations: np.ndarray) -> np.ndarray:
             x[start:stop] = block
             continue
         values = block.tolist()
-        cols = a[1:].tolist()
         # samples t < p see fewer than p lags: one lag at a time
         warm = min(max(p - start, 0), stop - start)
         for t in range(warm):
             acc = values[t]
-            for col, v in zip(cols, lags):
-                acc -= col[t] * v
-            values[t] = acc
+            for c, v in zip(a[1:, t].tolist(), lags):
+                acc -= c * v
+            x[start + t] = acc
             lags.appendleft(acc)
-        x[start : start + warm] = values[:warm]
-        if warm:
-            values, cols = values[warm:], [col[warm:] for col in cols]
-        if values:
-            lags = _ar_kernel(p)(values, cols, lags)
+        if warm < stop - start:
+            constant = a.strides[1] == 0
+            coeffs = a[1:, warm] if constant else a[1:, warm:]
+            values, lags = _ar_kernel(p, constant)(values[warm:], coeffs.tolist(), lags)
             x[start + warm : stop] = values
     return x
 

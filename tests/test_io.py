@@ -4,6 +4,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -244,6 +245,20 @@ def block_chars(chars):
         io._READ_BLOCK_CHARS = saved
 
 
+def plain_block(size):
+    """Let the matrix CSV reader's plainness check read ``size`` bytes at a time."""
+    return mock.patch.object(io, "_PLAIN_BLOCK", size)
+
+
+# Matrix text that is plain more often than not: an optional "#" header
+# ending in either line break, then digits, separators and line breaks.
+PLAIN_MATRIX_TEXT = st.builds(
+    str.__add__,
+    st.sampled_from(["", "# rows=2 cols=2\n", "# rows=2 cols=2\r\n", "#\r"]),
+    st.text(alphabet="0123456789.-e,\r\n", max_size=40),
+)
+
+
 def assert_reads_like_reference(path):
     text = path.read_text()
     try:
@@ -345,12 +360,18 @@ class TestMatrixCsvParser:
         with pytest.raises(ValueError, match="different numbers of fields"):
             io.read_matrix_csv(path)
 
-    def test_many_blocks(self, tmp_path, rng, monkeypatch):
-        monkeypatch.setattr(io, "_READ_BLOCK_CHARS", 10)
+    def test_many_blocks(self, tmp_path, rng, monkeypatch, loadtxt_calls):
         values = rng.standard_normal((23, 4))
         path = tmp_path / "m.csv"
         io.write_matrix_csv(path, values)
-        assert_matrix_reads_like_reference(path)
+        header = len(path.read_text().splitlines()[0])
+        for size in (10, header, header + 1, header + 2, 64):
+            monkeypatch.setattr(io, "_PLAIN_BLOCK", size)
+            loadtxt_calls.clear()
+            assert_matrix_same_bits_as_reference(path)
+            # a first read that ends before the header's line break finds no
+            # header end: the file is parsed from its whole text instead
+            assert loadtxt_calls == ([] if size <= header else ["returned"])
 
     @settings(max_examples=80, deadline=None)
     @given(text=st.text(alphabet="0123456789.-e,# \t\nrowscl=nai", max_size=60))
@@ -361,19 +382,23 @@ class TestMatrixCsvParser:
             assert_matrix_reads_like_reference(path)
 
     @settings(max_examples=80, deadline=None)
-    @given(text=st.text(alphabet=LINE_TEXT + "#rowscl=", max_size=60), block=st.integers(1, 9))
+    @given(text=st.one_of(PLAIN_MATRIX_TEXT, st.text(alphabet=LINE_TEXT + "#rowscl=", max_size=60)),
+           block=st.integers(1, 9))
     def test_any_text_in_small_blocks(self, text, block):
-        with block_chars(block), tempfile.TemporaryDirectory() as tmp:
+        # reads end inside the header, on its line break, inside "\r\n" and in the data
+        with plain_block(block), tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
             path.write_text(text)
             assert_matrix_reads_like_reference(path)
 
     @settings(max_examples=40, deadline=None)
     @given(values=hnp.arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 7))),
-           block=st.integers(1, 20))
+           block=st.integers(1, 80))
     def test_round_trip(self, values, block):
+        # reads shorter than the header, about 30 bytes, send the file to
+        # the whole-text parse; longer ones end inside the data
         printed = np.array([[float(f"{v:.9g}") for v in row] for row in values])
-        with block_chars(block), tempfile.TemporaryDirectory() as tmp:
+        with plain_block(block), tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
             io.write_matrix_csv(path, values, scale="linear")
             back, meta = io.read_matrix_csv(path)

@@ -269,19 +269,43 @@ class TestArKernel:
         with mock.patch.object(simulate, "_RECURSION_BLOCK", block):
             assert_same_bits(simulate._run_recursion(row_source(a_rows, b_rows), w), expected)
 
+    @pytest.mark.parametrize("p", [1, 2, 5, 6, 8, 12])
+    def test_constant_kernel_matches_loop(self, p):
+        # n = p ends with the warm-up; n = p + 1 gives the kernel one sample;
+        # 2 blocks + p + 3 crosses two block edges
+        for n in (p, p + 1, 2 * simulate._RECURSION_BLOCK + p + 3):
+            a_rows, b_rows, w = recursion_case(np.random.default_rng([n, p, 7]), n, p, 2)
+            a_const = np.broadcast_to(a_rows[:1], a_rows.shape)
+            a_full = np.ascontiguousarray(a_const)
+            expected = arma_recursion_loop(a_const, b_rows, w)
+            kinds = []
+            for a in (a_const, a_full):
+                with mock.patch.object(simulate, "_ar_kernel",
+                                       wraps=simulate._ar_kernel) as spy:
+                    assert_same_bits(simulate._run_recursion(row_source(a, b_rows), w), expected)
+                kinds.append({call.args for call in spy.call_args_list})
+            # broadcast rows bind their coefficients once; the same values in
+            # full rows run the time-varying kernel, to the same bits
+            assert kinds == ([set(), set()] if n == p else [{(p, True)}, {(p, False)}])
+
     def test_odd_order_through_gen_ar(self):
         coeffs = np.r_[ar_coefficients([3.0, 7.0], [0.8, 0.7], 40.0), 0.01]
-        series = gen_ar(coeffs, 30.0, 40.0, np.random.default_rng(4))
-        rng = np.random.default_rng(4)
-        burn = simulate._burn_in(simulate._pole_radius(coeffs), coeffs.size)
-        w = rng.standard_normal(series.samples.size + burn)
-        a_rows = np.broadcast_to(np.r_[1.0, -coeffs], (w.size, coeffs.size + 1))
-        expected = arma_recursion_loop(a_rows, np.ones((w.size, 1)), w)[burn:]
-        assert_same_bits(series.samples, expected)
+        # one block, then three: the constant kernel carries its lags across block edges
+        for duration_s in (30.0, 250.0):
+            series = gen_ar(coeffs, duration_s, 40.0, np.random.default_rng(4))
+            rng = np.random.default_rng(4)
+            burn = simulate._burn_in(simulate._pole_radius(coeffs), coeffs.size)
+            w = rng.standard_normal(series.samples.size + burn)
+            a_rows = np.broadcast_to(np.r_[1.0, -coeffs], (w.size, coeffs.size + 1))
+            expected = arma_recursion_loop(a_rows, np.ones((w.size, 1)), w)[burn:]
+            assert_same_bits(series.samples, expected)
+        assert w.size > 2 * simulate._RECURSION_BLOCK
 
     def test_kernel_compiled_once_per_order(self):
-        assert simulate._ar_kernel(5) is simulate._ar_kernel(5)
-        assert simulate._ar_kernel(5) is not simulate._ar_kernel(6)
+        for constant in (False, True):
+            assert simulate._ar_kernel(5, constant) is simulate._ar_kernel(5, constant)
+            assert simulate._ar_kernel(5, constant) is not simulate._ar_kernel(6, constant)
+        assert simulate._ar_kernel(5, True) is not simulate._ar_kernel(5, False)
 
     def test_import_compiles_no_kernel(self):
         src = str(Path(simulate.__file__).resolve().parents[1])
@@ -290,10 +314,14 @@ class TestArKernel:
         result = subprocess.run(
             [sys.executable, "-c",
              "import statespec.cli, statespec.simulate as s; "
+             "print(s._ar_kernel.cache_info().currsize); "
+             "s.gen_benchmark(s.benchmark_config(duration_s=10.0)); "
              "print(s._ar_kernel.cache_info().currsize)"],
             capture_output=True, text=True, env=env, check=True, timeout=60,
         )
-        assert result.stdout.strip() == "0"
+        # none at import; the benchmark's two bands then compile the
+        # constant and the time-varying kernel of order 6
+        assert result.stdout.split() == ["0", "2"]
 
 
 class TestGenArmaTv:

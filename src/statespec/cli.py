@@ -407,6 +407,10 @@ def _estimate(config: RunConfig, staging: Path) -> None:
             # the fit holds bins 0..J//2; state_var.csv holds the model's (J, M) grid
             io.write_matrix(staging / "state_var", _unfold(params.state_var, j, axis=0),
                             fmt=config.output_format)
+            # the state variances on the traces' columns, where the tracker keeps them
+            baseline = params.state_var
+            if not config.one_sided:
+                baseline = _unfold(baseline, j, axis=0)
             io.write_vector_csv(staging / "obs_var.csv", params.obs_var)
             # warm start at the first observation: the state prior has no
             # knowledge of absolute level, so seeding with window 0 avoids a
@@ -428,14 +432,17 @@ def _estimate(config: RunConfig, staging: Path) -> None:
                     eig, adaptive, alpha=config.alpha, init_mean=mean, init_var=var,
                     tracker=tracker,
                 )
+            del eig  # the block's coefficients have no user left
+            if config.method == "assmt":
                 # one column per row of frequencies.csv; the gains follow from these
                 if not config.one_sided:
                     sv_trace = _unfold(sv_trace, j)
                 for m in range(config.tapers):
+                    # most windows keep the baseline, whose text is formatted once
                     io.write_matrix(staging / f"state_var_trace_taper{m}", sv_trace[:, :, m],
-                                    fmt=config.output_format, rows=rows, append=first > 0)
+                                    fmt=config.output_format, rows=rows, append=first > 0,
+                                    baseline=baseline[:, m])
                 del sv_trace
-            del eig  # the block's coefficients have no user left
             if config.method != "mt":
                 # the next block starts from this one's last posterior
                 mean, var = trace.means[-1].copy(), trace.variances[-1].copy()

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import append_in_place
+
 __all__ = [
     "MATRIX_MAGIC",
     "MATRIX_SUFFIXES",
@@ -43,9 +45,13 @@ __all__ = [
 
 MATRIX_MAGIC = b"SSPECF32"
 
+# Cells of a matrix CSV formatted at a time against a baseline
+_CHUNK_CELLS = 1 << 9
+
 
 def write_matrix_csv(path, values: np.ndarray, scale: str | None = None,
-                     rows: int | None = None, append: bool = False) -> None:
+                     rows: int | None = None, append: bool = False,
+                     baseline: np.ndarray | None = None) -> None:
     """Write ``values`` under a header with their shape and ``scale``.
 
     ``values`` may be the first block of a matrix of ``rows`` rows, which
@@ -54,22 +60,51 @@ def write_matrix_csv(path, values: np.ndarray, scale: str | None = None,
     header's row count, for a matrix whose length became known only after
     its first block was written: the rows so far are copied behind the new
     header.
+
+    ``baseline``, a row whose cells recur bit for bit down their columns,
+    changes no byte: it is formatted once, and a cell with its bits takes
+    its text.  That pays when about 40 % of the cells or more have them.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     cols = values.shape[1]
     # one %-format per row: the same float-to-text conversion as f"{v:.9g}",
-    # streamed row by row so neither the floats nor the text of the whole
-    # matrix are ever held at once
-    row_format = ",".join(["%.9g"] * cols) + "\n"
+    # streamed a few rows at a time so neither the floats nor the text of
+    # the whole matrix are ever held at once
+    cell = "%.9g"
+    row_format = ",".join([cell] * cols) + "\n"
     with open(path, "a" if append else "w") as fh:
         if not append:
             header = f"# rows={values.shape[0] if rows is None else rows} cols={cols}"
             if scale is not None:
                 header += f" scale={scale}"
             fh.write(header + "\n")
-        fh.writelines(row_format % tuple(row.tolist()) for row in values)
+        if baseline is None:
+            fh.writelines(row_format % tuple(row.tolist()) for row in values)
+        else:
+            _write_rows_off_baseline(fh, values, baseline, cell, row_format)
     if append and rows is not None:
         _restate_csv_rows(Path(path), rows)
+
+
+def _write_rows_off_baseline(fh, values, baseline, cell: str, row_format: str) -> None:
+    """`write_matrix_csv`'s rows, a chunk of cells at a time, each cell with
+    ``baseline``'s bits (so -0.0 is not 0.0) spelled as its text."""
+    cols = values.shape[1]
+    bits = np.ascontiguousarray(baseline, dtype=float).view(np.int64)
+    step = max(1, _CHUNK_CELLS // cols)
+    texts = (row_format % tuple(bits.view(float).tolist()))[:-1].split(",")
+    texts = np.array(texts * step, dtype=object).reshape(step, cols)
+    for first in range(0, values.shape[0], step):
+        chunk = values[first:first + step]
+        raised = chunk.view(np.int64) != bits
+        if raised.all():
+            fh.writelines(row_format % tuple(row.tolist()) for row in chunk)
+            continue
+        # float text holds no "%": a template with one field per raised cell
+        cells = texts[:len(chunk)].copy()
+        cells[raised] = cell
+        fh.write("\n".join(map(",".join, cells.tolist())) % tuple(chunk[raised].tolist())
+                 + "\n")
 
 
 def _restate_csv_rows(path: Path, rows: int) -> None:
@@ -173,30 +208,35 @@ def _read_matrix_text(path) -> tuple[np.ndarray, dict]:
     return values.reshape(rows, cols), meta
 
 
-# The bytes of a plain matrix CSV's data: digits, signs, the decimal point,
-# exponents, the letters of nan, inf and infinity in either case, commas and
-# line breaks.  numpy's C text reader converts a field with the same
-# PyOS_string_to_double that float() calls, and of these bytes neither
-# reader sees a line break or a field edge the other does not.  Spaces,
-# underscores, non-ASCII digits and the other line breaks of
-# str.splitlines are where the two differ.
-_PLAIN_BYTES = b"0123456789.,+-eEnaiftyNAIFTY\n\r"
+# The bytes of a plain matrix CSV's data besides "\n" and "\r": digits,
+# signs, the decimal point, exponents, the letters of nan, inf and infinity
+# in either case, and commas.  numpy's C text reader converts a field with
+# the same PyOS_string_to_double that float() calls, and of these bytes and
+# the two line breaks neither reader sees a line break or a field edge the
+# other does not.  Spaces, underscores, non-ASCII digits and the other line
+# breaks of str.splitlines are where the two differ.
+_PLAIN_BYTES = b"0123456789.,+-eEnaiftyNAIFTY"
 # The bytes of a plain header line: printable ASCII and the tab
 _HEADER_BYTES = bytes(range(0x20, 0x7F)) + b"\t"
 # Bytes per read of the plainness check
 _PLAIN_BLOCK = 1 << 16
 
 
-def _plain_header(path) -> str | None:
-    """The header line of a plain matrix CSV, "" when it has none, or None
-    when the file is not plain.
+def _plain_header(path) -> tuple[str, int | None] | None:
+    """The header line of a plain matrix CSV, "" when it has none, and how
+    many lines of data follow it; or None when the file is not plain.
 
     A file is plain when its first line is a ``#`` header of
-    `_HEADER_BYTES` or is data, every byte after the header is one of
-    `_PLAIN_BYTES`, and at least one of them is not a line break.
+    `_HEADER_BYTES` or is data, every byte after the header is a line
+    break or one of `_PLAIN_BYTES`, and at least one is not a break.  Its
+    lines are counted when every line break is the same one byte and no
+    line is blank, and are None otherwise.
     """
     header = b""
-    data = False
+    data = blank = False
+    # the line breaks so far, the bytes they are made of, and whether the
+    # last byte read ends a line: the start of the file counts as a break
+    breaks, newlines, at_break = 0, set(), True
     with open(path, "rb") as fh:
         blocks = iter(functools.partial(fh.read, _PLAIN_BLOCK), b"")
         for index, block in enumerate(blocks):
@@ -207,25 +247,39 @@ def _plain_header(path) -> str | None:
                 header, block = block[:min(ends)], block[min(ends):]
                 if header.translate(None, _HEADER_BYTES):
                     return None
-            if block.translate(None, _PLAIN_BYTES):
+                breaks, at_break = -1, False
+            # the line breaks, in a plain file
+            left = block.translate(None, _PLAIN_BYTES)
+            if left.translate(None, b"\r\n"):
                 return None
-            data = data or bool(block.strip(b"\r\n"))
-    return header.decode("ascii") if data else None
+            data = data or len(left) < len(block)
+            newlines.update(byte for byte in b"\n\r" if byte in left)
+            is_break = np.frombuffer(block, dtype=np.uint8) == max(newlines, default=0)
+            blank = blank or (at_break and is_break[0]) or (is_break[1:] & is_break[:-1]).any()
+            breaks, at_break = breaks + len(left), is_break[-1]
+    if not data:
+        return None
+    # every line break after the header's ends a line of data, and so may
+    # the end of the file
+    rows = None if blank or len(newlines) > 1 else int(breaks + (not at_break))
+    return header.decode("ascii"), rows
 
 
-def _read_matrix_plain(path, header: str) -> tuple[np.ndarray, dict] | None:
-    """`read_matrix_csv` of a plain file by numpy's C text reader, or None
-    where the reader or the header's shape rejects it."""
+def _read_matrix_plain(path, header: str, rows: int | None) -> tuple[np.ndarray, dict] | None:
+    """`read_matrix_csv` of a plain file with ``rows`` lines of data, if
+    known, by numpy's C text reader; or None where the reader or the
+    header's shape rejects it."""
     meta = _header_meta(header)
     try:
         shape = _header_shape(path, meta)
         # an open file, not a path: numpy would take a path ending in .gz
-        # for a compressed file, and its own opening peaks higher; and no
-        # max_rows, which numpy allocates in full before the first row, so
-        # a header's row count cannot ask for more memory than the data
+        # for a compressed file, and its own opening peaks higher.  numpy
+        # allocates max_rows in full before the first row: the data's own
+        # line count, never the header's, sizes the result, which is then
+        # never grown and cut.  numpy warns of a blank line under max_rows
         with open(path) as fh:
             values = np.loadtxt(fh, delimiter=",", comments=None,
-                                skiprows=1 if header else 0, ndmin=2)
+                                skiprows=1 if header else 0, max_rows=rows, ndmin=2)
     except ValueError:
         return None
     # numpy warns, and gives no rows, only for text without data, which a
@@ -245,8 +299,8 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     bit for bit and every error; that parse peaks at about twice the
     text's size.
     """
-    header = _plain_header(path)
-    read = None if header is None else _read_matrix_plain(path, header)
+    plain = _plain_header(path)
+    read = None if plain is None else _read_matrix_plain(path, *plain)
     return read if read is not None else _read_matrix_text(path)
 
 
@@ -294,19 +348,21 @@ MATRIX_SUFFIXES = {"csv": ".csv", "bin": ".f32"}
 
 
 def write_matrix(path, values, fmt: str = "csv", scale: str | None = None,
-                 rows: int | None = None, append: bool = False) -> Path:
+                 rows: int | None = None, append: bool = False,
+                 baseline: np.ndarray | None = None) -> Path:
     """Write under the format's natural extension; returns the path used.
 
     A matrix can be written in blocks of rows: the first with ``rows``, the
     matrix's row count, and each later one with ``append``.  When the count
     is not known at the first block, the block that makes it known passes
-    it with ``append``, which restates the header.
+    it with ``append``, which restates the header.  Binary ignores ``baseline``.
     """
     if fmt not in MATRIX_SUFFIXES:
         raise ValueError(f"unknown matrix format {fmt!r}")
     path = Path(path).with_suffix(MATRIX_SUFFIXES[fmt])
     if fmt == "csv":
-        write_matrix_csv(path, values, scale=scale, rows=rows, append=append)
+        write_matrix_csv(path, values, scale=scale, rows=rows, append=append,
+                         baseline=baseline)
     else:
         write_matrix_bin(path, values, rows=rows, append=append)
     return path
@@ -354,28 +410,38 @@ def write_signal(path, samples: np.ndarray, fmt: str = "csv") -> Path:
     return path
 
 
-def _sample_fields(path):
-    """The sample field of every line of a CSV signal, in blocks.
+def _csv_samples(path):
+    """The samples of a CSV signal, in blocks of `_line_blocks`.
 
     Blank lines and a non-numeric first line are left out, and a line with
-    commas gives its first field.  No block is empty.
+    commas gives its first field.  No block is empty.  After the first
+    non-blank line, a block `float` takes line by line is parsed as it is:
+    `float` strips what `str.strip` does and rejects a blank line, a comma
+    and a header, so only blocks these rules change, and errors, reach them.
     """
     header_checked = False
     for lines in _line_blocks(path):
-        lines = list(filter(None, map(str.strip, lines)))
-        # a line with a comma gives its first field; the test is one
-        # search of the block instead of one per line
-        if "," in "".join(lines):
-            lines = [line.split(",", 1)[0] for line in lines]
-        if lines and not header_checked:
-            header_checked = True
-            try:
-                float(lines[0])
-            except ValueError:
-                del lines[0]
-        if lines:
-            lines = [lines]
-            yield lines.pop()
+        try:
+            samples = _floats(lines) if header_checked else None
+        except ValueError:
+            samples = None
+        if samples is None:
+            lines = list(filter(None, map(str.strip, lines)))
+            # a line with a comma gives its first field; the test is one
+            # search of the block instead of one per line
+            if "," in "".join(lines):
+                lines = [line.split(",", 1)[0] for line in lines]
+            if lines and not header_checked:
+                header_checked = True
+                try:
+                    float(lines[0])
+                except ValueError:
+                    del lines[0]
+            samples = _floats(lines)
+        del lines
+        if samples.size:
+            samples = [samples]
+            yield samples.pop()
 
 
 def _check_f64_size(path, size: int) -> None:
@@ -387,7 +453,7 @@ def _sample_blocks(path, fmt: str):
     """The samples of a signal file in blocks of ``_READ_BLOCK_CHARS``
     characters of CSV text, or bytes of float64."""
     if fmt != "bin":
-        yield from map(_floats, _sample_fields(path))
+        yield from _csv_samples(path)
         return
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -416,8 +482,10 @@ def read_signal(path, fmt: str | None = None, blocks: bool = False):
         _check_f64_size(path, len(data))
         return np.frombuffer(data, dtype="<f8")
     # one array grown in place: never the blocks and their concatenation
-    return np.fromiter(map(float, itertools.chain.from_iterable(_sample_fields(path))),
-                       dtype=float)
+    samples = np.empty(0)
+    for block in _csv_samples(path):
+        append_in_place(samples, block)
+    return samples
 
 
 def write_manifest(path, payload: dict) -> None:

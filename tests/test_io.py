@@ -229,6 +229,87 @@ class TestGoldenBytes:
             assert signal.read_bytes() == signal_csv_text(values.ravel()).encode()
 
 
+def write_with_baseline(path, values, baseline, cuts=(), **kwargs):
+    """Write ``values`` with ``baseline``, in blocks of rows cut at ``cuts``;
+    the last block restates the row count.  Returns the file's bytes."""
+    bounds = (0, *cuts, len(values))
+    for first, stop in zip(bounds, bounds[1:]):
+        io.write_matrix_csv(path, values[first:stop], baseline=baseline, append=first > 0,
+                            rows=len(values) if first and stop == len(values) else None,
+                            **kwargs)
+    return path.read_bytes()
+
+
+# a raised cell: not the baseline's bits, though perhaps its value
+RAISED_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, 3.0, np.inf, np.nan, 1e308]
+
+
+class TestBaselineCells:
+    """`write_matrix_csv`'s ``baseline`` changes no byte: a cell with its bits
+    takes its text, any other cell is formatted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_cells_at_the_baseline(self, data):
+        # one-sided and full-grid trace widths, and chunks of every kind
+        cols = data.draw(st.sampled_from([1, 3, 109, 216]), label="cols")
+        step = max(1, io._CHUNK_CELLS // cols)
+        rows = data.draw(st.integers(1, 3 * step + 1), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        baseline = rng.choice(SPECIAL_VALUES + [0.0, 2.5e-310], cols)
+        at_baseline = np.empty((rows, cols), dtype=bool)
+        for first in range(0, rows, step):
+            kind = data.draw(st.sampled_from(["all", "none", "some"]), label="chunk")
+            share = {"all": 1.0, "none": 0.0, "some": rng.random()}[kind]
+            at_baseline[first:first + step] = rng.random((len(at_baseline[first:first + step]),
+                                                         cols)) < share
+        raised = np.where(rng.random((rows, cols)) < 0.5, rng.choice(RAISED_VALUES, (rows, cols)),
+                          rng.standard_normal((rows, cols)))
+        # a raised cell's bits differ from the baseline's
+        raised = np.where(raised.view(np.int64) == baseline.view(np.int64), 7.0, raised)
+        values = np.where(at_baseline, baseline, raised)
+        cuts = tuple(sorted(set(data.draw(st.lists(st.integers(1, rows), max_size=3),
+                                          label="cuts")) - {rows}))
+        with tempfile.TemporaryDirectory() as tmp:
+            written = write_with_baseline(Path(tmp) / "m.csv", values, baseline, cuts)
+        assert written == matrix_csv_text(values).encode()
+
+    def test_signed_zeros_and_subnormals(self, tmp_path):
+        baseline = np.array([0.0, -0.0, 5e-324, 2.5e-310, np.nan])
+        values = np.array([[0.0, -0.0, 5e-324, 2.5e-310, np.nan],
+                           [-0.0, 0.0, -5e-324, 5e-324, -np.nan],
+                           [-0.0, -0.0, 5e-324, 1e-310, np.inf]])
+        written = write_with_baseline(tmp_path / "m.csv", values, baseline, scale="dB")
+        assert written == matrix_csv_text(values, "dB").encode()
+        assert written.splitlines()[2:] == [b"-0,0,-4.94065646e-324,4.94065646e-324,nan",
+                                            b"-0,-0,4.94065646e-324,1e-310,inf"]
+
+    @pytest.mark.parametrize("cuts", [(1,), (3, 4), (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("cols", [109, 216])
+    def test_blocks_with_row_count_restated(self, tmp_path, rng, cuts, cols):
+        baseline = rng.standard_normal(cols)
+        values = np.where(rng.random((6, cols)) < 0.6, baseline, rng.standard_normal((6, cols)))
+        whole = tmp_path / "whole.csv"
+        io.write_matrix_csv(whole, values, scale="linear")
+        written = write_with_baseline(tmp_path / "m.csv", values, baseline, cuts, scale="linear")
+        assert written == whole.read_bytes() == matrix_csv_text(values, "linear").encode()
+
+    def test_strided_taper_of_a_trace(self, tmp_path, rng):
+        # the command line writes taper m of a (K, J, M) trace against column
+        # m of a (J, M) baseline: both strided views
+        state_var = rng.random((109, 3))
+        trace = np.where(rng.random((20, 109, 3)) < 0.6, state_var, rng.random((20, 109, 3)))
+        for m in range(3):
+            path = io.write_matrix(tmp_path / f"t{m}", trace[:, :, m], baseline=state_var[:, m])
+            assert path.read_bytes() == matrix_csv_text(trace[:, :, m]).encode()
+
+    def test_binary_format_ignores_the_baseline(self, tmp_path, rng):
+        values = rng.standard_normal((4, 5))
+        with_baseline = io.write_matrix(tmp_path / "a", values, fmt="bin", baseline=values[0])
+        without = io.write_matrix(tmp_path / "b", values, fmt="bin")
+        assert with_baseline.read_bytes() == without.read_bytes()
+
+
 # numbers, separators, and every line break and some other whitespace
 # that str.splitlines and str.strip know
 LINE_TEXT = "0123456789.-e,nai \t\n\r\x0b\x0c\x1c\x85\xa0\u2028"
@@ -259,16 +340,29 @@ PLAIN_MATRIX_TEXT = st.builds(
 )
 
 
+def read_signal_blocks(path):
+    """The samples of ``path`` as the command line reads them: in blocks."""
+    blocks = list(io.read_signal(path, blocks=True))
+    assert all(block.size for block in blocks)
+    return np.concatenate(blocks) if blocks else np.array([])
+
+
 def assert_reads_like_reference(path):
+    # the whole read and the blocks give the reference's values bit for bit,
+    # or its error
     text = path.read_text()
     try:
         expected = parse_signal_csv(text)
     except ValueError as exc:
-        with pytest.raises(ValueError) as info:
-            io.read_signal(path)
-        assert str(info.value) == str(exc)
+        for read in (io.read_signal, read_signal_blocks):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert str(info.value) == str(exc)
     else:
-        np.testing.assert_array_equal(io.read_signal(path), expected)
+        for read in (io.read_signal, read_signal_blocks):
+            samples = read(path)
+            assert samples.dtype == expected.dtype
+            assert samples.tobytes() == expected.tobytes()
 
 
 class TestSignalParser:
@@ -291,6 +385,36 @@ class TestSignalParser:
         path = tmp_path / "s.csv"
         path.write_text(text)
         assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize(
+        "text, chars",
+        [
+            # the first block holds only the header, the second a bad line
+            ("value\nabc\n1.5\n", 6),
+            ("\n\n \n\t\n\n\nvalue\n1.5\n2.5\n", 6),
+            ("\n\n \n\t\n\n\n1.5\n2.5\n", 6),
+            ("1.5\n2.5\n3.5\n4.5\n5.5,9\n6.5\n", 8),
+            ("1.5\n2.5\n3.5\n4.5\n5.5\n\n6.5\n", 8),
+            ("1.5\n2.5\n3.5\n4.5\n 5.5 \n6.5\n", 8),
+            ("1.5\n2.5\n3.5\n4.5\nvalue\n6.5\n", 8),
+        ],
+        ids=["header-only-block", "blank-first-block-header", "blank-first-block",
+             "late-comma", "late-blank", "late-whitespace", "late-non-numeric"],
+    )
+    def test_block_edges(self, tmp_path, text, chars):
+        # a block that float() does not take line by line goes through the
+        # field rules; the header is settled once, on the first non-blank line
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with block_chars(chars):
+            assert_reads_like_reference(path)
+
+    def test_header_settled_in_an_earlier_block(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("value\nabc\n1.5\n")
+        with block_chars(6), pytest.raises(ValueError) as info:
+            read_signal_blocks(path)
+        assert str(info.value) == "could not convert string to float: 'abc'"
 
     @settings(max_examples=80, deadline=None)
     @given(text=st.text(alphabet="0123456789.-+e, \t\nainf", max_size=40))
@@ -606,6 +730,53 @@ class TestMatrixMemory:
         assert peak <= 1.5 * read.nbytes + 512 * 1024
         np.testing.assert_array_equal(read, np.array([[float(f"{v:.9g}") for v in row]
                                                       for row in values]))
+
+    def test_csv_matrix_is_never_grown(self, tmp_path, rng):
+        # numpy's reader is told the data's line count, so it allocates the
+        # result once; grown row by row and cut, 2000 x 109 peaked at 1.23x
+        values = rng.standard_normal((2000, 109))
+        path = tmp_path / "m.csv"
+        io.write_matrix_csv(path, values)
+        tracemalloc.start()
+        try:
+            read, _ = io.read_matrix_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * read.nbytes
+        assert read.shape == values.shape
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("blanks", ["none", "leading", "between", "trailing"])
+    def test_line_count_with_any_line_breaks(self, tmp_path, newline, blanks):
+        # a blank line leaves the count unknown: numpy warns of one under max_rows
+        rows = ["1,2", "3,4", "5,6"]
+        lines = {"none": rows, "leading": ["", *rows], "between": [rows[0], "", *rows[1:]],
+                 "trailing": [*rows, "", ""]}[blanks]
+        path = tmp_path / "m.csv"
+        path.write_bytes(newline.join(["# rows=3 cols=2", *lines, ""]).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, _ = io.read_matrix_csv(path)
+        np.testing.assert_array_equal(values, [[1, 2], [3, 4], [5, 6]])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
+    def test_data_lines_counted_across_reads(self, tmp_path, newline, block):
+        # lines cut between reads of the plainness check, whose first read
+        # holds the header; "\r\n" line breaks are not counted
+        rows = None if newline == "\r\n" else 3
+        path = tmp_path / "m.csv"
+        path.write_bytes(newline.join(["# rows=3 cols=2", "10,2", "3,45", "6e1,7"]).encode())
+        with plain_block(16 + block):
+            assert io._plain_header(path) == ("# rows=3 cols=2", rows)
+        path.write_bytes(newline.join(["10,2", "3,45", "6e1,7", ""]).encode())
+        with plain_block(block):
+            assert io._plain_header(path) == ("", rows)
+        for text in ["10,2", "3,45", "", "6e1,7", ""], ["", "10,2", "3,45", "6e1,7"]:
+            path.write_bytes(newline.join(text).encode())
+            with plain_block(block):
+                assert io._plain_header(path) == ("", None)
 
     def test_hour_spectrogram_peaks_near_its_matrix(self, tmp_path, rng):
         # an hour's one-sided spectrogram, 600 windows of 109 bins: a block's

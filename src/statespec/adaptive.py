@@ -173,7 +173,9 @@ def _tracked_state_variance(coeffs, params: AdaptiveParams, alpha: float,
             np.multiply(keep, prev, carried)
             np.add(row, carried, row)
         tracker = NonstationarityTracker(ema=ema[-1], alpha=alpha, prev_obs=rest[-1])
-        ema -= 2.0 * params.obs_var[None, :]
+        # a (B, M) row, as in the forward pass, so numpy runs one contiguous
+        # loop over the block's cells instead of one per cell triple
+        ema -= np.broadcast_to(2.0 * params.obs_var, ema.shape[1:]).copy()
         np.maximum(ema, params.baseline_state_var, out=rest_sv)
     return sv, tracker
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import shutil
@@ -616,7 +617,11 @@ def _cmd_tapers(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each `parse_args` fills a
+    new namespace from the flags and the defaults it holds, so no setting
+    of one call reaches the next."""
     parser = argparse.ArgumentParser(
         prog="statespec",
         description="Multitaper and state-space multitaper spectrogram estimation.",

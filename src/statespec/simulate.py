@@ -399,19 +399,19 @@ class SimulationConfig:
             raise ValueError("ar_coeffs must describe a stable recursion")
 
 
-def _half_grid_power(
-    a: np.ndarray, b: np.ndarray, bases: dict[int, np.ndarray], nfreq: int = 8192
-) -> np.ndarray:
-    """|B/A|^2 for monic coefficient vectors on the half circle [0, pi).
+@functools.cache
+def _dft_basis(size: int, nfreq: int) -> np.ndarray:
+    """The read-only ``(nfreq, size)`` DFT basis on the half circle [0, pi),
+    built once per process for each shape."""
+    omega = np.pi * np.arange(nfreq) / nfreq
+    basis = np.exp(-1j * np.outer(omega, np.arange(size)))
+    basis.setflags(write=False)
+    return basis
 
-    ``bases`` holds the DFT basis of each coefficient count already built
-    by the caller; a missing one is built and added.
-    """
-    for size in (a.size, b.size):
-        if size not in bases:
-            omega = np.pi * np.arange(nfreq) / nfreq
-            bases[size] = np.exp(-1j * np.outer(omega, np.arange(size)))
-    return np.abs(bases[b.size] @ b) ** 2 / np.abs(bases[a.size] @ a) ** 2
+
+def _half_grid_power(a: np.ndarray, b: np.ndarray, nfreq: int = 8192) -> np.ndarray:
+    """|B/A|^2 for monic coefficient vectors on the half circle [0, pi)."""
+    return np.abs(_dft_basis(b.size, nfreq) @ b) ** 2 / np.abs(_dft_basis(a.size, nfreq) @ a) ** 2
 
 
 # Margin, in dB, of the swept band's peak density over the white-noise
@@ -450,19 +450,17 @@ def benchmark_config(
 
     scan = [0.0, 0.25 * duration_s, 0.5 * duration_s, 0.75 * duration_s,
             max(0.0, duration_s - 1.0)]
-    # one basis per coefficient count for the whole call, not one per use
-    bases: dict[int, np.ndarray] = {}
     peaks, means = [], []
     for t in scan:
         a_rows, b_rows = sweep.coefficient_rows(np.array([t]), sample_rate_hz)
-        s = _half_grid_power(a_rows[0], b_rows[0], bases)
+        s = _half_grid_power(a_rows[0], b_rows[0])
         peaks.append(s.max())
         means.append(s.mean())
     peak, var_sweep = float(np.max(peaks)), float(np.mean(means))
 
     # AM band variance at unit innovation: stationary AR spectrum mean
     # times the squared-carrier average of 1/2.
-    s_ar = _half_grid_power(np.r_[1.0, -ar], np.ones(1), bases)
+    s_ar = _half_grid_power(np.r_[1.0, -ar], np.ones(1))
     var_am = float(s_ar.mean()) * 0.5
 
     # Let g be the target ratio of sweep peak density to total signal

@@ -428,6 +428,9 @@ def _filter_likelihood(coeffs, state_var, obs_var, init_var, work):
     _forward_pass(coeff_rows, state_var, obs_var, init_var=init_var,
                   out=(z_rows, p_rows, [terms[0]] * len(coeff_rows)))
     totals = np.empty(len(coeff_rows))
+    # a (B, M) row, not the (M,) vector, so each add runs numpy's contiguous
+    # loop over the block's cells instead of one loop per cell triple
+    obs_row = np.broadcast_to(obs_var, state_var.shape).copy()
     for block in _window_blocks(coeffs.shape):
         n = block.stop - block.start
         nll, innov_var, e = terms[:n], innov[:n], cinnov[:n]
@@ -436,7 +439,7 @@ def _filter_likelihood(coeffs, state_var, obs_var, init_var, work):
         np.square(parts, out=parts)
         np.add(e.real, e.imag, out=nll)
         np.add(ps[block], state_var, out=innov_var)
-        innov_var += obs_var
+        innov_var += obs_row
         nll /= innov_var
         innov_var *= np.pi
         nll += np.log(innov_var, out=innov_var)

@@ -9,6 +9,7 @@ quadratic form with the sinc kernel itself.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -132,6 +133,8 @@ def dpss(window_length_j: int, time_half_bandwidth: float, num_tapers: int) -> T
     Returns
     -------
     TaperBank
+        Equal arguments return the same bank, whose arrays are read-only:
+        the last bank made is kept and handed out again.
 
     Raises
     ------
@@ -147,7 +150,14 @@ def dpss(window_length_j: int, time_half_bandwidth: float, num_tapers: int) -> T
             UserWarning,
             stacklevel=2,
         )
+    return _bank(j, nw, m)
 
+
+# a bank is frozen and its arrays read-only, so one is safe to share: every
+# estimate of a run asks for the same one
+@functools.lru_cache(maxsize=1)
+def _bank(j: int, nw: float, m: int) -> TaperBank:
+    """The bank of `dpss`' checked arguments."""
     w = nw / j
     idx = np.arange(j)
     diagonal = ((j - 1 - 2 * idx) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)

@@ -1,4 +1,5 @@
 """End-to-end runs of the command line, in process."""
+import argparse
 import hashlib
 import json
 import os
@@ -1224,6 +1225,55 @@ class TestSettings:
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--from-manifest", str(manifest)]) == EXIT_CONFIG
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+class TestOneParser:
+    """`main` builds its parser once per process, and no call's settings
+    reach the next."""
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        assert main(["simulate", "--out-dir", str(sim), "--duration", "20",
+                     "--sample-rate", "8", "--window-seconds", "2"]) == EXIT_OK
+        once = list(built)
+        assert once.count("statespec") == 1
+        assert main(["estimate", "--input", str(sim / "signal.csv"), "--sample-rate", "8",
+                     "--window-seconds", "2", "--out-dir", str(est)]) == EXIT_OK
+        assert main(["compare", "--estimate", str(est), "--truth", str(sim)]) == EXIT_OK
+        with redirect_stderr(StringIO()), pytest.raises(SystemExit) as exc:
+            main(["compare", "--no-such-flag"])
+        assert exc.value.code == EXIT_CONFIG
+        assert main(["compare", "--estimate", str(est), "--truth", str(sim)]) == EXIT_OK
+        assert built == once
+
+    def test_no_setting_carries_over(self, sim_dir, tmp_path):
+        signal = ["--input", str(sim_dir / "signal.csv"), "--sample-rate", str(FS)]
+        flagged, plain, replay = tmp_path / "flagged", tmp_path / "plain", tmp_path / "replay"
+        assert main(["estimate", *signal, "--demean", "--scale", "linear", "--tapers", "2",
+                     "--out-dir", str(flagged)]) == EXIT_OK
+        assert main(["estimate", *signal, "--out-dir", str(plain)]) == EXIT_OK
+        config = io.read_manifest(plain / "manifest.json")["config"]
+        defaults = {f.name: f.default for f in fields(cli.RunConfig) if f.default is not MISSING}
+        assert {name: config[name] for name in defaults} == defaults
+        # a replay after flag runs takes the manifest's settings, and its bytes
+        assert main(["estimate", "--from-manifest", str(flagged / "manifest.json"),
+                     "--out-dir", str(replay)]) == EXIT_OK
+        stored = io.read_manifest(flagged / "manifest.json")["config"]
+        assert stored["demean"] and stored["tapers"] == 2 and stored["scale"] == "linear"
+        replayed = io.read_manifest(replay / "manifest.json")["config"]
+        assert replayed == {**stored, "output_dir": str(replay)}
+        for name in ("spectrogram.csv", "frequencies.csv", "times.csv"):
+            assert (replay / name).read_bytes() == (flagged / name).read_bytes()
+        assert (plain / "spectrogram.csv").read_bytes() != (flagged / "spectrogram.csv").read_bytes()
 
 
 # Values a replayed manifest's config may hold: every JSON type, and an

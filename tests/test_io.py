@@ -778,6 +778,36 @@ class TestMatrixMemory:
             with plain_block(block):
                 assert io._plain_header(path) == ("", None)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r"])
+    @pytest.mark.parametrize("blank", ["none", "before-edge", "across-edge", "after-edge",
+                                       "after-header", "end"])
+    def test_blank_line_at_any_place(self, tmp_path, newline, blank):
+        # a blank line in a whole 64 KiB read, split by its edge or right
+        # after the header leaves the count unknown, as does one at the end
+        header = "# scale=linear"
+        # rows of 4 bytes and one longer, so the blank line's break can sit
+        # at byte 65536 + offset: the first byte of the second read, at offset 0
+        offset = {"before-edge": -1, "across-edge": 0, "after-edge": 1}.get(blank, 0)
+        fill = io._PLAIN_BLOCK + offset - len(header) - 1
+        n = fill // 4 - 1
+        rows = ["1,2"] * n + ["1," + "2" * (fill - 4 * n - 3), "3,4"]
+        if blank in ("before-edge", "across-edge", "after-edge"):
+            rows.insert(n + 1, "")
+        elif blank == "after-header":
+            rows.insert(0, "")
+        text = newline.join([header, *rows, ""]) + (newline if blank == "end" else "")
+        if blank in ("before-edge", "across-edge", "after-edge"):
+            assert text.find(newline * 2) == io._PLAIN_BLOCK + offset - 1
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        assert io._plain_header(path) == (header, len(rows) if blank == "none" else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, meta = io.read_matrix_csv(path)
+        assert meta == {"scale": "linear"}
+        assert values.shape == (n + 2, 2)
+        np.testing.assert_array_equal(values[[0, -1]], [[1, 2], [3, 4]])
+
     def test_hour_spectrogram_peaks_near_its_matrix(self, tmp_path, rng):
         # an hour's one-sided spectrogram, 600 windows of 109 bins: a block's
         # text, as lines and then fields, is the one transient above the

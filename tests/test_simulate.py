@@ -456,6 +456,26 @@ class TestBenchmark:
         ratio = peak / series.samples.nbytes
         assert ratio <= 8.0, f"gen_benchmark peaked at {ratio:.1f}x its record"
 
+    def test_dft_bases_are_read_only_and_built_once(self):
+        basis = simulate._dft_basis(7, 8192)
+        assert not basis.flags.writeable
+        assert simulate._dft_basis(7, 8192) is basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 0.0
+
+    @pytest.mark.parametrize("duration_s, sample_rate_hz, snr_db",
+                             [(600.0, 36.0, 30.0), (45.0, 256.0, 12.0)])
+    def test_config_same_bits_from_cold_and_warm_bases(self, duration_s, sample_rate_hz, snr_db):
+        simulate._dft_basis.cache_clear()
+        cold = benchmark_config(duration_s=duration_s, sample_rate_hz=sample_rate_hz,
+                                snr_db=snr_db)
+        assert simulate._dft_basis.cache_info().currsize > 0
+        warm = benchmark_config(duration_s=duration_s, sample_rate_hz=sample_rate_hz,
+                                snr_db=snr_db)
+        assert_same_bits(np.array([warm.arma_innovation_std, warm.ar_innovation_std]),
+                         np.array([cold.arma_innovation_std, cold.ar_innovation_std]))
+        assert_same_bits(warm.ar_coeffs, cold.ar_coeffs)
+
     def test_deterministic(self):
         cfg = benchmark_config(duration_s=30.0, seed=11)
         a, _ = gen_benchmark(cfg)

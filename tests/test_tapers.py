@@ -6,7 +6,7 @@ import pytest
 import scipy.signal.windows
 from oracles import correlate_concentration, dense_concentration_matrix
 
-from statespec import TaperBank, dpss
+from statespec import TaperBank, dpss, tapers
 
 
 def align_sign(candidate, reference):
@@ -63,8 +63,11 @@ class TestBankProperties:
     def test_sign_convention_reproducible(self):
         with pytest.warns(UserWarning, match="trailing tapers will leak"):
             a = dpss(50, 2.0, 4)
+        # two computations, not the one bank handed out twice
+        tapers._bank.cache_clear()
         with pytest.warns(UserWarning, match="trailing tapers will leak"):
             b = dpss(50, 2.0, 4)
+        assert a is not b
         np.testing.assert_array_equal(a.tapers, b.tapers)
         for row in a.tapers:
             first = np.flatnonzero(np.abs(row) > 1e-13 * np.abs(row).max())[0]
@@ -77,10 +80,34 @@ class TestBankProperties:
         assert bank.time_half_bandwidth == 2.0
 
 
+class TestBankCache:
+    def test_equal_arguments_share_one_read_only_bank(self):
+        bank = dpss(64, 2.5, 3)
+        assert dpss(64, 2.5, 3) is bank
+        assert not bank.tapers.flags.writeable
+        assert not bank.concentrations.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bank.tapers[0, 0] = 1.0
+
+    @pytest.mark.parametrize("other", [(64, 3.0, 3), (65, 2.5, 3), (64, 2.5, 2)])
+    def test_other_arguments_give_a_new_bank(self, other):
+        bank = dpss(64, 2.5, 3)
+        assert dpss(*other) is not bank
+        again = dpss(64, 2.5, 3)
+        assert again is not bank
+        np.testing.assert_array_equal(again.tapers, bank.tapers)
+        np.testing.assert_array_equal(again.concentrations, bank.concentrations)
+
+
 class TestValidation:
     def test_warns_beyond_usable_count(self):
         with pytest.warns(UserWarning, match="well concentrated"):
             dpss(64, 2.0, 4)  # usable bound is floor(2 NW) - 1 = 3
+
+    def test_warns_on_every_call(self):
+        for _ in range(3):
+            with pytest.warns(UserWarning, match="well concentrated"):
+                dpss(64, 2.0, 4)
 
     def test_no_warning_within_bound(self):
         with warnings.catch_warnings():

@@ -390,9 +390,9 @@ def _estimate(config: RunConfig, staging: Path) -> None:
     """Estimate and write every output file into ``staging``.
 
     EM fits the baseline windows, or all of them without a baseline.  Then
-    each of `_Record.blocks` is filtered, from the previous block's last
-    posterior and tracker, and written.  The last block restates the window
-    count in the headers of the files written in blocks.
+    each of `_Record.blocks` is filtered from ``start``, the previous
+    block's last posterior and tracker, and written.  The last block
+    restates the window count in the headers of the files written in blocks.
     """
     j = config.window_samples
     manifest = {"command": "estimate", "version": __version__, "config": asdict(config)}
@@ -408,52 +408,52 @@ def _estimate(config: RunConfig, staging: Path) -> None:
             # the fit holds bins 0..J//2; state_var.csv holds the model's (J, M) grid
             io.write_matrix(staging / "state_var", _unfold(params.state_var, j, axis=0),
                             fmt=config.output_format)
-            # the state variances on the traces' columns, where the tracker keeps them
-            baseline = params.state_var
-            if not config.one_sided:
-                baseline = _unfold(baseline, j, axis=0)
             io.write_vector_csv(staging / "obs_var.csv", params.obs_var)
             # warm start at the first observation: the state prior has no
             # knowledge of absolute level, so seeding with window 0 avoids a
             # long ramp-in at bins whose power sits far above the prior mean
-            mean = fit_obs.coeffs[0].copy()
-            var = np.broadcast_to(params.obs_var[None, :], params.state_var.shape).copy()
-            adaptive, tracker = AdaptiveParams.from_model_params(params), None
+            start = {"init_mean": fit_obs.coeffs[0].copy(),
+                     "init_var": np.tile(params.obs_var, (params.state_var.shape[0], 1))}
+            if config.method == "assmt":
+                # the state variances on the traces' columns, where the tracker keeps them
+                baseline = params.state_var
+                if not config.one_sided:
+                    baseline = _unfold(baseline, j, axis=0)
+                params, start["tracker"] = AdaptiveParams.from_model_params(params), None
         windows = record.blocks(fit_obs)
         del fit_obs  # the record's blocks release the fit's rows
         for first, stop, last, eig in windows:
-            # the window count, for the headers, once it is known
-            rows = stop if last else None
+            # the window count goes in the headers once it is known
+            write = functools.partial(io.write_matrix, fmt=config.output_format,
+                                      rows=stop if last else None, append=first > 0)
             if config.method == "mt":
                 spect = mt_spectrogram(eig, one_sided=config.one_sided)
-            elif config.method == "ssmt":
-                trace = filter_all(eig, params, init_mean=mean, init_var=var)
+                del eig
             else:
-                trace, sv_trace, tracker = assmt_filter(
-                    eig, adaptive, alpha=config.alpha, init_mean=mean, init_var=var,
-                    tracker=tracker,
-                )
-            del eig  # the block's coefficients have no user left
-            if config.method == "assmt":
-                # one column per row of frequencies.csv; the gains follow from these
-                if not config.one_sided:
-                    sv_trace = _unfold(sv_trace, j)
-                for m in range(config.tapers):
-                    # most windows keep the baseline, whose text is formatted once
-                    io.write_matrix(staging / f"state_var_trace_taper{m}", sv_trace[:, :, m],
-                                    fmt=config.output_format, rows=rows, append=first > 0,
-                                    baseline=baseline[:, m])
-                del sv_trace
-            if config.method != "mt":
-                # the next block starts from this one's last posterior
-                mean, var = trace.means[-1].copy(), trace.variances[-1].copy()
+                if config.method == "ssmt":
+                    trace = filter_all(eig, params, **start)
+                    del eig  # the block's coefficients have no user left
+                else:
+                    trace, sv_trace, start["tracker"] = assmt_filter(
+                        eig, params, alpha=config.alpha, **start)
+                    del eig
+                    # one column per row of frequencies.csv; the gains follow from these
+                    if not config.one_sided:
+                        sv_trace = _unfold(sv_trace, j)
+                    for m in range(config.tapers):
+                        # most windows keep the baseline, whose text is formatted once
+                        write(staging / f"state_var_trace_taper{m}", sv_trace[:, :, m],
+                              baseline=baseline[:, m])
+                    del sv_trace
+                # copies of the last posterior, so no block's trace outlives it
+                start.update(init_mean=trace.means[-1].copy(),
+                             init_var=trace.variances[-1].copy())
                 spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
                 del trace
             if config.scale == "dB":
                 spect = spect.to_db()
             frequencies = spect.frequencies_hz
-            io.write_matrix(staging / "spectrogram", spect.power, fmt=config.output_format,
-                            scale=spect.scale, rows=rows, append=first > 0)
+            write(staging / "spectrogram", spect.power, scale=spect.scale)
             # nothing of this block is held while the next one is made
             del spect
     io.write_vector_csv(staging / "frequencies.csv", frequencies)
@@ -696,6 +696,9 @@ def _warning_line(message, category, filename, lineno, line=None) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # em_fit and dpss warn against this module, whose registry shows a repeated
+    # warning once: dropped, each call reports its own, as a process does
+    globals().pop("__warningregistry__", None)
     parser = _build_parser()
     args = parser.parse_args(argv)
     # a warning shown on stderr is one line, like an error, with no source

@@ -250,14 +250,11 @@ class PoleZeroSchedule:
     def _lag_rows(self, t: np.ndarray, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
         """Monic denominator and numerator coefficients at times ``t``, one row per lag."""
         t = np.asarray(t, dtype=float)
-        a = _poly_rows(self._interp(t, self.pole_freqs_hz),
-                       self._interp(t, self.pole_radii), sample_rate_hz)
-        if self.zero_freqs_hz.size:
-            b = _poly_rows(self._interp(t, self.zero_freqs_hz),
-                           self._interp(t, self.zero_radii), sample_rate_hz)
-        else:
-            b = np.ones((1, t.size))
-        return a, b
+        # no zeros give no pairs, whose product is the ones row
+        return (_poly_rows(self._interp(t, self.pole_freqs_hz),
+                           self._interp(t, self.pole_radii), sample_rate_hz),
+                _poly_rows(self._interp(t, self.zero_freqs_hz),
+                           self._interp(t, self.zero_radii), sample_rate_hz))
 
     def coefficient_rows(self, t: np.ndarray, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
         """Monic denominator and numerator coefficient rows at times ``t``,
@@ -450,13 +447,10 @@ def benchmark_config(
 
     scan = [0.0, 0.25 * duration_s, 0.5 * duration_s, 0.75 * duration_s,
             max(0.0, duration_s - 1.0)]
-    peaks, means = [], []
-    for t in scan:
-        a_rows, b_rows = sweep.coefficient_rows(np.array([t]), sample_rate_hz)
-        s = _half_grid_power(a_rows[0], b_rows[0])
-        peaks.append(s.max())
-        means.append(s.mean())
-    peak, var_sweep = float(np.max(peaks)), float(np.mean(means))
+    spectra = [_half_grid_power(a, b)
+               for a, b in zip(*sweep.coefficient_rows(np.array(scan), sample_rate_hz))]
+    peak = float(np.max([s.max() for s in spectra]))
+    var_sweep = float(np.mean([s.mean() for s in spectra]))
 
     # AM band variance at unit innovation: stationary AR spectrum mean
     # times the squared-carrier average of 1/2.

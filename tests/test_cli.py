@@ -471,6 +471,36 @@ class TestMemory:
         assert refs and alive
         assert not any(alive)
 
+    @pytest.mark.parametrize("method, extra", [
+        ("ssmt", ()), ("ssmt", ("--baseline-seconds", "45")),
+        ("assmt", ("--baseline-seconds", "45")),
+    ], ids=["ssmt-full-record", "ssmt-baseline", "assmt"])
+    def test_block_trace_released_before_the_next_filter(self, sim_dir, tmp_path, monkeypatch,
+                                                         method, extra):
+        # 3 windows a block: 5 blocks over the record's 15 windows, 6 when the fit's 7 end one
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 3 * 97 * 3)
+        name = "filter_all" if method == "ssmt" else "assmt_filter"
+        real = getattr(cli, name)
+        refs, alive = [], []
+
+        def spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            result = real(*args, **kwargs)
+            trace = result if method == "ssmt" else result[0]
+            # the trace, and the arrays its rows are views of: the next block
+            # starts from copies of the last rows, which hold neither
+            refs[:] = [weakref.ref(trace)] + [
+                weakref.ref(rows.base if rows.base is not None else rows)
+                for rows in (trace.means, trace.variances)
+            ]
+            return result
+
+        monkeypatch.setattr(cli, name, spy)
+        with pytest.warns(UserWarning, match="em_fit did not converge"):
+            assert estimate(tmp_path / method, sim_dir, method, *extra) == EXIT_OK
+        assert len(alive) >= 5
+        assert alive == [[]] + [[False] * 3] * (len(alive) - 1)
+
     def test_assmt_peak_within_twice_the_coefficients(self, tmp_path, rng):
         # 300 windows of 192 samples: 2.8 MB of (K, J, M) coefficients
         signal = io.write_signal(tmp_path / "signal", rng.standard_normal(300 * 192))
@@ -1662,25 +1692,42 @@ class TestTapers:
 
 
 class TestWarningLines:
-    @pytest.mark.parametrize("argv, line", [
+    WARNINGS = [
         (["estimate", "--input", "signal.csv", "--sample-rate", str(FS), "--method", "ssmt",
           "--em-max-iter", "3"],
          "warning: em_fit did not converge within 3 iterations"),
         (["tapers", "--window-length", "64", "--tapers", "4", "--nw", "1.5"],
          "warning: requested 4 tapers but only 2 are well concentrated for NW=1.5; "
          "trailing tapers will leak out of band"),
-    ], ids=["capped-em", "leaky-tapers"])
-    def test_warning_is_one_line_on_stderr(self, sim_dir, tmp_path, argv, line):
-        # no source path or line number, which would differ between installs
+    ]
+
+    @staticmethod
+    def run(argv, cwd):
         src = str(Path(statespec.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-m", "statespec.cli", *argv, "--out-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, cwd=sim_dir, env=env, timeout=120,
-        )
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              cwd=cwd, env=env, timeout=120)
+
+    @pytest.mark.parametrize("argv, line", WARNINGS, ids=["capped-em", "leaky-tapers"])
+    def test_warning_is_one_line_on_stderr(self, sim_dir, tmp_path, argv, line):
+        # no source path or line number, which would differ between installs
+        result = self.run(["-m", "statespec.cli", *argv, "--out-dir", str(tmp_path / "out")],
+                          sim_dir)
         assert result.returncode == EXIT_OK
         assert result.stderr == line + "\n"
+
+    def test_every_call_in_a_process_reports_its_warning(self, sim_dir, tmp_path):
+        # the same warning from the same line, which Python's default filter
+        # shows once per registry, is reported by each call, as by each process
+        calls = [[*argv, "--out-dir", str(tmp_path / f"out{i}{n}")]
+                 for i, (argv, _) in enumerate(self.WARNINGS) for n in range(2)]
+        code = ("import json, sys\n"
+                "from statespec.cli import main\n"
+                "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))")
+        result = self.run(["-c", code, json.dumps(calls)], sim_dir)
+        assert result.returncode == EXIT_OK
+        assert result.stderr.splitlines() == [line for _, line in self.WARNINGS for _ in range(2)]
 
     def test_main_restores_the_warning_format(self, tmp_path):
         before = warnings.formatwarning

@@ -23,7 +23,7 @@ def readme():
     """The namespace the README's Python blocks leave, run in order, and the
     first block's output."""
     blocks = python_blocks()
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     namespace = {}
     with contextlib.redirect_stdout(StringIO()) as out:
         # the quick start caps EM at 100 iterations, short of its tolerance

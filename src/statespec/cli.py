@@ -250,10 +250,10 @@ def _settings(cls, args: argparse.Namespace, out_field: str):
         values = {field.name: getattr(args, field.name) for field in fields(cls)}
     # a replayed config can hold values of any JSON type and any keys, so a
     # TypeError (or an integer too large for a float) is a bad setting just
-    # like a ValueError
+    # like a ValueError; every bad setting of a replay names its manifest
     try:
         return cls(**values)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
         prefix = f"{args.from_manifest}: " if args.from_manifest else ""
         raise ConfigError(f"{prefix}{exc}") from exc
 
@@ -362,27 +362,26 @@ class _Record:
         return EigenCoefficients(owned(coeffs), eig.frequencies_hz, times)
 
     def blocks(self, fit: EigenCoefficients | None = None):
-        """``(first, stop, last, coefficients)`` of each block of windows
-        ``first``..``stop - 1`` in turn, ``last`` true of the last.  ``fit``
-        holds the record's first windows, already transformed; blocks end
-        where it does: each slices its rows, released with its last block,
-        or transforms its own samples.  Each is yielded off a one-item list,
-        so only the consumer holds it."""
+        """``(first, stop, coefficients)`` of each block of windows
+        ``first``..``stop - 1`` in turn, read no further than the block
+        needs.  ``fit`` holds the record's first windows, already
+        transformed; blocks end where it does: each slices its rows,
+        released with its last block, or transforms its own samples.  Each
+        is yielded off a one-item list, so only the consumer holds it."""
         config = self._config
         n_fit = 0 if fit is None else fit.shape[0]
         step = max(1, _BLOCK_CELLS // ((config.window_samples // 2 + 1) * config.tapers))
-        first, last = 0, False
-        while not last:
-            stop = self.count(min(first + step, n_fit) if first < n_fit else first + step)
-            # one window more tells whether this block is the last
-            last = self.count(stop + 1) == stop
+        first = 0
+        # the count that adds no window has read the record to its end
+        while (stop := self.count(min(first + step, n_fit) if first < n_fit
+                                  else first + step)) > first:
             if first < n_fit:
                 eig = [EigenCoefficients(owned(fit.coeffs[first:stop]), fit.frequencies_hz,
                                          fit.window_times_s[first:stop])]
                 fit = fit if stop < n_fit else None
             else:
                 eig = [self.coefficients(stop)]
-            yield first, stop, last, eig.pop()
+            yield first, stop, eig.pop()
             first = stop
 
 
@@ -391,8 +390,8 @@ def _estimate(config: RunConfig, staging: Path) -> None:
 
     EM fits the baseline windows, or all of them without a baseline.  Then
     each of `_Record.blocks` is filtered from ``start``, the previous
-    block's last posterior and tracker, and written.  The last block
-    restates the window count in the headers of the files written in blocks.
+    block's last posterior and tracker, and appended to the files written
+    in blocks, whose headers count their own rows.
     """
     j = config.window_samples
     manifest = {"command": "estimate", "version": __version__, "config": asdict(config)}
@@ -422,10 +421,9 @@ def _estimate(config: RunConfig, staging: Path) -> None:
                 params, start["tracker"] = AdaptiveParams.from_model_params(params), None
         windows = record.blocks(fit_obs)
         del fit_obs  # the record's blocks release the fit's rows
-        for first, stop, last, eig in windows:
-            # the window count goes in the headers once it is known
+        for first, stop, eig in windows:
             write = functools.partial(io.write_matrix, fmt=config.output_format,
-                                      rows=stop if last else None, append=first > 0)
+                                      append=first > 0)
             if config.method == "mt":
                 spect = mt_spectrogram(eig, one_sided=config.one_sided)
                 del eig

@@ -50,23 +50,19 @@ _CHUNK_CELLS = 1 << 9
 
 
 def write_matrix_csv(path, values: np.ndarray, scale: str | None = None,
-                     rows: int | None = None, append: bool = False,
-                     baseline: np.ndarray | None = None) -> None:
+                     append: bool = False, baseline: np.ndarray | None = None) -> None:
     """Write ``values`` under a header with their shape and ``scale``.
 
-    ``values`` may be the first block of a matrix of ``rows`` rows, which
-    the header then announces; ``append`` adds a later block's rows to the
-    file, with no header.  ``rows`` on an appending call restates the
-    header's row count, for a matrix whose length became known only after
-    its first block was written: the rows so far are copied behind the new
-    header.
+    With ``append``, ``values`` are a later block of rows of the matrix
+    already in the file: its rows follow, with no header, and the
+    header's row count grows by theirs.
 
     ``baseline``, a row whose cells recur bit for bit down their columns,
     changes no byte: it is formatted once, and a cell with its bits takes
     its text.  That pays when about 40 % of the cells or more have them.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    cols = values.shape[1]
+    rows, cols = values.shape
     # one %-format per row: the same float-to-text conversion as f"{v:.9g}",
     # streamed a few rows at a time so neither the floats nor the text of
     # the whole matrix are ever held at once
@@ -74,7 +70,7 @@ def write_matrix_csv(path, values: np.ndarray, scale: str | None = None,
     row_format = ",".join([cell] * cols) + "\n"
     with open(path, "a" if append else "w") as fh:
         if not append:
-            header = f"# rows={values.shape[0] if rows is None else rows} cols={cols}"
+            header = f"# rows={rows} cols={cols}"
             if scale is not None:
                 header += f" scale={scale}"
             fh.write(header + "\n")
@@ -82,8 +78,8 @@ def write_matrix_csv(path, values: np.ndarray, scale: str | None = None,
             fh.writelines(row_format % tuple(row.tolist()) for row in values)
         else:
             _write_rows_off_baseline(fh, values, baseline, cell, row_format)
-    if append and rows is not None:
-        _restate_csv_rows(Path(path), rows)
+    if append:
+        _add_csv_rows(Path(path), rows)
 
 
 def _write_rows_off_baseline(fh, values, baseline, cell: str, row_format: str) -> None:
@@ -107,18 +103,24 @@ def _write_rows_off_baseline(fh, values, baseline, cell: str, row_format: str) -
                  + "\n")
 
 
-def _restate_csv_rows(path: Path, rows: int) -> None:
-    """Set the row count in the header of the CSV matrix at ``path``."""
-    with open(path, "rb") as old:
-        header = old.readline()
-        restated = b" ".join(b"rows=%d" % rows if token.startswith(b"rows=") else token
-                             for token in header.split(b" "))
-        if restated == header:
+def _add_csv_rows(path: Path, added: int) -> None:
+    """Add ``added`` to the row count in the header of the CSV matrix at
+    ``path``: in place while the count keeps its number of digits, and
+    otherwise by copying the rows behind the new header."""
+    with open(path, "r+b") as fh:
+        header = fh.readline()
+        # the header write_matrix_csv writes: "# rows=R cols=C..."
+        start = header.index(b" rows=") + len(b" rows=")
+        end = header.index(b" ", start)
+        count = b"%d" % (int(header[start:end]) + added)
+        if len(count) == end - start:
+            fh.seek(start)
+            fh.write(count)
             return
         part = path.with_name(path.name + ".part")
         with open(part, "wb") as new:
-            new.write(restated)
-            shutil.copyfileobj(old, new)
+            new.write(header[:start] + count + header[end:])
+            shutil.copyfileobj(fh, new)
     os.replace(part, path)
 
 
@@ -315,20 +317,21 @@ def check_float32(values, name: str = "values") -> None:
         raise ValueError(f"{name}: values up to {beyond.max():.3g} exceed the float32 range")
 
 
-def write_matrix_bin(path, values: np.ndarray, rows: int | None = None,
-                     append: bool = False) -> None:
-    """Write ``values`` as float32; ``rows`` and ``append`` as in `write_matrix_csv`."""
+def write_matrix_bin(path, values: np.ndarray, append: bool = False) -> None:
+    """Write ``values`` as float32; ``append`` as in `write_matrix_csv`."""
     check_float32(values, Path(path).name)
     values = np.atleast_2d(np.ascontiguousarray(values, dtype="<f4"))
-    with open(path, "ab" if append else "wb") as fh:
-        if not append:
-            shape = [values.shape[0] if rows is None else rows, values.shape[1]]
-            fh.write(MATRIX_MAGIC + np.array(shape, dtype="<u4").tobytes())
-        fh.write(values.tobytes())
-    if append and rows is not None:
-        with open(path, "r+b") as fh:
+    with open(path, "r+b" if append else "wb") as fh:
+        if append:
+            # Python ints: a count past the uint32 range raises, never wraps
             fh.seek(len(MATRIX_MAGIC))
-            fh.write(np.array([rows], dtype="<u4").tobytes())
+            rows = int.from_bytes(fh.read(4), "little") + values.shape[0]
+            fh.seek(len(MATRIX_MAGIC))
+            fh.write(rows.to_bytes(4, "little"))
+            fh.seek(0, os.SEEK_END)
+        else:
+            fh.write(MATRIX_MAGIC + np.array(values.shape, dtype="<u4").tobytes())
+        fh.write(values.tobytes())
 
 
 def read_matrix_bin(path) -> np.ndarray:
@@ -348,23 +351,20 @@ MATRIX_SUFFIXES = {"csv": ".csv", "bin": ".f32"}
 
 
 def write_matrix(path, values, fmt: str = "csv", scale: str | None = None,
-                 rows: int | None = None, append: bool = False,
-                 baseline: np.ndarray | None = None) -> Path:
+                 append: bool = False, baseline: np.ndarray | None = None) -> Path:
     """Write under the format's natural extension; returns the path used.
 
-    A matrix can be written in blocks of rows: the first with ``rows``, the
-    matrix's row count, and each later one with ``append``.  When the count
-    is not known at the first block, the block that makes it known passes
-    it with ``append``, which restates the header.  Binary ignores ``baseline``.
+    A matrix can be written in blocks of rows: the first as a whole matrix,
+    and each later one with ``append``, which adds its rows to the header's
+    count.  Binary ignores ``baseline``.
     """
     if fmt not in MATRIX_SUFFIXES:
         raise ValueError(f"unknown matrix format {fmt!r}")
     path = Path(path).with_suffix(MATRIX_SUFFIXES[fmt])
     if fmt == "csv":
-        write_matrix_csv(path, values, scale=scale, rows=rows, append=append,
-                         baseline=baseline)
+        write_matrix_csv(path, values, scale=scale, append=append, baseline=baseline)
     else:
-        write_matrix_bin(path, values, rows=rows, append=append)
+        write_matrix_bin(path, values, append=append)
     return path
 
 

@@ -567,6 +567,39 @@ class TestMemory:
         # beside the samples, one block read: its bytes, or its text as lines
         assert peak <= samples.nbytes + 768 * 1024
 
+    @pytest.mark.parametrize("overlap", [0.0, 0.5])
+    def test_blocks_read_no_further_than_they_need(self, tmp_path, monkeypatch, overlap):
+        # 8 samples a read, two windows a block, and 100 samples after the last window
+        monkeypatch.setattr(io, "_READ_BLOCK_CHARS", 64)
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 2 * 97 * 3)
+        samples = np.random.default_rng(4).standard_normal(15 * 192 + 100)
+        signal = io.write_signal(tmp_path / "signal", samples, fmt="bin")
+        config = cli.RunConfig(method="mt", input_path=str(signal), sample_rate_hz=FS,
+                               output_dir=str(tmp_path / "out"), overlap_fraction=overlap)
+        j, hop = config.window_samples, config.hop
+        reads = []
+
+        def counted(blocks):
+            for block in blocks:
+                reads.append(block.size)
+                yield block
+
+        blocks = io.read_signal(signal, blocks=True)
+        with closing(blocks):
+            record = cli._Record(counted(blocks), config)
+            stops = []
+            for first, stop, eig in record.blocks():
+                assert eig.shape[0] == stop - first
+                if stop - first == 2:
+                    # the last read is the one that completes window stop - 1
+                    assert sum(reads) - reads[-1] < (stop - 1) * hop + j <= sum(reads)
+                else:
+                    # a short block is the record's last: its end was read
+                    assert sum(reads) == samples.size
+                stops.append(stop)
+        assert stops[-1] == (samples.size - j) // hop + 1
+        assert sum(reads) == samples.size
+
     @pytest.mark.parametrize("fmt", ["bin", "csv"])
     def test_full_record_fit_holds_no_samples(self, tmp_path, monkeypatch, fmt):
         # a full-record fit reads every sample before EM, and then holds the
@@ -1041,6 +1074,16 @@ class TestCompare:
         assert main(["compare", "--estimate", str(out), "--truth", str(sim_dir)]) == EXIT_DATA
         assert "spectrogram.f32" in capsys.readouterr().err
 
+    def test_binary_estimate_without_manifest_is_data_error(self, sim_dir, tmp_path, capsys):
+        est = tmp_path / "est"
+        assert estimate(est, sim_dir, "mt", "--format", "bin") == EXIT_OK
+        (est / "manifest.json").unlink()
+        capsys.readouterr()
+        code = main(["compare", "--estimate", str(est), "--truth", str(sim_dir)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {est}: binary spectrogram without a manifest to supply its scale\n")
+
     def test_without_manifest_csv_is_taken_first(self, sim_dir, tmp_path):
         est = tmp_path / "est"
         assert estimate(est, sim_dir, "mt") == EXIT_OK
@@ -1255,6 +1298,49 @@ class TestSettings:
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--from-manifest", str(manifest)]) == EXIT_CONFIG
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+class TestReplayErrorsNameTheManifest:
+    """A setting a replayed manifest holds that its config turns away exits
+    2 with one error line that names the manifest, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [("estimate", "method", "foo", "unknown method 'foo'"),
+         ("estimate", "scale", "bels", "scale must be 'linear' or 'dB'"),
+         ("estimate", "output_format", "hdf5", "output format must be 'csv' or 'bin'"),
+         ("simulate", "format", "hdf5", "format must be 'csv' or 'bin'")],
+    )
+    def test_config_error(self, sim_dir, tmp_path, monkeypatch, capsys, command, key, value,
+                          message):
+        monkeypatch.setattr(io, "read_signal", not_reached)
+        monkeypatch.setattr(cli, "gen_benchmark", not_reached)
+        monkeypatch.chdir(tmp_path)
+        if command == "estimate":
+            config = asdict(cli.RunConfig(method="mt", input_path=str(sim_dir / "signal.csv"),
+                                          output_dir=str(tmp_path / "replay"),
+                                          sample_rate_hz=FS))
+            stored = {"command": "estimate", "version": statespec.__version__,
+                      "config": config}
+        else:
+            stored = io.read_manifest(sim_dir / "manifest.json")
+            stored["config"]["out_dir"] = str(tmp_path / "replay")
+        stored["config"][key] = value
+        manifest = tmp_path / "manifest.json"
+        io.write_manifest(manifest, stored)
+        capsys.readouterr()
+        assert main([command, "--from-manifest", str(manifest)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_manifest_of_another_command(self, tiny_manifests, tmp_path, capsys):
+        manifest = tiny_manifests["estimate"][0]
+        out = tmp_path / "replay"
+        capsys.readouterr()
+        code = main(["simulate", "--from-manifest", str(manifest), "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {manifest} is not a simulate manifest\n"
+        assert not out.exists()
 
 
 class TestOneParser:

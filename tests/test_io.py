@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import matrix_csv_text, parse_signal_csv, read_matrix_csv_rows, signal_csv_text
@@ -110,22 +110,33 @@ class TestDispatch:
         whole = io.write_matrix(tmp_path / "whole", values, fmt=fmt, scale="dB")
         for first, stop in zip((0, *cuts), (*cuts, 6)):
             blocks = io.write_matrix(tmp_path / "blocks", values[first:stop], fmt=fmt,
-                                     scale="dB", rows=6, append=first > 0)
-        assert blocks.read_bytes() == whole.read_bytes()
-
-    @pytest.mark.parametrize("fmt", ["csv", "bin"])
-    @pytest.mark.parametrize("cuts", [(1,), (3, 4), (1, 2, 3, 4, 5)])
-    def test_row_count_restated_by_the_last_block(self, tmp_path, rng, fmt, cuts):
-        # a matrix whose length is known only once its last block is made
-        values = rng.standard_normal((6, 4))
-        whole = io.write_matrix(tmp_path / "whole", values, fmt=fmt, scale="dB")
-        for first, stop in zip((0, *cuts), (*cuts, 6)):
-            blocks = io.write_matrix(tmp_path / "blocks", values[first:stop], fmt=fmt,
-                                     scale="dB", rows=6 if stop == 6 else None,
-                                     append=first > 0)
+                                     scale="dB", append=first > 0)
         assert blocks.read_bytes() == whole.read_bytes()
         # no staged copy is left behind
         assert {path.name for path in tmp_path.iterdir()} == {whole.name, blocks.name}
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @settings(max_examples=30, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+           cols=st.integers(1, 3))
+    # counts whose digits grow by one block and by a block of one row
+    @example(sizes=[9, 1, 89, 1], cols=2)
+    @example(sizes=[3, 10, 100], cols=1)
+    def test_every_append_leaves_the_rows_so_far(self, fmt, sizes, cols):
+        values = np.random.default_rng(len(sizes)).standard_normal((sum(sizes), cols))
+        with tempfile.TemporaryDirectory() as tmp:
+            first = 0
+            for size in sizes:
+                stop = first + size
+                blocks = io.write_matrix(Path(tmp) / "blocks", values[first:stop], fmt=fmt,
+                                         scale="dB", append=first > 0)
+                whole = io.write_matrix(Path(tmp) / "whole", values[:stop], fmt=fmt,
+                                        scale="dB")
+                assert blocks.read_bytes() == whole.read_bytes()
+                assert io.read_matrix(blocks)[0].shape == (stop, cols)
+                assert sorted(path.name for path in Path(tmp).iterdir()) == sorted(
+                    [blocks.name, whole.name])
+                first = stop
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown matrix format"):
@@ -133,6 +144,11 @@ class TestDispatch:
 
 
 class TestSignal:
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown signal format 'hdf5'"):
+            io.write_signal(tmp_path / "s", np.ones(3), fmt="hdf5")
+        assert list(tmp_path.iterdir()) == []
+
     def test_csv_round_trip_full_precision(self, tmp_path, rng):
         samples = rng.standard_normal(100)
         path = io.write_signal(tmp_path / "s", samples, fmt="csv")
@@ -230,12 +246,11 @@ class TestGoldenBytes:
 
 
 def write_with_baseline(path, values, baseline, cuts=(), **kwargs):
-    """Write ``values`` with ``baseline``, in blocks of rows cut at ``cuts``;
-    the last block restates the row count.  Returns the file's bytes."""
+    """Write ``values`` with ``baseline``, in blocks of rows cut at ``cuts``.
+    Returns the file's bytes."""
     bounds = (0, *cuts, len(values))
     for first, stop in zip(bounds, bounds[1:]):
         io.write_matrix_csv(path, values[first:stop], baseline=baseline, append=first > 0,
-                            rows=len(values) if first and stop == len(values) else None,
                             **kwargs)
     return path.read_bytes()
 

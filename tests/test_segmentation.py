@@ -6,6 +6,7 @@ from oracles import full_grid_coefficients, one_shot_eigen_coefficients
 from statespec import (
     EigenCoefficients,
     GroundTruth,
+    SegmentedSeries,
     TaperBank,
     TimeSeries,
     benchmark_config,
@@ -111,6 +112,17 @@ class TestSegment:
         with pytest.raises(ValueError, match="window_length_j"):
             segment(series, 0)
 
+
+    @pytest.mark.parametrize(
+        "windows, j, rate, match",
+        [(np.zeros((0, 4)), 4, 1.0, "at least one window"),
+         (np.zeros((2, 4)), 5, 1.0, "window_length_j samples"),
+         (np.zeros((2, 4)), 4, 0.0, "sample_rate_hz")],
+        ids=["no-window", "row-length", "rate"],
+    )
+    def test_segmented_series_rejects_bad_fields(self, windows, j, rate, match):
+        with pytest.raises(ValueError, match=match):
+            SegmentedSeries(windows=windows, window_length_j=j, hop=j, sample_rate_hz=rate)
 
 class TestWindowGridRule:
     """`segment`, the simulated truth and the CLI's settings share one window
@@ -299,6 +311,17 @@ class TestEigenCoefficients:
         with pytest.raises(ValueError, match="bins stored"):
             EigenCoefficients(coeffs=coeffs, frequencies_hz=np.arange(float(j)),
                               window_times_s=np.arange(2.0))
+
+    @pytest.mark.parametrize("shape", [(0, 3, 1), (2, 0, 1), (2, 3, 0)])
+    def test_rejects_an_empty_axis(self, shape):
+        with pytest.raises(ValueError, match="nonempty along every axis"):
+            EigenCoefficients(coeffs=np.zeros(shape, dtype=complex),
+                              frequencies_hz=np.arange(3.0), window_times_s=np.arange(2.0))
+
+    def test_rejects_a_time_count_other_than_the_windows(self):
+        with pytest.raises(ValueError, match="one entry per window"):
+            EigenCoefficients(coeffs=np.zeros((2, 3, 1), dtype=complex),
+                              frequencies_hz=np.arange(3.0), window_times_s=np.arange(3.0))
 
     def test_validation_rejects_mismatched_axes(self, rng):
         coeffs = rng.standard_normal((2, 3, 1)) + 0j

@@ -161,6 +161,14 @@ class TestPoleZeroSchedule:
                 zero_freqs_hz=np.ones((2, 1)),
                 zero_radii=np.full((2, 1), 0.5),
             )
+        with pytest.raises(ValueError, match="zero radii"):
+            PoleZeroSchedule(
+                times_s=np.array([0.0]),
+                pole_freqs_hz=np.ones((1, 1)),
+                pole_radii=np.full((1, 1), 0.5),
+                zero_freqs_hz=np.ones((1, 1)),
+                zero_radii=np.ones((1, 1)),
+            )
         with pytest.raises(ValueError, match="at least one breakpoint"):
             PoleZeroSchedule(
                 times_s=np.array([]),
@@ -325,6 +333,13 @@ class TestArKernel:
 
 
 class TestGenArmaTv:
+    @pytest.mark.parametrize("duration", [0.0, 0.01])
+    def test_rejects_a_record_of_no_samples(self, duration):
+        sched = PoleZeroSchedule(times_s=np.array([0.0]), pole_freqs_hz=np.ones((1, 1)),
+                                 pole_radii=np.full((1, 1), 0.5))
+        with pytest.raises(ValueError, match="at least one sample"):
+            gen_arma_tv(sched, duration, 40.0, np.random.default_rng(0))
+
     @pytest.mark.parametrize("block", [3, 50, 4096])
     def test_matches_whole_record_rows(self, block):
         # the schedule evaluated over the whole record, burn-in rows repeated

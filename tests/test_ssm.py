@@ -722,6 +722,11 @@ class TestSpectrograms:
         )
         assert spect.to_db().power[0, 0] == pytest.approx(10.0 * np.log10(DB_FLOOR))
 
+    def test_db_of_db_is_itself(self):
+        spect = Spectrogram(power=np.array([[-3.0]]), frequencies_hz=np.array([1.0]),
+                            window_times_s=np.array([0.0]), scale="dB")
+        assert spect.to_db() is spect
+
     def test_db_past_float_range_is_rejected_without_warning(self):
         # 10 ** 400 overflows: the finiteness check rejects it, and numpy stays quiet
         spect = Spectrogram(
@@ -780,3 +785,14 @@ class TestParamValidation:
             FilterState(mean=0.0, variance=1.0, gain=1.5)
         with pytest.raises(ValueError, match="variance"):
             FilterState(mean=0.0, variance=-1.0, gain=0.5)
+        for mean in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+            with pytest.raises(ValueError, match="mean must be finite"):
+                FilterState(mean=mean, variance=1.0, gain=0.5)
+
+    @pytest.mark.parametrize("field", ["variances", "gains"])
+    def test_filter_trace_shapes(self, field):
+        values = {"means": np.zeros((2, 4, 1), dtype=complex),
+                  "variances": np.full((2, 4, 1), 0.5), "gains": np.full((2, 4, 1), 0.5)}
+        values[field] = values[field][:, :3]
+        with pytest.raises(ValueError, match="share a shape"):
+            FilterTrace(**values, frequencies_hz=np.arange(6.0), window_times_s=np.arange(2.0))

@@ -147,6 +147,24 @@ class TestValidation:
             )
 
 
+    @pytest.mark.parametrize(
+        "tapers, concentrations, nw, match",
+        [
+            (np.zeros((0, 4)), np.zeros(0), 1.0, "at least one taper"),
+            (np.eye(2), np.array([0.9, 0.8]), 1.0, "orthonormal tapers of length 2"),
+            (np.eye(2, 4), np.array([0.9]), 1.0, "one entry per taper"),
+            (np.array([[np.nan, 0.0, 0.0]]), np.array([0.9]), 1.0, "finite"),
+            (np.eye(2, 4), np.array([1.0, 0.8]), 1.0, "strictly inside"),
+            (np.eye(2, 4), np.array([0.9, 0.0]), 1.0, "strictly inside"),
+            (np.eye(2, 4), np.array([0.9, 0.8]), 0.0, "time_half_bandwidth"),
+        ],
+        ids=["no-taper", "as-many-as-samples", "concentration-count", "non-finite",
+             "concentration-one", "concentration-zero", "nw-zero"],
+    )
+    def test_bank_rejects_bad_fields(self, tapers, concentrations, nw, match):
+        with pytest.raises(ValueError, match=match):
+            TaperBank(tapers=tapers, concentrations=concentrations, time_half_bandwidth=nw)
+
 class TestLongWindowConcentrations:
     def test_matches_direct_autocorrelation(self):
         j, nw = 20000, 2.0

@@ -116,6 +116,23 @@ class TestDispatch:
         assert {path.name for path in tmp_path.iterdir()} == {whole.name, blocks.name}
 
     @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("cuts", [(1,), (3, 4), (1, 2, 3, 4, 5)])
+    def test_row_count_restated_by_the_last_block(self, tmp_path, rng, fmt, cuts):
+        # a matrix whose length is known only once its last block is made:
+        # each block restates the count, so the file reads as the rows so far
+        values = rng.standard_normal((6, 4))
+        for first, stop in zip((0, *cuts), (*cuts, 6)):
+            blocks = io.write_matrix(tmp_path / "blocks", values[first:stop], fmt=fmt,
+                                     scale="dB", append=first > 0)
+            whole = io.write_matrix(tmp_path / "whole", values[:stop], fmt=fmt, scale="dB")
+            read, meta = io.read_matrix(blocks)
+            assert read.shape == (stop, 4)
+            np.testing.assert_array_equal(read, io.read_matrix(whole)[0])
+            assert meta == io.read_matrix(whole)[1]
+            # no staged copy is left behind
+            assert {path.name for path in tmp_path.iterdir()} == {whole.name, blocks.name}
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
     @settings(max_examples=30, deadline=None)
     @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8),
            cols=st.integers(1, 3))

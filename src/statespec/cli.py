@@ -113,6 +113,7 @@ class RunConfig:
     em_max_iter: int = 100
     input_format: str | None = None
     output_format: str = "csv"
+    traces: bool = False
 
     def __post_init__(self):
         _check_types(self)
@@ -134,6 +135,8 @@ class RunConfig:
             raise ConfigError("baseline seconds must be non-negative and finite")
         if self.method == "assmt" and not self.baseline_seconds > 0:
             raise ConfigError("assmt requires --baseline-seconds > 0")
+        if self.traces and self.method != "assmt":
+            raise ConfigError(f"traces are written by assmt only, not {self.method}")
         if self.scale not in ("linear", "dB"):
             raise ConfigError("scale must be 'linear' or 'dB'")
         try:
@@ -391,7 +394,9 @@ def _estimate(config: RunConfig, staging: Path) -> None:
     EM fits the baseline windows, or all of them without a baseline.  Then
     each of `_Record.blocks` is filtered from ``start``, the previous
     block's last posterior and tracker, and appended to the files written
-    in blocks, whose headers count their own rows.
+    in blocks, whose headers count their own rows.  assmt's manifest sums
+    up the state variances the tracker raised; its traces are written
+    only with ``config.traces``.
     """
     j = config.window_samples
     manifest = {"command": "estimate", "version": __version__, "config": asdict(config)}
@@ -414,11 +419,10 @@ def _estimate(config: RunConfig, staging: Path) -> None:
             start = {"init_mean": fit_obs.coeffs[0].copy(),
                      "init_var": np.tile(params.obs_var, (params.state_var.shape[0], 1))}
             if config.method == "assmt":
-                # the state variances on the traces' columns, where the tracker keeps them
-                baseline = params.state_var
-                if not config.one_sided:
-                    baseline = _unfold(baseline, j, axis=0)
                 params, start["tracker"] = AdaptiveParams.from_model_params(params), None
+                # per taper, the cells the tracker raised above the baseline,
+                # and per stored cell, its largest state variance
+                raised, peak = 0, params.baseline_state_var
         windows = record.blocks(fit_obs)
         del fit_obs  # the record's blocks release the fit's rows
         for first, stop, eig in windows:
@@ -435,13 +439,15 @@ def _estimate(config: RunConfig, staging: Path) -> None:
                     trace, sv_trace, start["tracker"] = assmt_filter(
                         eig, params, alpha=config.alpha, **start)
                     del eig
-                    # one column per row of frequencies.csv; the gains follow from these
-                    if not config.one_sided:
-                        sv_trace = _unfold(sv_trace, j)
-                    for m in range(config.tapers):
-                        # most windows keep the baseline, whose text is formatted once
-                        write(staging / f"state_var_trace_taper{m}", sv_trace[:, :, m],
-                              baseline=baseline[:, m])
+                    raised += np.count_nonzero(sv_trace > params.baseline_state_var,
+                                               axis=(0, 1))
+                    peak = np.maximum(peak, sv_trace.max(axis=0))
+                    if config.traces:
+                        # one column per row of frequencies.csv; the gains follow from these
+                        if not config.one_sided:
+                            sv_trace = _unfold(sv_trace, j)
+                        for m in range(config.tapers):
+                            write(staging / f"state_var_trace_taper{m}", sv_trace[:, :, m])
                     del sv_trace
                 # copies of the last posterior, so no block's trace outlives it
                 start.update(init_mean=trace.means[-1].copy(),
@@ -457,6 +463,13 @@ def _estimate(config: RunConfig, staging: Path) -> None:
     io.write_vector_csv(staging / "frequencies.csv", frequencies)
     io.write_vector_csv(staging / "times.csv",
                         _window_times(0, stop, j, config.hop, config.sample_rate_hz))
+    if config.method == "assmt":
+        base = params.baseline_state_var
+        # a cell whose baseline is zero has no ratio; one past the float range is inf
+        with np.errstate(over="ignore"):
+            ratio = np.divide(peak, base, out=np.ones_like(peak), where=base > 0)
+        manifest["diagnostics"] = {"raised_frac": (raised / (stop * len(base))).tolist(),
+                                   "max_ratio": ratio.max(axis=0).tolist()}
     io.write_manifest(staging / "manifest.json", manifest)
 
 
@@ -666,6 +679,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--em-tol", type=float)
     est.add_argument("--em-max-iter", type=int)
     est.add_argument("--format", dest="output_format", choices=("csv", "bin"))
+    est.add_argument("--traces", action="store_true",
+                     help="assmt: also write the state variances the filter used")
     est.add_argument("--from-manifest", help="replay a previous estimate run")
     est.set_defaults(func=_cmd_estimate, **{
         field.name: field.default for field in fields(RunConfig) if field.default is not MISSING

@@ -45,62 +45,30 @@ __all__ = [
 
 MATRIX_MAGIC = b"SSPECF32"
 
-# Cells of a matrix CSV formatted at a time against a baseline
-_CHUNK_CELLS = 1 << 9
-
 
 def write_matrix_csv(path, values: np.ndarray, scale: str | None = None,
-                     append: bool = False, baseline: np.ndarray | None = None) -> None:
+                     append: bool = False) -> None:
     """Write ``values`` under a header with their shape and ``scale``.
 
     With ``append``, ``values`` are a later block of rows of the matrix
     already in the file: its rows follow, with no header, and the
     header's row count grows by theirs.
-
-    ``baseline``, a row whose cells recur bit for bit down their columns,
-    changes no byte: it is formatted once, and a cell with its bits takes
-    its text.  That pays when about 40 % of the cells or more have them.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     rows, cols = values.shape
     # one %-format per row: the same float-to-text conversion as f"{v:.9g}",
     # streamed a few rows at a time so neither the floats nor the text of
     # the whole matrix are ever held at once
-    cell = "%.9g"
-    row_format = ",".join([cell] * cols) + "\n"
+    row_format = ",".join(["%.9g"] * cols) + "\n"
     with open(path, "a" if append else "w") as fh:
         if not append:
             header = f"# rows={rows} cols={cols}"
             if scale is not None:
                 header += f" scale={scale}"
             fh.write(header + "\n")
-        if baseline is None:
-            fh.writelines(row_format % tuple(row.tolist()) for row in values)
-        else:
-            _write_rows_off_baseline(fh, values, baseline, cell, row_format)
+        fh.writelines(row_format % tuple(row.tolist()) for row in values)
     if append:
         _add_csv_rows(Path(path), rows)
-
-
-def _write_rows_off_baseline(fh, values, baseline, cell: str, row_format: str) -> None:
-    """`write_matrix_csv`'s rows, a chunk of cells at a time, each cell with
-    ``baseline``'s bits (so -0.0 is not 0.0) spelled as its text."""
-    cols = values.shape[1]
-    bits = np.ascontiguousarray(baseline, dtype=float).view(np.int64)
-    step = max(1, _CHUNK_CELLS // cols)
-    texts = (row_format % tuple(bits.view(float).tolist()))[:-1].split(",")
-    texts = np.array(texts * step, dtype=object).reshape(step, cols)
-    for first in range(0, values.shape[0], step):
-        chunk = values[first:first + step]
-        raised = chunk.view(np.int64) != bits
-        if raised.all():
-            fh.writelines(row_format % tuple(row.tolist()) for row in chunk)
-            continue
-        # float text holds no "%": a template with one field per raised cell
-        cells = texts[:len(chunk)].copy()
-        cells[raised] = cell
-        fh.write("\n".join(map(",".join, cells.tolist())) % tuple(chunk[raised].tolist())
-                 + "\n")
 
 
 def _add_csv_rows(path: Path, added: int) -> None:
@@ -351,18 +319,18 @@ MATRIX_SUFFIXES = {"csv": ".csv", "bin": ".f32"}
 
 
 def write_matrix(path, values, fmt: str = "csv", scale: str | None = None,
-                 append: bool = False, baseline: np.ndarray | None = None) -> Path:
+                 append: bool = False) -> Path:
     """Write under the format's natural extension; returns the path used.
 
     A matrix can be written in blocks of rows: the first as a whole matrix,
     and each later one with ``append``, which adds its rows to the header's
-    count.  Binary ignores ``baseline``.
+    count.
     """
     if fmt not in MATRIX_SUFFIXES:
         raise ValueError(f"unknown matrix format {fmt!r}")
     path = Path(path).with_suffix(MATRIX_SUFFIXES[fmt])
     if fmt == "csv":
-        write_matrix_csv(path, values, scale=scale, append=append, baseline=baseline)
+        write_matrix_csv(path, values, scale=scale, append=append)
     else:
         write_matrix_bin(path, values, append=append)
     return path

@@ -380,11 +380,14 @@ def full_grid_estimate(config):
     is this module's own: `one_shot_eigen_coefficients` unfolded by
     `full_grid_coefficients`.  EM fits bins 0..J//2, the real signal's
     distinct chains, and its state variances are mirrored onto all J bins
-    by index before the filter runs.  Returns ``(arrays, scale)``: the
-    spectrogram, the state variances and assmt's per-window state-variance
-    traces as (rows, cols) arrays, the frequencies, times and observation
-    variances as vectors, and the spectrogram's scale.  Each trace has one
-    column per frequency: bins 0..J//2 when one-sided.
+    by index before the filter runs.  Returns ``(arrays, scale,
+    diagnostics)``: the spectrogram, the state variances and, with
+    ``config.traces``, assmt's per-window state-variance traces as (rows,
+    cols) arrays, the frequencies, times and observation variances as
+    vectors, the spectrogram's scale, and assmt's manifest ``diagnostics``
+    (None for mt and ssmt).  Each trace has one column per frequency: bins
+    0..J//2 when one-sided.  The diagnostics count the cells of bins
+    0..J//2, those the filter runs on.
     """
     j = config.window_samples
     samples = io.read_signal(config.input_path, config.input_format)
@@ -395,7 +398,7 @@ def full_grid_estimate(config):
     grid = eigen_coefficients(seg, bank)
     eig = EigenCoefficients(coeffs=full_grid_coefficients(half, j),
                             frequencies_hz=grid.frequencies_hz, window_times_s=grid.window_times_s)
-    arrays = {}
+    arrays, diagnostics = {}, None
     if config.method == "mt":
         spect = mt_spectrogram(eig, one_sided=config.one_sided)
     else:
@@ -418,8 +421,11 @@ def full_grid_estimate(config):
                 eig, AdaptiveParams.from_model_params(params), alpha=config.alpha,
                 init_mean=eig.coeffs[0], init_var=init_var,
             )
-            for m in range(config.tapers):
-                arrays[f"state_var_trace_taper{m}"] = state_var_trace[:, :, m]
+            if config.traces:
+                for m in range(config.tapers):
+                    arrays[f"state_var_trace_taper{m}"] = state_var_trace[:, :, m]
+            diagnostics = assmt_diagnostics(state_var_trace[:, :j // 2 + 1],
+                                            params.state_var[:j // 2 + 1])
         spect = ssmt_spectrogram(trace, one_sided=config.one_sided)
     for name in arrays:
         if "_trace_" in name:
@@ -429,4 +435,15 @@ def full_grid_estimate(config):
     arrays["spectrogram"] = spect.power
     arrays["frequencies"] = spect.frequencies_hz
     arrays["times"] = spect.window_times_s
-    return arrays, spect.scale
+    return arrays, spect.scale, diagnostics
+
+
+def assmt_diagnostics(state_var_trace, baseline):
+    """The manifest's summary of a (K, B, M) trace of state variances over
+    its (B, M) baseline: per taper, the fraction of cells raised above the
+    baseline, and the largest ratio of a state variance to a positive
+    baseline, 1.0 when there is none."""
+    positive = baseline > 0
+    ratio = np.where(positive, state_var_trace / np.where(positive, baseline, 1.0), 1.0)
+    return {"raised_frac": (state_var_trace > baseline).mean(axis=(0, 1)).tolist(),
+            "max_ratio": ratio.max(axis=(0, 1)).tolist()}

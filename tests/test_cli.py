@@ -261,7 +261,8 @@ class TestEstimate:
     def test_assmt_outputs_state_var_trace(self, sim_dir, tmp_path):
         out = tmp_path / "assmt"
         with pytest.warns(UserWarning, match="em_fit did not converge"):
-            assert estimate(out, sim_dir, "assmt", "--baseline-seconds", "45") == EXIT_OK
+            assert estimate(out, sim_dir, "assmt", "--baseline-seconds", "45",
+                            "--traces") == EXIT_OK
         trace, _ = io.read_matrix_csv(out / "state_var_trace_taper0.csv")
         half = int(6 * FS) // 2 + 1
         assert trace.shape == (15, half)
@@ -272,13 +273,67 @@ class TestEstimate:
     def test_trace_columns_follow_frequencies(self, sim_dir, tmp_path, grid):
         out = tmp_path / "assmt"
         assert estimate(out, sim_dir, "assmt", "--baseline-seconds", "45", "--em-tol", "1e-4",
-                        *grid) == EXIT_OK
+                        "--traces", *grid) == EXIT_OK
         freqs = io.read_vector_csv(out / "frequencies.csv")
         traces = sorted(out.glob("*_trace_taper*.csv"))
         assert [path.name for path in traces] == [f"state_var_trace_taper{m}.csv"
                                                   for m in range(3)]
         for path in traces:
             assert io.read_matrix_csv(path)[1]["cols"] == str(freqs.size), path.name
+
+    @pytest.mark.parametrize("method, extra, names", [
+        ("mt", (), []),
+        ("ssmt", (), ["obs_var.csv", "state_var.csv"]),
+        ("assmt", ("--baseline-seconds", "45"), ["obs_var.csv", "state_var.csv"]),
+        ("assmt", ("--baseline-seconds", "45", "--traces"),
+         ["obs_var.csv", "state_var.csv"] + [f"state_var_trace_taper{m}.csv" for m in range(3)]),
+    ], ids=["mt", "ssmt", "assmt", "assmt-traces"])
+    def test_output_files(self, sim_dir, tmp_path, method, extra, names):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert estimate(out, sim_dir, method, "--em-max-iter", "3", *extra) == EXIT_OK
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ["frequencies.csv", "manifest.json", "spectrogram.csv", "times.csv", *names])
+        manifest = io.read_manifest(out / "manifest.json")
+        assert manifest["config"]["traces"] is ("--traces" in extra)
+        assert ("diagnostics" in manifest) is (method == "assmt")
+
+    @pytest.mark.parametrize("method", ["mt", "ssmt"])
+    def test_traces_of_mt_or_ssmt_is_config_error(self, sim_dir, tmp_path, monkeypatch, capsys,
+                                                  method):
+        monkeypatch.setattr(io, "read_signal", not_reached)
+        out = tmp_path / "x"
+        assert estimate(out, sim_dir, method, "--traces") == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: traces are written by assmt only, not {method}\n"
+        assert not out.exists()
+
+    def test_traces_replay(self, sim_dir, tmp_path):
+        # a replay writes every file of the run again, byte for byte; a
+        # manifest without the traces key, as assmt's were before the flag,
+        # replays without them
+        first = tmp_path / "first"
+        with pytest.warns(UserWarning, match="em_fit did not converge"):
+            assert estimate(first, sim_dir, "assmt", "--baseline-seconds", "45", "--traces",
+                            "--em-max-iter", "3") == EXIT_OK
+        stored = io.read_manifest(first / "manifest.json")
+        del stored["config"]["traces"]
+        io.write_manifest(tmp_path / "untraced.json", stored)
+        for name, manifest in [("second", first / "manifest.json"),
+                               ("untraced", tmp_path / "untraced.json")]:
+            with pytest.warns(UserWarning, match="em_fit did not converge"):
+                assert main(["estimate", "--from-manifest", str(manifest),
+                             "--out-dir", str(tmp_path / name)]) == EXIT_OK
+        files = {name: {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()
+                        if path.name != "manifest.json"}
+                 for name in ("first", "second", "untraced")}
+        assert files["second"] == files["first"]
+        traces = [f"state_var_trace_taper{m}.csv" for m in range(3)]
+        assert files["untraced"] == {name: data for name, data in files["first"].items()
+                                     if name not in traces}
+        replayed = io.read_manifest(tmp_path / "untraced" / "manifest.json")
+        assert replayed["config"]["traces"] is False
+        assert replayed["diagnostics"] == stored["diagnostics"]
 
     def test_estimate_manifest_replay(self, sim_dir, tmp_path):
         first = tmp_path / "first"
@@ -393,7 +448,8 @@ class TestEstimate:
         [("tapers", 2.5), ("tapers", True), ("em_max_iter", 1.5), ("em_max_iter", True),
          ("input_format", 5), ("input_format", "txt"), ("one_sided", "no"), ("one_sided", 1),
          ("demean", [1]), ("sample_rate_hz", True), ("window_seconds", True),
-         ("overlap_fraction", False), ("nw", True), ("alpha", True), ("em_tol", False)],
+         ("overlap_fraction", False), ("nw", True), ("alpha", True), ("em_tol", False),
+         ("traces", "yes")],
     )
     def test_replay_config_value_kinds_checked(self, sim_dir, tmp_path, monkeypatch, capsys,
                                                key, value):
@@ -635,7 +691,7 @@ class TestHalfGridFilter:
     @pytest.mark.parametrize("window", ["6", "5.03125"], ids=["even-J", "odd-J"])
     @pytest.mark.parametrize("fmt, scale", [("csv", "linear"), ("bin", "dB")])
     @pytest.mark.parametrize("grid", [(), ("--full-grid",)], ids=["one-sided", "full-grid"])
-    @pytest.mark.parametrize("method", ["ssmt", "assmt"])
+    @pytest.mark.parametrize("method", ["ssmt", "assmt", "assmt-traces"])
     def test_files_match_full_grid_filter(self, sim_dir, tmp_path, monkeypatch, window, fmt,
                                           scale, grid, method):
         self.check_files(sim_dir, tmp_path, monkeypatch, method, fmt,
@@ -652,6 +708,10 @@ class TestHalfGridFilter:
 
     @staticmethod
     def check_files(sim_dir, tmp_path, monkeypatch, method, fmt, *extra, baseline="45"):
+        """``method`` is a method, or "assmt-traces" for assmt with --traces."""
+        method, _, traces = method.partition("-")
+        if traces:
+            extra = ("--traces", *extra)
         written = {}
         real_matrix, real_vector = io.write_matrix, io.write_vector_csv
 
@@ -673,9 +733,16 @@ class TestHalfGridFilter:
             extra = ("--baseline-seconds", baseline, *extra)
         code = estimate(out, sim_dir, method, "--format", fmt, "--em-tol", "1e-4", *extra)
         assert code == EXIT_OK
-        config = cli.RunConfig(**io.read_manifest(out / "manifest.json")["config"])
-        arrays, spect_scale = full_grid_estimate(config)
+        manifest = io.read_manifest(out / "manifest.json")
+        config = cli.RunConfig(**manifest["config"])
+        arrays, spect_scale, diagnostics = full_grid_estimate(config)
         monkeypatch.undo()
+
+        # the summary of the traces, whether or not they are written
+        assert manifest.get("diagnostics") == diagnostics
+        if diagnostics is not None:
+            assert all(0.0 <= frac <= 1.0 for frac in diagnostics["raised_frac"])
+            assert all(ratio >= 1.0 for ratio in diagnostics["max_ratio"])
 
         assert sorted(written) == sorted(arrays)
         expected = tmp_path / "library"
@@ -705,8 +772,8 @@ class TestWindowBlocks:
     @pytest.mark.parametrize("windows", [1, 3, 4, 64])
     @pytest.mark.parametrize(
         "method, baseline",
-        [("mt", None), ("ssmt", None), ("ssmt", "45"), ("assmt", "45")],
-        ids=["mt", "ssmt-full-record", "ssmt-baseline", "assmt"],
+        [("mt", None), ("ssmt", None), ("ssmt", "45"), ("assmt", "45"), ("assmt-traces", "45")],
+        ids=["mt", "ssmt-full-record", "ssmt-baseline", "assmt", "assmt-traces"],
     )
     @pytest.mark.parametrize(
         "fmt, extra",
@@ -1190,7 +1257,7 @@ class TestMalformedInput:
             warnings.simplefilter("ignore", UserWarning)
             code = main(["estimate", "--input", str(path), "--sample-rate", "36",
                          "--method", "assmt", "--baseline-seconds", "30", "--format", fmt,
-                         "--out-dir", str(out)])
+                         "--traces", "--out-dir", str(out)])
         assert code == expected
         if expected == EXIT_DATA:
             lines = capsys.readouterr().err.splitlines()
@@ -1309,6 +1376,7 @@ class TestReplayErrorsNameTheManifest:
         [("estimate", "method", "foo", "unknown method 'foo'"),
          ("estimate", "scale", "bels", "scale must be 'linear' or 'dB'"),
          ("estimate", "output_format", "hdf5", "output format must be 'csv' or 'bin'"),
+         ("estimate", "traces", True, "traces are written by assmt only, not mt"),
          ("simulate", "format", "hdf5", "format must be 'csv' or 'bin'")],
     )
     def test_config_error(self, sim_dir, tmp_path, monkeypatch, capsys, command, key, value,

@@ -262,13 +262,12 @@ class TestGoldenBytes:
             assert signal.read_bytes() == signal_csv_text(values.ravel()).encode()
 
 
-def write_with_baseline(path, values, baseline, cuts=(), **kwargs):
-    """Write ``values`` with ``baseline``, in blocks of rows cut at ``cuts``.
-    Returns the file's bytes."""
+def write_in_blocks(path, values, cuts=(), **kwargs):
+    """Write ``values`` in blocks of rows cut at ``cuts``.  Returns the file's
+    bytes."""
     bounds = (0, *cuts, len(values))
     for first, stop in zip(bounds, bounds[1:]):
-        io.write_matrix_csv(path, values[first:stop], baseline=baseline, append=first > 0,
-                            **kwargs)
+        io.write_matrix_csv(path, values[first:stop], append=first > 0, **kwargs)
     return path.read_bytes()
 
 
@@ -277,41 +276,34 @@ RAISED_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, 3.0, np.inf, np.n
 
 
 class TestBaselineCells:
-    """`write_matrix_csv`'s ``baseline`` changes no byte: a cell with its bits
-    takes its text, any other cell is formatted."""
+    """A state-variance trace's shape: most cells repeat a baseline row bit
+    for bit, and the others are any value, signed zeros and subnormals
+    among them.  Written in blocks of rows, the file holds the bytes that
+    ``%.9g`` gives every cell."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_any_cells_at_the_baseline(self, data):
-        # one-sided and full-grid trace widths, and chunks of every kind
+        # one-sided and full-grid trace widths
         cols = data.draw(st.sampled_from([1, 3, 109, 216]), label="cols")
-        step = max(1, io._CHUNK_CELLS // cols)
-        rows = data.draw(st.integers(1, 3 * step + 1), label="rows")
+        rows = data.draw(st.integers(1, 12), label="rows")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         baseline = rng.choice(SPECIAL_VALUES + [0.0, 2.5e-310], cols)
-        at_baseline = np.empty((rows, cols), dtype=bool)
-        for first in range(0, rows, step):
-            kind = data.draw(st.sampled_from(["all", "none", "some"]), label="chunk")
-            share = {"all": 1.0, "none": 0.0, "some": rng.random()}[kind]
-            at_baseline[first:first + step] = rng.random((len(at_baseline[first:first + step]),
-                                                         cols)) < share
+        share = data.draw(st.sampled_from([0.0, 0.6, 1.0]), label="share at the baseline")
         raised = np.where(rng.random((rows, cols)) < 0.5, rng.choice(RAISED_VALUES, (rows, cols)),
                           rng.standard_normal((rows, cols)))
-        # a raised cell's bits differ from the baseline's
-        raised = np.where(raised.view(np.int64) == baseline.view(np.int64), 7.0, raised)
-        values = np.where(at_baseline, baseline, raised)
+        values = np.where(rng.random((rows, cols)) < share, baseline, raised)
         cuts = tuple(sorted(set(data.draw(st.lists(st.integers(1, rows), max_size=3),
                                           label="cuts")) - {rows}))
         with tempfile.TemporaryDirectory() as tmp:
-            written = write_with_baseline(Path(tmp) / "m.csv", values, baseline, cuts)
+            written = write_in_blocks(Path(tmp) / "m.csv", values, cuts)
         assert written == matrix_csv_text(values).encode()
 
     def test_signed_zeros_and_subnormals(self, tmp_path):
-        baseline = np.array([0.0, -0.0, 5e-324, 2.5e-310, np.nan])
         values = np.array([[0.0, -0.0, 5e-324, 2.5e-310, np.nan],
                            [-0.0, 0.0, -5e-324, 5e-324, -np.nan],
                            [-0.0, -0.0, 5e-324, 1e-310, np.inf]])
-        written = write_with_baseline(tmp_path / "m.csv", values, baseline, scale="dB")
+        written = write_in_blocks(tmp_path / "m.csv", values, scale="dB")
         assert written == matrix_csv_text(values, "dB").encode()
         assert written.splitlines()[2:] == [b"-0,0,-4.94065646e-324,4.94065646e-324,nan",
                                             b"-0,-0,4.94065646e-324,1e-310,inf"]
@@ -323,23 +315,16 @@ class TestBaselineCells:
         values = np.where(rng.random((6, cols)) < 0.6, baseline, rng.standard_normal((6, cols)))
         whole = tmp_path / "whole.csv"
         io.write_matrix_csv(whole, values, scale="linear")
-        written = write_with_baseline(tmp_path / "m.csv", values, baseline, cuts, scale="linear")
+        written = write_in_blocks(tmp_path / "m.csv", values, cuts, scale="linear")
         assert written == whole.read_bytes() == matrix_csv_text(values, "linear").encode()
 
     def test_strided_taper_of_a_trace(self, tmp_path, rng):
-        # the command line writes taper m of a (K, J, M) trace against column
-        # m of a (J, M) baseline: both strided views
+        # the command line writes taper m of a (K, J, M) trace: a strided view
         state_var = rng.random((109, 3))
         trace = np.where(rng.random((20, 109, 3)) < 0.6, state_var, rng.random((20, 109, 3)))
         for m in range(3):
-            path = io.write_matrix(tmp_path / f"t{m}", trace[:, :, m], baseline=state_var[:, m])
+            path = io.write_matrix(tmp_path / f"t{m}", trace[:, :, m])
             assert path.read_bytes() == matrix_csv_text(trace[:, :, m]).encode()
-
-    def test_binary_format_ignores_the_baseline(self, tmp_path, rng):
-        values = rng.standard_normal((4, 5))
-        with_baseline = io.write_matrix(tmp_path / "a", values, fmt="bin", baseline=values[0])
-        without = io.write_matrix(tmp_path / "b", values, fmt="bin")
-        assert with_baseline.read_bytes() == without.read_bytes()
 
 
 # numbers, separators, and every line break and some other whitespace

@@ -81,7 +81,7 @@ class TestGainRecipe:
 
     @pytest.mark.parametrize("grid", [(), ("--full-grid",)], ids=["one-sided", "full-grid"])
     @pytest.mark.parametrize("method, extra",
-                             [("ssmt", ()), ("assmt", ("--baseline-seconds", "30"))])
+                             [("ssmt", ()), ("assmt", ("--baseline-seconds", "30", "--traces"))])
     def test_estimate_files(self, readme, tmp_path, monkeypatch, method, extra, grid):
         namespace, _ = readme
         signal = io.write_signal(tmp_path / "signal",
